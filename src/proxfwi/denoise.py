@@ -12,9 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.ndimage import uniform_filter
 
+from . import linsys
 from .errors import ConfigError, GeometryError
 
 # smoothing floor for the reweighted TV solves; sqrt of this bounds how far
@@ -87,7 +87,7 @@ def tv2d(x: np.ndarray, t: float, inner_iters: int = 40, return_history: bool = 
         d = diff @ m
         w = 1.0 / np.sqrt(d**2 + _TV_EPS)
         system = identity + t * (diff.T @ diff.multiply(w[:, None]))
-        m_new = spla.splu(system.tocsc()).solve(xf)
+        m_new = linsys.factorize(system).solve(xf)
         history.append(smoothed_objective(m_new))
         if np.linalg.norm(m_new - m) <= 1e-14 * (1.0 + np.linalg.norm(xf)):
             m = m_new

@@ -127,7 +127,7 @@ class FwiOracle(_OracleBase):
             fact = system.factor()
             b = system.point_sources(self.acq.sources, wave.ricker_amplitude(f, self.f_peak))
             u = fact.solve(b)
-            rx = np.array([system.padded_index(iz, ix) for iz, ix in self.acq.receivers])
+            rx = system.padded_indices(self.acq.receivers)
             resid = u[rx, :] - self.observed.blocks[i]
             misfit += 0.5 * float(np.sum(np.abs(resid) ** 2))
             per_freq.append(
@@ -217,7 +217,7 @@ class WriOracle(_OracleBase):
         data_resid_sq = 0.0
         for i, f in enumerate(self.acq.frequencies):
             system = self._assemble(m, f)
-            rx = np.array([system.padded_index(iz, ix) for iz, ix in self.acq.receivers])
+            rx = system.padded_indices(self.acq.receivers)
             a = system.matrix.tocsc()
             ah = a.conjugate().transpose().tocsc()
             penalty = sp.coo_matrix(

@@ -66,8 +66,17 @@ class HelmholtzSystem:
 
     def padded_index(self, iz: int, ix: int) -> int:
         """Linear index of interior node (iz, ix) in the padded grid."""
-        if not (0 <= iz < self.nz and 0 <= ix < self.nx):
-            raise GeometryError(f"interior index ({iz}, {ix}) outside {self.nz}x{self.nx}")
+        return int(self.padded_indices([(iz, ix)])[0])
+
+    def padded_indices(self, points) -> np.ndarray:
+        """Padded linear indices of a sequence of interior (iz, ix) nodes, in order."""
+        iz, ix = np.asarray(points, dtype=np.int64).reshape(-1, 2).T
+        outside = (iz < 0) | (iz >= self.nz) | (ix < 0) | (ix >= self.nx)
+        if np.any(outside):
+            k = int(np.argmax(outside))
+            raise GeometryError(
+                f"interior index ({iz[k]}, {ix[k]}) outside {self.nz}x{self.nx}"
+            )
         return (iz + self.pad_top) * self.nxp + (ix + self.pml_cells)
 
     def interior_indices(self) -> np.ndarray:
@@ -79,8 +88,8 @@ class HelmholtzSystem:
     def point_sources(self, sources, amplitude: complex) -> np.ndarray:
         """Column block of nearest-node point sources scaled by 1/(dz*dx)."""
         b = np.zeros((self.n, len(sources)), dtype=np.complex128)
-        for col, (iz, ix) in enumerate(sources):
-            b[self.padded_index(iz, ix), col] = amplitude / (self.dz * self.dx)
+        rows = self.padded_indices(sources)
+        b[rows, np.arange(rows.size)] = amplitude / (self.dz * self.dx)
         return b
 
 
@@ -250,7 +259,7 @@ def forward(
                           pml_velocity=pml_velocity)
         b = system.point_sources(acq.sources, ricker_amplitude(f, f_peak))
         u = system.factor().solve(b)
-        rx = np.array([system.padded_index(iz, ix) for iz, ix in acq.receivers])
+        rx = system.padded_indices(acq.receivers)
         blocks.append(u[rx, :])
     return FreqData(tuple(acq.frequencies), tuple(blocks))
 
@@ -298,7 +307,7 @@ def solve_augmented(
     for i, f in enumerate(acq.frequencies):
         system = assemble(slowness, 2.0 * np.pi * f, pml_cells, free_surface_top,
                           pml_velocity=pml_velocity)
-        rx = np.array([system.padded_index(iz, ix) for iz, ix in acq.receivers])
+        rx = system.padded_indices(acq.receivers)
         a = system.matrix.tocsc()
         ah = a.conjugate().transpose().tocsc()
         penalty = sp.coo_matrix(

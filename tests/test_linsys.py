@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from proxfwi import linsys
+from proxfwi import linsys, model, wave
 from proxfwi.errors import FactorizationError
 
 
@@ -39,7 +40,7 @@ def test_manufactured_solution():
     rng = np.random.default_rng(1)
     a = _random_sparse(40, rng)
     x0 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    x = linsys.solve(linsys.factorize(a), a @ x0)
+    x = linsys.factorize(a).solve(a @ x0)
     assert np.linalg.norm(x - x0) < 1e-9 * np.linalg.norm(x0)
 
 
@@ -78,14 +79,58 @@ def test_dimension_mismatch():
         fact.solve(np.ones(5))
 
 
-def test_validate_structure_rejects_unsorted():
-    a = sp.csr_matrix((np.array([1.0, 2.0]), np.array([1, 0]), np.array([0, 2, 2])), shape=(2, 2))
-    with pytest.raises(ValueError):
-        linsys.validate_structure(a)
+# ---------------------------------------------------------------------------
+# factorization contract on the package's own matrices
 
 
-def test_validate_structure_accepts_well_formed():
-    linsys.validate_structure(sp.identity(5, format="csr"))
+def _helmholtz_41(m_interior, pml=10, h=25.0, v=2000.0, freq=5.0):
+    """PML Helmholtz system on a 41^2 interior with a homogeneous collar."""
+    pad = np.full((41 + 2 * pml, 41 + 2 * pml), 1.0 / v**2)
+    pad[pml:-pml, pml:-pml] = m_interior
+    return wave.assemble_padded(pad, h, h, 2 * np.pi * freq, pml, pml, False, pml_velocity=v)
+
+
+def _relative_residual(a, x, rhs):
+    return np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs)
+
+
+def test_unphysical_helmholtz_and_normal_matrix_residual():
+    rng = np.random.default_rng(5)
+    m0 = 1.0 / 2000.0**2
+    m = m0 * rng.uniform(-3.0, 2.0, (41, 41))  # about 60 % of the cells have m < 0
+    system = _helmholtz_41(m)
+    rx = system.padded_indices([(40, ix) for ix in range(0, 41, 2)])
+    a = system.matrix.tocsc()
+    ah = a.conjugate().transpose().tocsc()
+    mu = 1e-3 * abs(a[rx[0], rx[0]])
+    penalty = sp.coo_matrix((np.full(rx.size, mu**2), (rx, rx)), shape=a.shape)
+    normal = (ah @ a + penalty).tocsc()
+    rhs = rng.standard_normal((system.n, 3)) + 1j * rng.standard_normal((system.n, 3))
+    for matrix in (a, normal):
+        x = linsys.factorize(matrix).solve(rhs)
+        assert _relative_residual(matrix, x, rhs) <= 1e-10
+
+
+def test_real_spd_input_factors_in_float64():
+    n = 30
+    lap = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+    a = (sp.kronsum(lap, lap) + sp.identity(n * n)).tocsr()
+    fact = linsys.factorize(a)
+    assert fact._lu.L.dtype == np.float64
+    rhs = np.random.default_rng(6).standard_normal(n * n)
+    x = fact.solve(rhs)
+    assert x.dtype == np.float64
+    assert _relative_residual(a, x, rhs) <= 1e-12
+    with pytest.raises(TypeError):
+        fact.solve(rhs + 1j)
+
+
+def test_helmholtz_fill_below_colamd():
+    m = np.full((41, 41), 1.0 / 2000.0**2)
+    m[10:30, 15:25] = 1.0 / 2500.0**2
+    a = _helmholtz_41(m).matrix
+    colamd = spla.splu(sp.csc_matrix(a)).nnz
+    assert linsys.factorize(a)._lu.nnz < colamd
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,17 @@ def test_interior_stencil_row():
         assert entries[col] == pytest.approx(1.0 / h**2, rel=1e-14)
     assert len(entries) == 5
 
+    points = [(10, 10), (0, 0), (20, 3), (10, 10)]
+    rows = system.padded_indices(points)
+    assert rows.tolist() == [system.padded_index(iz, ix) for iz, ix in points]
+    assert rows[0] == row and rows[1] == system.pml_cells * (system.nxp + 1)
+    assert system.padded_indices([]).shape == (0,)
+    for bad in [(21, 0), (0, -1)]:
+        with pytest.raises(GeometryError):
+            system.padded_index(*bad)
+        with pytest.raises(GeometryError):
+            system.padded_indices([(10, 10), bad])
+
 
 def test_matrix_exactly_complex_symmetric():
     grid = _slowness(15, 20.0)
