@@ -195,11 +195,6 @@ class Denoiser:
         return None
 
 
-def apply(denoiser, x: np.ndarray, scale: float) -> np.ndarray:
-    """Module-level dispatch; works for any object with an apply method."""
-    return denoiser.apply(x, scale)
-
-
 def make_denoiser(spec: str, ref: np.ndarray | None = None) -> Denoiser:
     """Parse a denoiser spec string like ``tv2d:weight=2e-9,iters=30``.
 

@@ -10,7 +10,7 @@ interior derivatives are clean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +75,9 @@ class _OracleBase:
         self.nz, self.nx = background.nz, background.nx
         self.dz, self.dx = background.dz, background.dx
         self._pad_top = 0 if free_surface_top else self.pml_cells
+        # the interior block of the padded grid
+        self._interior = np.s_[self._pad_top : self._pad_top + self.nz,
+                               self.pml_cells : self.pml_cells + self.nx]
         self._collar = np.pad(
             background.values,
             ((self._pad_top, self.pml_cells), (self.pml_cells, self.pml_cells)),
@@ -88,8 +91,7 @@ class _OracleBase:
         if m.shape != (self.nz, self.nx):
             raise GeometryError(f"model shape {m.shape} != ({self.nz}, {self.nx})")
         padded = self._collar.copy()
-        padded[self._pad_top : self._pad_top + self.nz,
-               self.pml_cells : self.pml_cells + self.nx] = m
+        padded[self._interior] = m
         return padded
 
     def _assemble(self, m: np.ndarray, freq: float) -> wave.HelmholtzSystem:
@@ -154,42 +156,33 @@ class FwiOracle(_OracleBase):
     def data_residual_norm(self, m) -> float:
         return math.sqrt(2.0 * self.value(m))
 
+    def _back_correlate(self, entry, r) -> np.ndarray:
+        """-omega^2 sum_s Re(u_s * A^-1 P^T conj(r_s)) on the padded grid."""
+        system, u = entry["system"], entry["u"]
+        adj_src = np.zeros_like(u)
+        adj_src[entry["rx"], :] = np.conj(r)
+        w = entry["fact"].solve(adj_src)
+        return -(system.omega**2) * np.sum((u * w).real, axis=1).reshape(system.nzp, system.nxp)
+
     def gradient(self, m) -> np.ndarray:
-        cache = self._prepare(m)
         grad_pad = np.zeros_like(self._collar)
-        for entry in cache["per_freq"]:
-            system, fact = entry["system"], entry["fact"]
-            adj_src = np.zeros((system.n, entry["resid"].shape[1]), dtype=np.complex128)
-            adj_src[entry["rx"], :] = np.conj(entry["resid"])
-            w = fact.solve(adj_src)
-            grad_pad += -(system.omega**2) * np.sum((entry["u"] * w).real, axis=1).reshape(
-                system.nzp, system.nxp
-            )
-        return self._extract_interior(grad_pad)
+        for entry in self._prepare(m)["per_freq"]:
+            grad_pad += self._back_correlate(entry, entry["resid"])
+        return grad_pad[self._interior].copy()
 
     def hvp(self, m, v) -> np.ndarray:
         """Gauss-Newton product J^T J v via forward-linearized and adjoint solves."""
         cache = self._prepare(m)
         v = np.asarray(v, dtype=np.float64)
         v_pad = np.zeros_like(self._collar)
-        v_pad[self._pad_top : self._pad_top + self.nz,
-              self.pml_cells : self.pml_cells + self.nx] = v.reshape(self.nz, self.nx)
+        v_pad[self._interior] = v.reshape(self.nz, self.nx)
         vp = v_pad.ravel()
         out_pad = np.zeros_like(self._collar)
         for entry in cache["per_freq"]:
-            system, fact, u = entry["system"], entry["fact"], entry["u"]
-            omega2 = system.omega**2
-            du = fact.solve(-omega2 * (vp[:, None] * u))
-            t = du[entry["rx"], :]
-            adj_src = np.zeros_like(u)
-            adj_src[entry["rx"], :] = np.conj(t)
-            w = fact.solve(adj_src)
-            out_pad += -omega2 * np.sum((u * w).real, axis=1).reshape(system.nzp, system.nxp)
-        return self._extract_interior(out_pad).reshape(v.shape)
-
-    def _extract_interior(self, padded: np.ndarray) -> np.ndarray:
-        return padded[self._pad_top : self._pad_top + self.nz,
-                      self.pml_cells : self.pml_cells + self.nx].copy()
+            u, omega2 = entry["u"], entry["system"].omega ** 2
+            du = entry["fact"].solve(-omega2 * (vp[:, None] * u))
+            out_pad += self._back_correlate(entry, du[entry["rx"], :])
+        return out_pad[self._interior].copy().reshape(v.shape)
 
 
 class WriOracle(_OracleBase):

@@ -9,7 +9,11 @@ step, and a dual update (``nadmm_step``).
 
 The Hessian can be the oracle's exact/Gauss-Newton operator, a dense matrix
 for toy sizes, a limited-memory quasi-Newton approximation built from outer
-gradient pairs, a diagonal, or the identity.
+gradient pairs, a diagonal, or the identity.  ``_hessian_ops`` is the only
+place a Hessian mode is chosen: it builds the per-outer (apply, shifted solve,
+spectral norm) triple, and ``nadmm_step`` takes its ``solve_shifted``.  Both
+solvers accept their step through one ``_search_step``, which backtracks with
+``line_search`` and holds the iterate when no trial lowers the merit.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .errors import ConfigError, NumericalError
 from .linsys import spectral_norm
 
 _CURVATURE_FLOOR = 1e-12
+C_SAFETY = 0.9  # ck = C_SAFETY / sigma_max(H_k), just inside the inner loop's 1/L limit
+C_FREEZE_AFTER = 3  # NADMM fixes ck from this outer step on, so the dual update sees one penalty
+STEP_FLOOR = 1e-14  # an accepted step this small relative to 1 + ||m|| is rounding noise
 
 
 def _dot(a, b) -> float:
@@ -39,8 +46,8 @@ class CallbackOracle:
 
     ``value(m)`` and ``gradient(m)`` are required; ``hvp(m, v)`` returns the
     (approximate) Hessian applied to v, and ``hessian_diag`` /
-    ``hessian_dense`` are optional extras used by the corresponding inner
-    solvers.
+    ``hessian_dense`` are optional extras used by the corresponding Hessian
+    modes.
     """
 
     def __init__(self, value, gradient, hvp=None, hessian_diag=None, hessian_dense=None):
@@ -72,56 +79,8 @@ class CallbackOracle:
         return np.asarray(self._hessian_dense(m), dtype=np.float64)
 
 
-def least_squares_oracle(a: np.ndarray, data: np.ndarray) -> CallbackOracle:
-    """Oracle for the linear misfit 0.5 ||data - A m||^2."""
-    a = np.asarray(a, dtype=np.float64)
-    data = np.asarray(data, dtype=np.float64)
-    gram = a.T @ a
-
-    def value(m):
-        r = data - a @ np.ravel(m)
-        return 0.5 * float(np.dot(r, r))
-
-    def gradient(m):
-        m = np.asarray(m)
-        return (gram @ np.ravel(m) - a.T @ data).reshape(m.shape)
-
-    def hvp(m, v):
-        v = np.asarray(v)
-        return (gram @ np.ravel(v)).reshape(v.shape)
-
-    return CallbackOracle(value, gradient, hvp, hessian_dense=lambda m: gram)
-
-
 # ---------------------------------------------------------------------------
 # limited-memory quasi-Newton Hessian
-
-
-def lbfgs_apply_inverse(pairs, g, gamma_scaling: bool = True) -> np.ndarray:
-    """Two-loop recursion: apply the quasi-Newton *inverse* Hessian to g.
-
-    ``pairs`` is a sequence of (s, y) steps/gradient-differences; entries with
-    nonpositive curvature s.y are skipped.  Empty history with unit scaling
-    returns g unchanged.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    kept = [(s, y, 1.0 / _dot(s, y)) for s, y in pairs if _curvature_ok(s, y)]
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(kept):
-        alpha = rho * _dot(s, q)
-        q = q - alpha * np.asarray(y)
-        alphas.append(alpha)
-    if kept and gamma_scaling:
-        s_last, y_last, _ = kept[-1]
-        gamma = _dot(s_last, y_last) / _dot(y_last, y_last)
-    else:
-        gamma = 1.0
-    r = gamma * q
-    for (s, y, rho), alpha in zip(kept, reversed(alphas)):
-        beta = rho * _dot(y, r)
-        r = r + np.asarray(s) * (alpha - beta)
-    return r
 
 
 def _curvature_ok(s, y) -> bool:
@@ -131,7 +90,7 @@ def _curvature_ok(s, y) -> bool:
 class LbfgsHessian:
     """Compact-form limited-memory BFGS Hessian (the direct operator B).
 
-    Stores up to ``memory`` curvature pairs from the outer iteration and.
+    Stores up to ``memory`` curvature pairs from the outer iteration and
     supports applying B and solving (c*B + I) x = rhs exactly via a low-rank
     update formula, which is what the splitting step needs.
     """
@@ -156,10 +115,6 @@ class LbfgsHessian:
         if len(self._s) > self.memory:
             self._s.pop(0)
             self._y.pop(0)
-
-    @property
-    def pairs(self):
-        return list(zip(self._s, self._y))
 
     def _delta(self) -> float:
         if not self._s:
@@ -202,58 +157,12 @@ class LbfgsHessian:
         x = flat / a + u @ np.linalg.solve(inner, u.T @ flat / a) / a
         return x.reshape(rhs.shape)
 
-    def apply_inverse(self, g, gamma_scaling: bool = True) -> np.ndarray:
-        return lbfgs_apply_inverse(self.pairs, g, gamma_scaling)
-
     def norm_estimate(self, seed: int = 0) -> float:
         if not self._s:
             return 1.0
         n = self._s[0].size
         est = spectral_norm(lambda v: np.ravel(self.apply(v)), n, seed=seed)
         return est.value
-
-
-# ---------------------------------------------------------------------------
-# proximal gradient (the first-order kernel)
-
-
-def proximal_gradient(
-    oracle,
-    denoiser,
-    lam: float,
-    m0,
-    iters: int,
-    accelerate: bool = True,
-    c: float | None = None,
-    seed: int = 0,
-):
-    """Accelerated proximal-gradient iteration on a smooth misfit.
-
-    Each sweep takes a gradient step at the extrapolated point, applies the
-    prox/denoiser with weight c*lam, then extrapolates with coefficient
-    (k-1)/(k+2).  With ``accelerate=False`` this is the plain
-    forward-backward iteration.
-    """
-    if lam < 0.0:
-        raise ValueError("regularization weight must be nonnegative")
-    m = np.asarray(m0, dtype=np.float64).copy()
-    if c is None:
-        est = spectral_norm(lambda v: np.ravel(oracle.hvp(m, v.reshape(m.shape))), m.size, seed=seed)
-        c = 0.9 / est.value if est.value > 0.0 else 1.0
-    p = m.copy()
-    for k in range(1, iters + 1):
-        g = oracle.gradient(p)
-        m_new = denoiser.apply(p - c * g, c * lam)
-        if not np.all(np.isfinite(m_new)):
-            raise NumericalError(f"proximal gradient diverged at iteration {k} (step {c:g})")
-        if accelerate:
-            p = m_new + ((k - 1.0) / (k + 2.0)) * (m_new - m)
-        else:
-            p = m_new
-        m = m_new
-    if not math.isfinite(oracle.value(m)):
-        raise NumericalError("proximal gradient produced a non-finite objective")
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +212,19 @@ def line_search(
     if math.isinf(best[0]):
         raise NumericalError("line search found no finite objective value")
     return LineSearchResult(best[1], best[0], False, max_trials)
+
+
+def _search_step(merit, m, dm, f0: float, ck: float):
+    """Step acceptance shared by both solvers: (alpha, m_new, merit_new, accepted).
+
+    Backtracks on ``merit`` from f0 = merit(m) with the line-search defaults
+    and never moves uphill: when no trial beats f0 the iterate is held
+    (alpha 0) and the caller decides what to do about it.
+    """
+    ls = line_search(merit, m, dm, ck=ck, f0=f0)
+    if ls.accepted or ls.value < f0:
+        return ls.alpha, m + ls.alpha * dm, ls.value, ls.accepted
+    return 0.0, m, f0, False
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +327,16 @@ def nadmm_step(
     denoiser,
     lam: float,
     ck: float,
-    inner_solver: str = "exact-dense",
-    solve_shifted: Callable | None = None,
+    solve_shifted: Callable,
     grad=None,
     value: float | None = None,
-    ls_sigma: float = 1e-4,
-    ls_shrink: float = 0.5,
-    ls_max_trials: int = 25,
 ) -> InversionState:
     """One splitting step: damped Newton solve, line search, prox, dual update.
 
-    Solves (ck*H + I) dm = -ck*grad + (p + q - m) with the chosen inner
-    solver, line-searches the damped merit M(m) + ||m - (p+q)||^2 / (2 ck),
-    then updates p by denoising (m_new - q) and q by the running constraint
-    mismatch.
+    Solves (ck*H + I) dm = -ck*grad + (p + q - m) with ``solve_shifted(c,
+    rhs)`` (one of the solvers built by ``_hessian_ops``), line-searches the
+    damped merit M(m) + ||m - (p+q)||^2 / (2 ck), then updates p by denoising
+    (m_new - q) and q by the running constraint mismatch.
     """
     if ck <= 0.0:
         raise ValueError("step size ck must be positive")
@@ -426,20 +344,6 @@ def nadmm_step(
     if grad is None:
         grad = oracle.gradient(m)
     grad = np.asarray(grad, dtype=np.float64)
-
-    if solve_shifted is None:
-        if inner_solver == "exact-dense":
-            h = _psd_guard(_materialize_hessian(oracle, m))
-            solve_shifted = lambda c, rhs: np.linalg.solve(
-                c * h + np.eye(h.shape[0]), np.ravel(rhs)
-            ).reshape(np.asarray(rhs).shape)
-        elif inner_solver == "diagonal":
-            d = np.maximum(np.asarray(oracle.hessian_diag(m), dtype=np.float64), 0.0)
-            solve_shifted = lambda c, rhs: np.asarray(rhs) / (c * d + 1.0)
-        elif inner_solver == "lbfgs":
-            raise ConfigError("lbfgs inner solver needs the driver's pair history")
-        else:
-            raise ConfigError(f"unknown inner solver {inner_solver!r}")
 
     prior = p + q
     rhs = -ck * grad + (prior - m)
@@ -451,25 +355,9 @@ def nadmm_step(
         diff = mm - prior
         return oracle.value(mm) + _dot(diff, diff) / (2.0 * ck)
 
-    f0 = None
-    if value is not None:
-        diff0 = m - prior
-        f0 = value + _dot(diff0, diff0) / (2.0 * ck)
-    if f0 is None:
-        diff0 = m - prior
-        f0 = oracle.value(m) + _dot(diff0, diff0) / (2.0 * ck)
-    ls = line_search(
-        damped, m, dm, sigma_ls=ls_sigma, beta_ls=ls_shrink,
-        max_trials=ls_max_trials, ck=ck, f0=f0,
-    )
-    if ls.accepted or ls.value < f0:
-        alpha = ls.alpha
-        m_new = m + alpha * dm
-        merit_new = ls.value
-    else:  # never move uphill; hold the iterate and let the caller decide
-        alpha = 0.0
-        m_new = m
-        merit_new = f0
+    diff0 = m - prior
+    f0 = (oracle.value(m) if value is None else value) + _dot(diff0, diff0) / (2.0 * ck)
+    alpha, m_new, merit_new, accepted = _search_step(damped, m, dm, f0, ck)
     diff_new = m_new - prior
     misfit_new = merit_new - _dot(diff_new, diff_new) / (2.0 * ck)
     p_new = denoiser.apply(m_new - q, ck * lam)
@@ -482,7 +370,7 @@ def nadmm_step(
     state.k += 1
     state.last_dm = dm
     state.last_alpha = alpha
-    state.last_accepted = ls.accepted
+    state.last_accepted = accepted
     state.last_misfit = misfit_new
     return state
 
@@ -498,30 +386,19 @@ class OptConfig:
     lam: float = 0.0
     c_rule: str = "auto-spectral"  # or "fixed"
     c_fixed: float = 1.0
-    c_safety: float = 0.9  # ck = c_safety / sigma_max(H_k)
-    c_literal_squared: bool = False  # ck = 1 / sigma_max^2 instead
     max_outer: int = 70
     inner_iters: int = 100
-    ls_shrink: float = 0.5
-    ls_sigma: float = 1e-4
-    ls_max_trials: int = 25
     lbfgs_memory: int = 10
     warm_start: bool = False
     hessian: str = "hvp"  # hvp | exact-dense | lbfgs | diagonal | identity
-    c_freeze_after: int = 3  # splitting method: stop re-estimating ck after this outer
     stopping: str = "max-iter"  # max-iter | model-error-target | data-residual-target
     stop_target: float | None = None
     stop_metric: Callable | None = None
-    step_floor: float = 1e-14
     seed: int = 0
 
     def validate(self):
         if self.lam < 0.0:
             raise ConfigError("regularization weight must be nonnegative")
-        if not (0.0 < self.ls_shrink < 1.0):
-            raise ConfigError("line search shrink factor must be in (0, 1)")
-        if not (0.0 < self.ls_sigma < 1.0):
-            raise ConfigError("sufficient-decrease constant must be in (0, 1)")
         if self.lbfgs_memory < 0:
             raise ConfigError("lbfgs memory must be nonnegative")
         if self.hessian not in ("hvp", "exact-dense", "lbfgs", "diagonal", "identity"):
@@ -613,13 +490,9 @@ def _hessian_ops(mode, oracle, m, lbfgs_hess, seed):
 
 
 def _step_size(config: OptConfig, sigma: float) -> float:
-    if config.c_rule == "fixed":
+    if config.c_rule == "fixed" or sigma <= 0.0:
         return config.c_fixed
-    if sigma <= 0.0:
-        return config.c_fixed
-    if config.c_literal_squared:
-        return 1.0 / sigma**2
-    return config.c_safety / sigma
+    return C_SAFETY / sigma
 
 
 def proximal_newton_solve(
@@ -689,7 +562,7 @@ def proximal_newton_solve(
         h_apply, solve_shifted, sigma = _hessian_ops(
             config.hessian, oracle, state.m, lbfgs_hess, config.seed
         )
-        if method == "nadmm" and k >= config.c_freeze_after and k > 0:
+        if method == "nadmm" and k >= C_FREEZE_AFTER:
             ck = state.ck
         else:
             ck = _step_size(config, sigma)
@@ -707,21 +580,12 @@ def proximal_newton_solve(
                 break
             f0, _ = composite(state.m, misfit=val)
             merit = lambda mm: composite(mm)[0]
-            ls = line_search(
-                merit, state.m, dm, sigma_ls=config.ls_sigma, beta_ls=config.ls_shrink,
-                max_trials=config.ls_max_trials, ck=ck, f0=f0,
+            state.last_alpha, state.m, obj, state.last_accepted = _search_step(
+                merit, state.m, dm, f0, ck
             )
-            if ls.accepted or ls.value < f0:
-                state.last_alpha = ls.alpha
-                state.m = state.m + ls.alpha * dm
-                obj = ls.value
-            else:
-                state.last_alpha = 0.0
-                obj = f0
             state.ck = ck
             state.k += 1
             state.last_dm = dm
-            state.last_accepted = ls.accepted
             dp_warm = dp_next
             reg = lam * pen(state.m) if pen is not None and pen(state.m) is not None else math.nan
             misfit = obj - reg if math.isfinite(reg) else obj
@@ -729,8 +593,6 @@ def proximal_newton_solve(
             state = nadmm_step(
                 oracle, state, denoiser, lam, ck,
                 solve_shifted=solve_shifted, grad=g, value=val,
-                ls_sigma=config.ls_sigma, ls_shrink=config.ls_shrink,
-                ls_max_trials=config.ls_max_trials,
             )
             misfit = state.last_misfit
             obj, reg = composite(state.m, misfit=misfit)
@@ -751,7 +613,7 @@ def proximal_newton_solve(
                 break
         else:
             stagnation = 0
-            if step_norm <= config.step_floor * (1.0 + _norm(state.m)):
+            if step_norm <= STEP_FLOOR * (1.0 + _norm(state.m)):
                 status = "step-floor"
                 break
 

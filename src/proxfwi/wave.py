@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linsys
-from .errors import GeometryError, NumericalError
+from .errors import GeometryError
 from .model import (
     KIND_SLOWNESS_SQ,
     AcquisitionGeometry,
@@ -237,10 +237,6 @@ def assemble_padded(
     )
 
 
-def _validate_acquisition(acq: AcquisitionGeometry, nz: int, nx: int, free_surface: bool):
-    acq.validate_for(nz, nx, min_iz=1 if free_surface else 0)
-
-
 def forward(
     model: ModelGrid,
     acq: AcquisitionGeometry,
@@ -252,7 +248,7 @@ def forward(
     """Simulate receiver data: assemble and factor once per frequency, solve
     all sources as one block, and sample nodal values at the receivers."""
     slowness = as_slowness_squared(model)
-    _validate_acquisition(acq, model.nz, model.nx, free_surface_top)
+    acq.validate_for(model.nz, model.nx, min_iz=1 if free_surface_top else 0)
     blocks = []
     for f in acq.frequencies:
         system = assemble(slowness, 2.0 * np.pi * f, pml_cells, free_surface_top,
@@ -262,70 +258,6 @@ def forward(
         rx = system.padded_indices(acq.receivers)
         blocks.append(u[rx, :])
     return FreqData(tuple(acq.frequencies), tuple(blocks))
-
-
-@dataclass
-class Wavefields:
-    """Data-assimilated fields per frequency: arrays of shape (n_padded, n_src)."""
-
-    frequencies: tuple
-    fields: tuple
-    systems: tuple
-    receiver_rows: np.ndarray
-
-    def field(self, i_freq: int, i_src: int) -> np.ndarray:
-        return self.fields[i_freq][:, i_src]
-
-
-def solve_augmented(
-    model: ModelGrid,
-    acq: AcquisitionGeometry,
-    observed: FreqData,
-    mu: float,
-    f_peak: float = 10.0,
-    pml_cells: int = 10,
-    free_surface_top: bool = False,
-    pml_velocity: float | None = None,
-) -> Wavefields:
-    """Least-squares wavefields of the stacked system [A; mu P] u = [b; mu d].
-
-    Solved through the normal equations (A^H A + mu^2 P^T P) u = A^H b +
-    mu^2 P^T d with one factorization per frequency shared by all sources,
-    plus one step of iterative refinement to pin the residual down.
-    """
-    if mu <= 0.0:
-        raise ValueError("penalty parameter mu must be positive")
-    slowness = as_slowness_squared(model)
-    _validate_acquisition(acq, model.nz, model.nx, free_surface_top)
-    if observed.frequencies != acq.frequencies:
-        raise GeometryError("observed data frequencies do not match the acquisition")
-    if observed.n_receivers != acq.n_receivers or observed.n_sources != acq.n_sources:
-        raise GeometryError("observed data shape does not match the acquisition")
-
-    fields, systems = [], []
-    rx_rows = None
-    for i, f in enumerate(acq.frequencies):
-        system = assemble(slowness, 2.0 * np.pi * f, pml_cells, free_surface_top,
-                          pml_velocity=pml_velocity)
-        rx = system.padded_indices(acq.receivers)
-        a = system.matrix.tocsc()
-        ah = a.conjugate().transpose().tocsc()
-        penalty = sp.coo_matrix(
-            (np.full(rx.size, mu**2), (rx, rx)), shape=(system.n, system.n)
-        )
-        normal = (ah @ a + penalty).tocsc()
-        b = system.point_sources(acq.sources, ricker_amplitude(f, f_peak))
-        rhs = ah @ b
-        rhs[rx, :] += mu**2 * observed.blocks[i]
-        fact = linsys.factorize(normal)
-        u = fact.solve(rhs)
-        u += fact.solve(rhs - normal @ u)  # one refinement step
-        if not np.all(np.isfinite(u)):
-            raise NumericalError(f"augmented solve diverged at {f} Hz")
-        fields.append(u)
-        systems.append(system)
-        rx_rows = rx
-    return Wavefields(tuple(acq.frequencies), tuple(fields), tuple(systems), rx_rows)
 
 
 def add_noise(data: FreqData, snr_db: float | None, seed: int = 0) -> FreqData:

@@ -5,7 +5,7 @@ import pytest
 
 from proxfwi import inversion, model, optim, wave
 from proxfwi.denoise import Denoiser
-from proxfwi.errors import ConfigError, StateError
+from proxfwi.errors import ConfigError, NumericalError, StateError
 
 warnings.filterwarnings("ignore", message=".*points per minimum wavelength.*")
 
@@ -29,14 +29,6 @@ def _tiny_problem(n=12, freqs=(6.0, 9.0), n_src=2, v_inc=2200.0, snr=None, seed=
 
 def _fwi(acq, observed, background):
     return inversion.FwiOracle(acq, observed, background, f_peak=10.0, pml_cells=5)
-
-
-def _directional_fd(value_fn, m, v, eps_list):
-    best = np.inf
-    for eps in eps_list:
-        fd = (value_fn(m + eps * v) - value_fn(m - eps * v)) / (2.0 * eps)
-        best = min(best, fd) if False else fd  # keep last; caller scans
-        yield fd
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +246,88 @@ def test_wri_small_mu_fields_match_plain_forward():
         assert rel < 1e-4
 
 
+def _random_data_problem(seed=0, n=9, n_src=2, freq=6.0):
+    """Homogeneous grid with random observed data, so no field fits it exactly."""
+    rng = np.random.default_rng(seed)
+    grid = model.ModelGrid.from_values(np.full((n, n), 2000.0), 50.0, 50.0)
+    sources = tuple((1, 2 + 2 * s) for s in range(n_src))
+    receivers = ((n - 2, 1), (n - 2, n // 2), (n - 2, n - 2))
+    acq = model.AcquisitionGeometry(sources, receivers, (freq,))
+    observed = model.FreqData(
+        (freq,),
+        (rng.standard_normal((3, n_src)) * 1e-3 + 1j * rng.standard_normal((3, n_src)) * 1e-3,),
+    )
+    return grid, acq, observed
+
+
+def _wri_fields(grid, acq, observed, mu):
+    """The oracle's data-assimilated fields for the single frequency."""
+    oracle = _wri(acq, observed, grid, mu=mu)
+    oracle.update_wavefields(model.as_slowness_squared(grid).values)
+    return oracle.wavefields[0]
+
+
+def test_wri_fields_match_dense_least_squares():
+    grid, acq, observed = _random_data_problem(n=7)
+    mu = 3e-4
+    entry = _wri_fields(grid, acq, observed, mu)
+    system = entry["system"]
+    p = np.zeros((len(acq.receivers), system.n))
+    p[np.arange(len(acq.receivers)), entry["rx"]] = 1.0
+    stacked = np.vstack([system.matrix.toarray(), mu * p])
+    for s in range(acq.n_sources):
+        rhs = np.concatenate([entry["b"][:, s], mu * observed.blocks[0][:, s]])
+        reference, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
+        rel = np.linalg.norm(entry["u"][:, s] - reference) / np.linalg.norm(reference)
+        assert rel < 1e-8
+
+
+def test_wri_fields_are_stationary():
+    grid, acq, observed = _random_data_problem()
+    mu = 1e-3
+    entry = _wri_fields(grid, acq, observed, mu)
+    a, b, rx = entry["system"].matrix, entry["b"], entry["rx"]
+    for s in range(acq.n_sources):
+        u = entry["u"][:, s]
+        # gradient of 0.5||b - A u||^2 + 0.5 mu^2 ||P u - d||^2
+        grad = -(a.conjugate().transpose() @ (b[:, s] - a @ u))
+        grad[rx] += mu**2 * (u[rx] - observed.blocks[0][:, s])
+        scale = np.linalg.norm(b[:, s]) + mu * np.linalg.norm(observed.blocks[0][:, s])
+        assert np.linalg.norm(grad) < 1e-9 * scale
+
+
+def test_wri_data_fit_improves_with_mu():
+    grid, acq, observed = _random_data_problem()
+    m = model.as_slowness_squared(grid).values
+    fits = []
+    for mu in [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]:
+        oracle = _wri(acq, observed, grid, mu=mu)
+        oracle.update_wavefields(m)
+        fits.append(oracle.data_residual_norm(m))
+    assert all(b <= a + 1e-12 for a, b in zip(fits, fits[1:]))
+
+
+def test_wri_rejects_bad_mu():
+    grid, acq, observed = _random_data_problem()
+    with pytest.raises(ValueError):
+        _wri(acq, observed, grid, mu=0.0)
+
+
+# inf arithmetic in the assembly warns by design; the test pins what follows it
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("method", ["fwi", "irwri"])
+def test_non_finite_model_raises(method, bad):
+    true, background, acq, observed = _tiny_problem()
+    m = model.as_slowness_squared(background).values.copy()
+    m[5, 5] = bad
+    with pytest.raises(NumericalError):
+        if method == "fwi":
+            _fwi(acq, observed, background).value(m)
+        else:
+            _wri(acq, observed, background).update_wavefields(m)
+
+
 def test_wri_field_update_decreases_joint_objective():
     true, background, acq, observed = _tiny_problem()
     mu = 3e-4
@@ -292,14 +366,15 @@ def test_wri_value_after_zeroing_fields():
 # continuation driver
 
 
-def _drive(method="fwi", batches=((6.0, 9.0),), max_outer=3, denoiser=None, mu=3e-4):
+def _drive(method="fwi", batches=((6.0, 9.0),), max_outer=3, denoiser=None, mu=3e-4,
+           algorithm="nadmm"):
     true, background, acq, observed = _tiny_problem()
     config = optim.OptConfig(
         lam=0.0, hessian="lbfgs" if method == "fwi" else "diagonal", max_outer=max_outer
     )
     return inversion.multiscale_drive(
         model.as_slowness_squared(background).values,
-        observed, acq, method, "nadmm",
+        observed, acq, method, algorithm,
         denoiser or Denoiser("identity"), 0.0, mu,
         [list(batches)], config, background, f_peak=10.0, pml_cells=5,
     )
@@ -308,14 +383,15 @@ def _drive(method="fwi", batches=((6.0, 9.0),), max_outer=3, denoiser=None, mu=3
 def test_multiscale_single_batch_equivalent_to_direct_solve():
     true, background, acq, observed = _tiny_problem()
     config = optim.OptConfig(lam=0.0, hessian="diagonal", max_outer=3)
-    oracle = _wri(acq, observed, background)
-    direct = optim.proximal_newton_solve(
-        oracle, Denoiser("identity"), config,
-        model.as_slowness_squared(background).values, "nadmm",
-    )
-    m_drive, results = _drive(method="irwri")
-    assert len(results) == 1
-    assert np.array_equal(m_drive, direct.m)
+    for algorithm in ("nista", "nadmm"):
+        oracle = _wri(acq, observed, background)
+        direct = optim.proximal_newton_solve(
+            oracle, Denoiser("identity"), config,
+            model.as_slowness_squared(background).values, algorithm,
+        )
+        m_drive, results = _drive(method="irwri", algorithm=algorithm)
+        assert len(results) == 1
+        assert np.array_equal(m_drive, direct.m), algorithm
 
 
 def test_multiscale_batches_warm_start():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from proxfwi import optim, rosenbrock
-from proxfwi.denoise import Denoiser, prox_l1
-from proxfwi.errors import NumericalError
+from proxfwi.denoise import Denoiser
 
 
 def _quadratic_oracle(q, b):
@@ -19,107 +18,7 @@ def _quadratic_oracle(q, b):
 
 
 # ---------------------------------------------------------------------------
-# proximal gradient
-
-
-def test_proximal_gradient_identity_no_reg():
-    rng = np.random.default_rng(0)
-    data = rng.standard_normal(12)
-    oracle = optim.least_squares_oracle(np.eye(12), data)
-    m = optim.proximal_gradient(oracle, Denoiser("identity"), 0.0, np.zeros(12), 200)
-    assert np.linalg.norm(m - data) < 1e-8
-
-
-def test_proximal_gradient_identity_l1_soft_threshold():
-    rng = np.random.default_rng(1)
-    data = rng.standard_normal(10)
-    lam = 0.25
-    oracle = optim.least_squares_oracle(np.eye(10), data)
-    m = optim.proximal_gradient(oracle, Denoiser("l1"), lam, np.zeros(10), 400)
-    assert np.linalg.norm(m - prox_l1(data, lam)) < 1e-8
-
-
-def test_proximal_gradient_matches_long_run_reference():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((10, 10))
-    data = rng.standard_normal(10)
-    lam = 0.1
-    oracle = optim.least_squares_oracle(a, data)
-    m = optim.proximal_gradient(oracle, Denoiser("l1"), lam, np.zeros(10), 4000)
-
-    # independent long-run plain-ISTA oracle with a tiny step
-    sigma2 = np.linalg.svd(a, compute_uv=False)[0] ** 2
-    c = 0.2 / sigma2
-    x = np.zeros(10)
-    gram, atb = a.T @ a, a.T @ data
-    for _ in range(100_000):
-        x = prox_l1(x - c * (gram @ x - atb), c * lam)
-
-    def objective(v):
-        return 0.5 * np.sum((data - a @ v) ** 2) + lam * np.sum(np.abs(v))
-
-    assert abs(objective(m) - objective(x)) < 1e-6
-
-
-def test_proximal_gradient_final_objective_not_worse():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((8, 8))
-    data = rng.standard_normal(8)
-    oracle = optim.least_squares_oracle(a, data)
-    m0 = rng.standard_normal(8)
-    lam = 0.2
-    m = optim.proximal_gradient(oracle, Denoiser("l1"), lam, m0, 500)
-
-    def objective(v):
-        return oracle.value(v) + lam * np.sum(np.abs(v))
-
-    assert objective(m) <= objective(m0) + 1e-12
-
-
-def test_proximal_gradient_divergence_detected():
-    oracle = optim.least_squares_oracle(np.eye(2) * 10.0, np.ones(2))
-    with pytest.raises(NumericalError):
-        optim.proximal_gradient(oracle, Denoiser("identity"), 0.0, np.ones(2), 2000, c=10.0)
-
-
-# ---------------------------------------------------------------------------
 # limited-memory quasi-Newton
-
-
-def test_two_loop_empty_history_returns_gradient():
-    g = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(optim.lbfgs_apply_inverse([], g), g)
-
-
-def test_two_loop_secant_condition():
-    s = np.array([0.5, -1.0, 2.0])
-    out = optim.lbfgs_apply_inverse([(s, s)], s)  # with s = y, H y = s
-    assert np.allclose(out, s, atol=1e-14)
-
-
-def test_lbfgs_loop_solves_quadratic_in_few_iterations():
-    rng = np.random.default_rng(4)
-    q = rng.standard_normal((5, 5))
-    q = q @ q.T + np.eye(5)
-    b = rng.standard_normal(5)
-    oracle = _quadratic_oracle(q, b)
-    m_star = np.linalg.solve(q, b)  # direct-solve oracle
-
-    m = np.zeros(5)
-    pairs = []
-    g = oracle.gradient(m)
-    for it in range(12):
-        direction = -optim.lbfgs_apply_inverse(pairs, g)
-        ls = optim.line_search(oracle.value, m, direction, ck=1.0)
-        m_new = m + ls.alpha * direction
-        g_new = oracle.gradient(m_new)
-        pairs.append((m_new - m, g_new - g))
-        m, g = m_new, g_new
-        if np.linalg.norm(g) < 1e-8:
-            break
-    assert np.linalg.norm(g) < 1e-8
-    assert it + 1 <= 12
-    assert np.linalg.norm(m - m_star) < 1e-6
 
 
 def test_lbfgs_hessian_apply_matches_dense_bfgs_recursion():
@@ -202,6 +101,14 @@ def test_line_search_flags_ascent_direction():
     f = lambda m: float(m[0] ** 2)
     ls = optim.line_search(f, np.array([1.0]), np.array([5.0]), max_trials=8)
     assert not ls.accepted
+
+
+def test_search_step_holds_iterate_on_ascent_direction():
+    f = lambda m: float(m[0] ** 2)
+    m = np.array([1.0])
+    alpha, m_new, merit_new, accepted = optim._search_step(f, m, np.array([5.0]), 1.0, 1.0)
+    assert (alpha, merit_new, accepted) == (0.0, 1.0, False)
+    assert m_new is m
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +217,14 @@ def test_nadmm_step_scalar_arithmetic():
     oracle = optim.CallbackOracle(
         value=lambda m: float(m[0] ** 2 + 4.0 * m[0]),
         gradient=lambda m: np.array([2.0 * m[0] + 4.0]),
-        hvp=lambda m, v: 2.0 * np.asarray(v),
-        hessian_dense=lambda m: np.array([[2.0]]),
     )
     state = optim.InversionState.initial(np.array([0.0]))
     state.p = state.m.copy()  # prior = p + q = m
     grad = np.array([4.0])
-    state = optim.nadmm_step(oracle, state, Denoiser("identity"), 0.0, 0.5, grad=grad)
+    state = optim.nadmm_step(
+        oracle, state, Denoiser("identity"), 0.0, 0.5,
+        lambda c, rhs: rhs / (2.0 * c + 1.0), grad=grad,
+    )
     assert np.allclose(state.last_dm, [-1.0], atol=1e-14)
 
 
@@ -331,7 +239,8 @@ def test_nadmm_identity_prox_reduction():
         m_k = state.m.copy()
         grad = oracle.gradient(m_k)
         hess = oracle.hessian_dense(m_k)
-        state = optim.nadmm_step(oracle, state, Denoiser("identity"), 0.0, ck)
+        _, solve_shifted, _ = optim._hessian_ops("exact-dense", oracle, m_k, None, 0)
+        state = optim.nadmm_step(oracle, state, Denoiser("identity"), 0.0, ck, solve_shifted)
         assert np.array_equal(state.q, np.zeros(2))
         assert np.array_equal(state.p, state.m)
         if np.all(np.linalg.eigvalsh(hess) > 0):

@@ -197,91 +197,6 @@ def test_second_order_grid_convergence():
 
 
 # ---------------------------------------------------------------------------
-# augmented (data-assimilated) solve
-
-
-def _tiny_setup(seed=0, n=9, n_src=2, freq=6.0):
-    rng = np.random.default_rng(seed)
-    grid = model.ModelGrid.from_values(np.full((n, n), 2000.0), 50.0, 50.0)
-    sources = tuple((1, 2 + 2 * s) for s in range(n_src))
-    receivers = ((n - 2, 1), (n - 2, n // 2), (n - 2, n - 2))
-    acq = model.AcquisitionGeometry(sources, receivers, (freq,))
-    observed = model.FreqData(
-        (freq,),
-        (rng.standard_normal((3, n_src)) * 1e-3 + 1j * rng.standard_normal((3, n_src)) * 1e-3,),
-    )
-    return grid, acq, observed
-
-
-def test_augmented_small_mu_recovers_plain_solve():
-    grid, acq, observed = _tiny_setup()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        wf = wave.solve_augmented(grid, acq, observed, mu=1e-10, pml_cells=5)
-        system = wave.assemble(model.as_slowness_squared(grid), 2 * np.pi * 6.0, pml_cells=5)
-    b = system.point_sources(acq.sources, wave.ricker_amplitude(6.0, 10.0))
-    plain = system.factor().solve(b)
-    rel = np.linalg.norm(wf.fields[0] - plain) / np.linalg.norm(plain)
-    assert rel < 1e-4
-
-
-def test_augmented_data_fit_improves_with_mu():
-    grid, acq, observed = _tiny_setup()
-    fits = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for mu in [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]:
-            wf = wave.solve_augmented(grid, acq, observed, mu=mu, pml_cells=5)
-            pu = wf.fields[0][wf.receiver_rows, :]
-            fits.append(np.linalg.norm(pu - observed.blocks[0]))
-    assert all(b <= a + 1e-12 for a, b in zip(fits, fits[1:]))
-
-
-def test_augmented_matches_dense_least_squares():
-    grid, acq, observed = _tiny_setup(n=7)
-    mu = 3e-4
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        wf = wave.solve_augmented(grid, acq, observed, mu=mu, pml_cells=5)
-    system = wf.systems[0]
-    a = system.matrix.toarray()
-    p = np.zeros((len(acq.receivers), system.n))
-    p[np.arange(len(acq.receivers)), wf.receiver_rows] = 1.0
-    b = system.point_sources(acq.sources, wave.ricker_amplitude(6.0, 10.0))
-    stacked = np.vstack([a, mu * p])
-    for s in range(acq.n_sources):
-        rhs = np.concatenate([b[:, s], mu * observed.blocks[0][:, s]])
-        reference, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        rel = np.linalg.norm(wf.fields[0][:, s] - reference) / np.linalg.norm(reference)
-        assert rel < 1e-8
-
-
-def test_augmented_stationarity_and_residual():
-    grid, acq, observed = _tiny_setup()
-    mu = 1e-3
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        wf = wave.solve_augmented(grid, acq, observed, mu=mu, pml_cells=5)
-    system = wf.systems[0]
-    a = system.matrix
-    b = system.point_sources(acq.sources, wave.ricker_amplitude(6.0, 10.0))
-    rx = wf.receiver_rows
-    for s in range(acq.n_sources):
-        u = wf.fields[0][:, s]
-        # gradient of 0.5||b - A u||^2 + 0.5 mu^2 ||P u - d||^2
-        grad = -(a.conjugate().transpose() @ (b[:, s] - a @ u))
-        grad[rx] += mu**2 * (u[rx] - observed.blocks[0][:, s])
-        scale = np.linalg.norm(b[:, s]) + mu * np.linalg.norm(observed.blocks[0][:, s])
-        assert np.linalg.norm(grad) < 1e-9 * scale
-
-
-def test_augmented_rejects_bad_mu():
-    grid, acq, observed = _tiny_setup()
-    with pytest.raises(ValueError):
-        wave.solve_augmented(grid, acq, observed, mu=0.0, pml_cells=5)
-
-
-# ---------------------------------------------------------------------------
 # noise
 
 
