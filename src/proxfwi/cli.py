@@ -13,9 +13,7 @@ import argparse
 import hashlib
 import os
 import shlex
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -25,77 +23,17 @@ from . import __version__, inversion, model, optim, rosenbrock, wave
 from .denoise import Denoiser, make_denoiser
 from .errors import (
     ConfigError,
-    DenoiserPipeError,
     FormatError,
     GeometryError,
     NumericalError,
     ProxfwiError,
 )
-from .model import KIND_SLOWNESS_SQ, ModelGrid, read_grid, write_grid
+from .model import read_grid, write_grid
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-# ---------------------------------------------------------------------------
-# external denoiser pipe
-
-
-class ExternalDenoiser:
-    """Black-box denoiser invoked as a subprocess through grid files.
-
-    The command template must contain the placeholders {in}, {out}, and
-    {scale}; at every prox call the current field is written to a temp grid
-    file, the command runs, and the output grid is read back and
-    shape-checked.
-    """
-
-    def __init__(self, template: str, dz: float = 1.0, dx: float = 1.0,
-                 kind: str = KIND_SLOWNESS_SQ):
-        for placeholder in ("{in}", "{out}", "{scale}"):
-            if placeholder not in template:
-                raise ConfigError(f"external denoiser template lacks {placeholder}")
-        self.template = template
-        self.dz, self.dx, self.kind = dz, dx, kind
-
-    def apply(self, x: np.ndarray, scale: float) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise DenoiserPipeError("external denoisers operate on 2D grids only")
-        with tempfile.TemporaryDirectory(prefix="proxfwi-denoise-") as tmp:
-            in_path = os.path.join(tmp, "in.grd")
-            out_path = os.path.join(tmp, "out.grd")
-            write_grid(ModelGrid.from_values(x, self.dz, self.dx, self.kind), in_path)
-            tokens = [
-                tok.replace("{in}", in_path)
-                .replace("{out}", out_path)
-                .replace("{scale}", f"{scale:.17g}")
-                for tok in shlex.split(self.template)
-            ]
-            proc = subprocess.run(tokens, capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise DenoiserPipeError(
-                    f"external denoiser failed ({proc.returncode}): {proc.stderr.strip()}"
-                )
-            if not os.path.exists(out_path):
-                raise DenoiserPipeError("external denoiser produced no output grid")
-            try:
-                result = read_grid(out_path)
-            except ProxfwiError as exc:
-                raise DenoiserPipeError(f"external denoiser output unreadable: {exc}") from exc
-            if result.values.shape != x.shape:
-                raise DenoiserPipeError(
-                    f"external denoiser changed the shape: {result.values.shape} != {x.shape}"
-                )
-            return result.values
-
-
-def _build_denoiser(spec: str, ref=None, dz=1.0, dx=1.0, kind=KIND_SLOWNESS_SQ):
-    if spec.startswith("external:"):
-        return ExternalDenoiser(spec[len("external:"):], dz=dz, dx=dx, kind=kind)
-    return make_denoiser(spec, ref=ref)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +119,7 @@ def cmd_invert(args, argv):
     cfg = inversion.parse_run_config(args.config)
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    init = read_grid(cfg.model_init)
-    ref = model.as_slowness_squared(init).values
-    denoiser = _build_denoiser(cfg.denoiser, ref=ref, dz=init.dz, dx=init.dx)
-    summary = inversion.run_inversion(cfg, denoiser=denoiser)
+    summary = inversion.run_inversion(cfg)
     out_dir = Path(cfg.out_dir)
     inputs = [args.config, cfg.model_init]
     if cfg.model_true:
@@ -207,8 +142,8 @@ def cmd_denoise(args, argv):
     t0 = time.monotonic()
     grid = read_grid(args.input)
     ref = read_grid(args.ref).values if args.ref else grid.values
-    denoiser = _build_denoiser(args.denoiser, ref=ref, dz=grid.dz, dx=grid.dx,
-                               kind=grid.kind)
+    denoiser = make_denoiser(args.denoiser, ref=ref, dz=grid.dz, dx=grid.dx,
+                             kind=grid.kind)
     out_values = denoiser.apply(grid.values, args.scale)
     write_grid(grid.with_values(out_values), args.out)
     inputs = [args.input] + ([args.ref] if args.ref else [])

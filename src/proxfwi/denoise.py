@@ -4,22 +4,25 @@ Every entry point maps a real field to a same-shape real field and is
 deterministic, which is all the optimization layer assumes about them.  The
 ``scale`` argument of :meth:`Denoiser.apply` is the running prox weight
 (step size times regularization weight); scale 0 is always the identity.
+The TV prox is exact, computed by fast gradient projection (FGP) on its dual
+with array differences only; the ``iters`` spec parameter caps the FGP
+iterations.  :class:`ExternalDenoiser` runs a black-box denoiser as a
+subprocess through grid files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import os
+import shlex
+import subprocess
+import tempfile
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.ndimage import uniform_filter
 
-from . import linsys
-from .errors import ConfigError, GeometryError
-
-# smoothing floor for the reweighted TV solves; sqrt of this bounds how far
-# the smoothed minimizer can sit from the exact TV prox
-_TV_EPS = 1e-12
+from .errors import ConfigError, DenoiserPipeError, GeometryError, ProxfwiError
+from .model import KIND_SLOWNESS_SQ, ModelGrid, read_grid, write_grid
 
 
 def prox_l1(x: np.ndarray, t: float) -> np.ndarray:
@@ -47,20 +50,16 @@ def tv_value(x: np.ndarray) -> float:
     return float(np.sum(np.abs(np.diff(x, axis=0))) + np.sum(np.abs(np.diff(x, axis=1))))
 
 
-def _difference_operator(nz: int, nx: int) -> sp.csr_matrix:
-    eye_z = sp.identity(nz, format="csr")
-    eye_x = sp.identity(nx, format="csr")
-    dz = sp.diags([-np.ones(nz - 1), np.ones(nz - 1)], [0, 1], shape=(nz - 1, nz))
-    dx = sp.diags([-np.ones(nx - 1), np.ones(nx - 1)], [0, 1], shape=(nx - 1, nx))
-    return sp.vstack([sp.kron(dz, eye_x), sp.kron(eye_z, dx)]).tocsr()
+def tv2d(x: np.ndarray, t: float, inner_iters: int = 600) -> np.ndarray:
+    """Exact prox of t * TV by fast gradient projection on the dual.
 
-
-def tv2d(x: np.ndarray, t: float, inner_iters: int = 40, return_history: bool = False):
-    """Approximate prox of t * TV via iteratively reweighted least squares.
-
-    Each sweep minimizes a quadratic majorizer of the smoothed objective
-    0.5||x - m||^2 + t * sum sqrt(d^2 + eps), so that inner objective is
-    nonincreasing by construction.
+    The minimizer of 0.5||x - m||^2 + t * TV(m) is m = x - t D^T p, where D
+    stacks the forward differences in z and x and the dual edge variables p
+    minimize ||x - t D^T p||^2 over the box |p| <= 1 (Chambolle 2004).  That
+    dual is solved by projected gradient steps of 1/(8t), since ||D||^2 <= 8,
+    with Nesterov momentum (Beck & Teboulle 2009) that restarts whenever a
+    step points uphill.  Iteration stops once the primal point moves by at
+    most 1e-10 ||x||, or after ``inner_iters`` steps.
     """
     if t < 0.0:
         raise ValueError("TV weight must be nonnegative")
@@ -68,33 +67,40 @@ def tv2d(x: np.ndarray, t: float, inner_iters: int = 40, return_history: bool = 
     if x.ndim != 2:
         raise ValueError("tv2d expects a 2D grid")
     if t == 0.0 or inner_iters == 0:
-        return (x.copy(), []) if return_history else x.copy()
+        return x.copy()
 
     nz, nx = x.shape
-    n = nz * nx
-    diff = _difference_operator(nz, nx)
-    xf = x.ravel()
-    m = xf.copy()
-    history = []
-
-    def smoothed_objective(vec):
-        d = diff @ vec
-        return 0.5 * float(np.sum((xf - vec) ** 2)) + t * float(np.sum(np.sqrt(d**2 + _TV_EPS)))
-
-    history.append(smoothed_objective(m))
-    identity = sp.identity(n, format="csr")
+    pz, px = np.zeros((nz - 1, nx)), np.zeros((nz, nx - 1))
+    rz, rx = pz, px  # extrapolated dual point the gradient is taken at
+    m = m_prev = x  # primal points x - t D^T p of the last two dual iterates
+    u = x  # x - t D^T r, extrapolated from m and m_prev since D^T is linear
+    s = 1.0
+    step = 1.0 / (8.0 * t)
+    tol = 1e-10 * np.linalg.norm(x)
     for _ in range(inner_iters):
-        d = diff @ m
-        w = 1.0 / np.sqrt(d**2 + _TV_EPS)
-        system = identity + t * (diff.T @ diff.multiply(w[:, None]))
-        m_new = linsys.factorize(system).solve(xf)
-        history.append(smoothed_objective(m_new))
-        if np.linalg.norm(m_new - m) <= 1e-14 * (1.0 + np.linalg.norm(xf)):
-            m = m_new
+        qz = np.clip(rz + step * np.diff(u, axis=0), -1.0, 1.0)
+        qx = np.clip(rx + step * np.diff(u, axis=1), -1.0, 1.0)
+        if np.vdot(rz - qz, qz - pz) + np.vdot(rx - qx, qx - px) > 0.0:
+            s = 1.0
+        s_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * s * s))
+        beta = (s - 1.0) / s_next
+        rz, rx = qz + beta * (qz - pz), qx + beta * (qx - px)
+        pz, px, s = qz, qx, s_next
+        m_prev, m = m, _primal(x, t, pz, px)
+        if np.linalg.norm(m - m_prev) <= tol:
             break
-        m = m_new
-    out = m.reshape(nz, nx)
-    return (out, history) if return_history else out
+        u = m + beta * (m - m_prev)
+    return m
+
+
+def _primal(x: np.ndarray, t: float, pz: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """x - t D^T p for edge variables pz (nz-1, nx) and px (nz, nx-1)."""
+    m = x.copy()
+    m[:-1, :] += t * pz
+    m[1:, :] -= t * pz
+    m[:, :-1] += t * px
+    m[:, 1:] -= t * px
+    return m
 
 
 def nlm(
@@ -148,12 +154,13 @@ class Denoiser:
     kind is one of identity | l1 | l2sq | tv2d | nlm.  ``weight`` multiplies
     the prox scale for l1/l2sq/tv2d; for nlm the scale multiplies the
     bandwidth, a documented heuristic (stronger regularization smooths more).
+    ``inner_iters`` caps the FGP iterations of the tv2d prox.
     """
 
     kind: str = "identity"
     weight: float = 1.0
     ref: np.ndarray | None = None
-    inner_iters: int = 40
+    inner_iters: int = 600
     patch_radius: int = 1
     search_radius: int = 3
     bandwidth: float = 0.1
@@ -195,14 +202,69 @@ class Denoiser:
         return None
 
 
-def make_denoiser(spec: str, ref: np.ndarray | None = None) -> Denoiser:
+class ExternalDenoiser:
+    """Black-box denoiser invoked as a subprocess through grid files.
+
+    The command template must contain the placeholders {in}, {out}, and
+    {scale}; at every prox call the current field is written to a temp grid
+    file, the command runs, and the output grid is read back and
+    shape-checked.
+    """
+
+    def __init__(self, template: str, dz: float = 1.0, dx: float = 1.0,
+                 kind: str = KIND_SLOWNESS_SQ):
+        for placeholder in ("{in}", "{out}", "{scale}"):
+            if placeholder not in template:
+                raise ConfigError(f"external denoiser template lacks {placeholder}")
+        self.template = template
+        self.dz, self.dx, self.kind = dz, dx, kind
+
+    def apply(self, x: np.ndarray, scale: float) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise DenoiserPipeError("external denoisers operate on 2D grids only")
+        with tempfile.TemporaryDirectory(prefix="proxfwi-denoise-") as tmp:
+            in_path = os.path.join(tmp, "in.grd")
+            out_path = os.path.join(tmp, "out.grd")
+            write_grid(ModelGrid.from_values(x, self.dz, self.dx, self.kind), in_path)
+            tokens = [
+                tok.replace("{in}", in_path)
+                .replace("{out}", out_path)
+                .replace("{scale}", f"{scale:.17g}")
+                for tok in shlex.split(self.template)
+            ]
+            proc = subprocess.run(tokens, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise DenoiserPipeError(
+                    f"external denoiser failed ({proc.returncode}): {proc.stderr.strip()}"
+                )
+            if not os.path.exists(out_path):
+                raise DenoiserPipeError("external denoiser produced no output grid")
+            try:
+                result = read_grid(out_path)
+            except ProxfwiError as exc:
+                raise DenoiserPipeError(f"external denoiser output unreadable: {exc}") from exc
+            if result.values.shape != x.shape:
+                raise DenoiserPipeError(
+                    f"external denoiser changed the shape: {result.values.shape} != {x.shape}"
+                )
+            return result.values
+
+
+def make_denoiser(spec: str, ref: np.ndarray | None = None, dz: float = 1.0, dx: float = 1.0,
+                  kind: str = KIND_SLOWNESS_SQ) -> Denoiser | ExternalDenoiser:
     """Parse a denoiser spec string like ``tv2d:weight=2e-9,iters=30``.
 
-    Recognized parameters: weight (l1/l2sq/tv2d), iters (tv2d), patch/search/
-    h/sigma (nlm).  ``ref`` supplies the l2sq reference field.
+    Recognized parameters: weight (l1/l2sq/tv2d), iters (the cap on tv2d's
+    dual iterations), patch/search/h/sigma (nlm).  ``ref`` supplies the l2sq
+    reference field.  ``external:<template>`` builds an
+    :class:`ExternalDenoiser` whose grid files carry spacing ``dz``/``dx`` and
+    model ``kind``.
     """
-    kind, _, params = spec.partition(":")
-    kind = kind.strip()
+    if spec.startswith("external:"):
+        return ExternalDenoiser(spec[len("external:"):], dz=dz, dx=dx, kind=kind)
+    name, _, params = spec.partition(":")
+    name = name.strip()
     kwargs = {}
     if params:
         for item in params.split(","):
@@ -229,6 +291,6 @@ def make_denoiser(spec: str, ref: np.ndarray | None = None) -> Denoiser:
                 raise ConfigError(f"unknown denoiser parameter {key!r}")
     except ValueError as exc:
         raise ConfigError(f"bad denoiser parameter value: {exc}") from exc
-    if kind == "none":
-        kind = "identity"
-    return Denoiser(kind=kind, ref=ref, **mapped)
+    if name == "none":
+        name = "identity"
+    return Denoiser(kind=name, ref=ref, **mapped)

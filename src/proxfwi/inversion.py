@@ -21,7 +21,6 @@ from .denoise import make_denoiser
 from .errors import ConfigError, GeometryError, StateError
 from .model import (
     KIND_SLOWNESS_SQ,
-    KIND_VELOCITY,
     AcquisitionGeometry,
     FreqData,
     ModelGrid,
@@ -481,7 +480,7 @@ class RunSummary:
     acq: AcquisitionGeometry
 
 
-def run_inversion(cfg: RunConfig, denoiser=None) -> RunSummary:
+def run_inversion(cfg: RunConfig) -> RunSummary:
     """Execute a configured inversion run and write its outputs.
 
     Observed data comes from ``data`` when given, otherwise it is synthesized
@@ -489,10 +488,9 @@ def run_inversion(cfg: RunConfig, denoiser=None) -> RunSummary:
     """
     init = read_grid(cfg.model_init)
     true = read_grid(cfg.model_true) if cfg.model_true else None
-    if denoiser is None:
-        if cfg.denoiser.startswith("external:"):
-            raise ConfigError("external denoisers must be constructed by the caller")
-        denoiser = make_denoiser(cfg.denoiser, ref=as_slowness_squared(init).values)
+    denoiser = make_denoiser(
+        cfg.denoiser, ref=as_slowness_squared(init).values, dz=init.dz, dx=init.dx
+    )
 
     if cfg.sources and cfg.receivers:
         acq = AcquisitionGeometry(cfg.sources, cfg.receivers, cfg.frequencies)

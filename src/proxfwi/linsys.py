@@ -3,14 +3,13 @@
 Desk-scale 2D systems factor in well under a second, so a direct sparse LU
 (SuperLU) is the only solve path, and :func:`factorize` is the package's one
 entry point to it; a factorization is reused across the many right-hand sides
-of multi-source modeling.  Every matrix the package factors is structurally
-symmetric: the complex-symmetric 5-point Helmholtz operator A, the Hermitian
-positive-definite WRI normal matrix A^H A + mu^2 P^T P and the real SPD
-system of the TV denoiser's reweighted sweeps.  SuperLU therefore runs in
-symmetric mode: a multiple-minimum-degree ordering of A + A^T applied to rows
-and columns alike, and a diagonal pivot threshold of 0.01
-(``DIAG_PIVOT_THRESH``) that keeps the diagonal as pivot, and with it the
-fill the symmetric ordering planned for, unless an entry below it is 100
+of multi-source modeling.  Every matrix the package factors is complex and
+structurally symmetric: the complex-symmetric 5-point Helmholtz operator A
+and the Hermitian positive-definite WRI normal matrix A^H A + mu^2 P^T P.
+SuperLU therefore runs in symmetric mode: a multiple-minimum-degree ordering
+of A + A^T applied to rows and columns alike, and a diagonal pivot threshold
+of 0.01 (``DIAG_PIVOT_THRESH``) that keeps the diagonal as pivot, and with it
+the fill the symmetric ordering planned for, unless an entry below it is 100
 times larger.
 """
 
@@ -32,36 +31,31 @@ DIAG_PIVOT_THRESH = 0.01
 class Factorization:
     """Opaque LU handle tied to one matrix; reusable across right-hand sides."""
 
-    def __init__(self, lu, n: int, dtype: np.dtype):
+    def __init__(self, lu, n: int):
         self._lu = lu
         self.n = n
-        self.dtype = dtype
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for a vector or a column block, in the factor's dtype.
-
-        A complex rhs against a real factor raises ``TypeError``.
-        """
+        """Solve for a vector or a column block, in complex128."""
         rhs = np.asarray(rhs)
         if rhs.shape[0] != self.n:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, matrix dimension is {self.n}")
-        return self._lu.solve(rhs.astype(self.dtype, casting="safe", copy=False))
+        return self._lu.solve(rhs.astype(np.complex128, casting="safe", copy=False))
 
 
 def factorize(a) -> Factorization:
     """LU-factorize a square, structurally symmetric sparse matrix.
 
-    float64 input is factored in float64, anything else in complex128.  The
-    columns are ordered by multiple minimum degree on the pattern of A + A^T
-    and SuperLU's symmetric mode applies the same order to the rows, pivoting
-    off the diagonal only when it is below ``DIAG_PIVOT_THRESH`` (0.01) times
-    its column's largest entry.  The matrix must be structurally symmetric for
-    this to pay off, as the Helmholtz operator, the WRI normal matrix and the
-    TV system are; on them it gives far less fill than SuperLU's default
-    unsymmetric COLAMD ordering with full partial pivoting.
+    The factor is always complex128.  The columns are ordered by multiple
+    minimum degree on the pattern of A + A^T and SuperLU's symmetric mode
+    applies the same order to the rows, pivoting off the diagonal only when
+    it is below ``DIAG_PIVOT_THRESH`` (0.01) times its column's largest entry.
+    The matrix must be structurally symmetric for this to pay off, as the
+    Helmholtz operator and the WRI normal matrix are; on them it gives far
+    less fill than SuperLU's default unsymmetric COLAMD ordering with full
+    partial pivoting.
     """
-    dtype = np.dtype(np.float64 if a.dtype == np.float64 else np.complex128)
-    a = sp.csc_matrix(a, dtype=dtype)
+    a = sp.csc_matrix(a, dtype=np.complex128)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]}, expected square")
     try:
@@ -73,7 +67,7 @@ def factorize(a) -> Factorization:
         )
     except RuntimeError as exc:  # SuperLU reports the offending pivot in its message
         raise FactorizationError(f"sparse LU failed: {exc}") from exc
-    return Factorization(lu, a.shape[0], dtype)
+    return Factorization(lu, a.shape[0])
 
 
 class SpectralEstimate(NamedTuple):

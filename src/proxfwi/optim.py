@@ -587,7 +587,7 @@ def proximal_newton_solve(
             state.k += 1
             state.last_dm = dm
             dp_warm = dp_next
-            reg = lam * pen(state.m) if pen is not None and pen(state.m) is not None else math.nan
+            _, reg = composite(state.m, misfit=obj)
             misfit = obj - reg if math.isfinite(reg) else obj
         else:
             state = nadmm_step(

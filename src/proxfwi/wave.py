@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linsys
-from .errors import GeometryError
+from .errors import GeometryError, NumericalError
 from .model import (
     KIND_SLOWNESS_SQ,
     AcquisitionGeometry,
@@ -161,6 +161,9 @@ def assemble_padded(
     nx = nxp - 2 * pml_cells
     if nz < 3 or nx < 3:
         raise GeometryError("padded field too small for the stated collar")
+    if not np.all(np.isfinite(m_padded)):
+        iz, ix = np.argwhere(~np.isfinite(m_padded))[0] - (pad_top, pml_cells)
+        raise NumericalError(f"non-finite model value at interior cell ({iz}, {ix})")
 
     v_max = pml_velocity if pml_velocity is not None else 1.0 / np.sqrt(np.min(m_padded))
     v_min = 1.0 / np.sqrt(np.max(m_padded))

@@ -1,8 +1,15 @@
+import os
+import shlex
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from proxfwi import denoise
-from proxfwi.errors import ConfigError, GeometryError
+from proxfwi.errors import ConfigError, DenoiserPipeError, GeometryError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_prox_l1_zero_weight_is_identity():
@@ -69,6 +76,26 @@ def test_tv2d_large_weight_flattens_to_mean():
     assert np.max(np.abs(out - x.mean())) < 1e-3 * spread
 
 
+def test_tv2d_scale_equivariant():
+    # prox_{cT}(c x) = c prox_T(x) for TV; squared-slowness fields sit near 1e-7
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((20, 20))
+    c = 1e-7
+    out = denoise.tv2d(x, 0.3)
+    scaled = denoise.tv2d(c * x, c * 0.3) / c
+    assert np.linalg.norm(scaled - out) <= 1e-8 * np.linalg.norm(out)
+
+
+def test_tv2d_vertical_step_closed_form():
+    # each flat half of an nz x nx step moves by t * nz / (nz * nx / 2) = 2t/nx
+    nz, nx, t = 6, 8, 0.5
+    x = np.zeros((nz, nx))
+    x[:, nx // 2 :] = 1.0
+    out = denoise.tv2d(x, t)
+    assert np.max(np.abs(out[:, : nx // 2] - 2.0 * t / nx)) <= 1e-6
+    assert np.max(np.abs(out[:, nx // 2 :] - (1.0 - 2.0 * t / nx))) <= 1e-6
+
+
 def _tv_objective(x, m, t):
     return 0.5 * np.sum((x - m) ** 2) + t * denoise.tv_value(m)
 
@@ -104,12 +131,15 @@ def test_tv2d_matches_exhaustive_search_on_2x2():
         assert _tv_objective(x, out, 0.1) <= _tv_objective(x, ref, 0.1) + 1e-8
 
 
-def test_tv2d_inner_objective_monotone():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((7, 6))
-    _, history = denoise.tv2d(x, 0.5, inner_iters=30, return_history=True)
-    history = np.array(history)
-    assert np.all(np.diff(history) <= 1e-10 * (1.0 + abs(history[0])))
+@pytest.mark.parametrize("n", [41, 81])
+@pytest.mark.parametrize("t", [0.05, 0.5, 2.0])
+def test_tv2d_default_cap_reaches_the_prox(n, t):
+    rng = np.random.default_rng(n)
+    x = np.zeros((n, n))
+    x[:, n // 2 :] = 1.0
+    x += 0.3 * rng.standard_normal((n, n))
+    reference = _tv_objective(x, denoise.tv2d(x, t, inner_iters=30000), t)
+    assert _tv_objective(x, denoise.tv2d(x, t), t) - reference <= 1e-4 * reference
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +293,34 @@ def test_make_denoiser_parsing():
         denoise.make_denoiser("wavelet")
     with pytest.raises(ConfigError):
         denoise.make_denoiser("l1:strength=2")
+
+
+# ---------------------------------------------------------------------------
+# external denoiser pipe
+
+
+def test_external_cli_tv2d_matches_in_process(monkeypatch):
+    # the child imports proxfwi from this checkout, whatever the working directory
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    template = (
+        f"{shlex.quote(sys.executable)} -m proxfwi denoise --in {{in}} --out {{out}} "
+        "--denoiser tv2d --scale {scale}"
+    )
+    pipe = denoise.make_denoiser("external:" + template, dz=25.0, dx=25.0)
+    assert isinstance(pipe, denoise.ExternalDenoiser)
+    rng = np.random.default_rng(11)
+    x = 1.0 + rng.uniform(0.0, 0.5, (9, 7))
+    assert np.array_equal(pipe.apply(x, 0.2), denoise.Denoiser("tv2d").apply(x, 0.2))
+
+
+def test_external_nonzero_exit_raises():
+    pipe = denoise.ExternalDenoiser(
+        f"{shlex.quote(sys.executable)} -c 'import sys; sys.exit(3)' {{in}} {{out}} {{scale}}"
+    )
+    with pytest.raises(DenoiserPipeError):
+        pipe.apply(np.ones((4, 4)), 1.0)
+
+
+def test_external_template_without_out_rejected():
+    with pytest.raises(ConfigError):
+        denoise.make_denoiser("external:cp {in} {scale}")

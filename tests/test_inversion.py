@@ -313,15 +313,13 @@ def test_wri_rejects_bad_mu():
         _wri(acq, observed, grid, mu=0.0)
 
 
-# inf arithmetic in the assembly warns by design; the test pins what follows it
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("method", ["fwi", "irwri"])
 def test_non_finite_model_raises(method, bad):
     true, background, acq, observed = _tiny_problem()
     m = model.as_slowness_squared(background).values.copy()
     m[5, 5] = bad
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match=r"\(5, 5\)"):
         if method == "fwi":
             _fwi(acq, observed, background).value(m)
         else:

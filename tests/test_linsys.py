@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from proxfwi import linsys, model, wave
+from proxfwi import linsys, wave
 from proxfwi.errors import FactorizationError
 
 
@@ -109,20 +109,6 @@ def test_unphysical_helmholtz_and_normal_matrix_residual():
     for matrix in (a, normal):
         x = linsys.factorize(matrix).solve(rhs)
         assert _relative_residual(matrix, x, rhs) <= 1e-10
-
-
-def test_real_spd_input_factors_in_float64():
-    n = 30
-    lap = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
-    a = (sp.kronsum(lap, lap) + sp.identity(n * n)).tocsr()
-    fact = linsys.factorize(a)
-    assert fact._lu.L.dtype == np.float64
-    rhs = np.random.default_rng(6).standard_normal(n * n)
-    x = fact.solve(rhs)
-    assert x.dtype == np.float64
-    assert _relative_residual(a, x, rhs) <= 1e-12
-    with pytest.raises(TypeError):
-        fact.solve(rhs + 1j)
 
 
 def test_helmholtz_fill_below_colamd():
