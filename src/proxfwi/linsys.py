@@ -2,8 +2,7 @@
 
 Desk-scale 2D systems factor in well under a second, so a direct sparse LU
 (SuperLU) is the only solve path, and :func:`factorize` is the package's one
-entry point to it; a factorization is reused across the many right-hand sides
-of multi-source modeling.  Every matrix the package factors is complex and
+entry point to it.  Every matrix the package factors is complex and
 structurally symmetric: the complex-symmetric 5-point Helmholtz operator A
 and the Hermitian positive-definite WRI normal matrix A^H A + mu^2 P^T P.
 SuperLU therefore runs in symmetric mode: a multiple-minimum-degree ordering
@@ -11,6 +10,15 @@ of A + A^T applied to rows and columns alike, and a diagonal pivot threshold
 of 0.01 (``DIAG_PIVOT_THRESH``) that keeps the diagonal as pivot, and with it
 the fill the symmetric ordering planned for, unless an entry below it is 100
 times larger.
+
+A factorization serves right-hand sides in two ways.  :meth:`Factorization.solve`
+runs full-length triangular solves, one per column, for callers that need
+whole wavefields.  When only a few unknowns are wanted, as when many-source
+modeling samples each wavefield at the sources and receivers,
+``factorize(a, last=...)`` eliminates those unknowns last (static condensation,
+the Schur-complement step of multifrontal solvers), and
+:meth:`Factorization.solve_last` reads point-source solutions on them from the
+small dense trailing block of L and U, with no full-length solve.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -27,23 +36,116 @@ from .errors import FactorizationError
 # 0.1 more than tripled fill on unphysical (m < 0) models, 0.0 lost residual digits
 DIAG_PIVOT_THRESH = 0.01
 
+# one entry, (pattern, order): the frequencies of one modeling call and the
+# requests of one survey share an operator pattern, so they share an ordering
+_mmd_cache: tuple = (None, None)
+
 
 class Factorization:
-    """Opaque LU handle tied to one matrix; reusable across right-hand sides."""
+    """Opaque LU handle tied to one matrix; reusable across right-hand sides.
 
-    def __init__(self, lu, n: int):
+    ``order`` is the symmetric permutation the factor was computed in (None
+    for SuperLU's own), and ``n_last`` how many unknowns it eliminated last.
+    """
+
+    def __init__(self, lu, n: int, order: np.ndarray | None = None, n_last: int = 0):
         self._lu = lu
         self.n = n
+        self._order = order
+        self._n_last = n_last
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for a vector or a column block, in complex128."""
         rhs = np.asarray(rhs)
         if rhs.shape[0] != self.n:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, matrix dimension is {self.n}")
-        return self._lu.solve(rhs.astype(np.complex128, casting="safe", copy=False))
+        rhs = rhs.astype(np.complex128, casting="safe", copy=False)
+        if self._order is None:
+            return self._lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[self._order] = self._lu.solve(rhs[self._order])
+        return x
+
+    def solve_last(self, rows, values) -> np.ndarray:
+        """Point-source solutions on the unknowns ``last`` that were eliminated last.
+
+        Column j solves A x = values[j] e_{last[rows[j]]} and holds x[last],
+        shape (len(last), len(rows)).  When every source row keeps its pivot
+        in the trailing block, forward substitution leaves the leading
+        unknowns at zero, so two dense triangular solves on the trailing
+        k x k blocks of L and U give x[last] exactly.
+        """
+        if self._order is None:
+            raise ValueError("factorization was not computed with last=")
+        rows = np.asarray(rows, dtype=np.int64)
+        values = np.asarray(values, dtype=np.complex128)
+        k, lead = self._n_last, self.n - self._n_last
+        if rows.shape != values.shape or rows.ndim != 1:
+            raise ValueError("rows and values must be 1-d and of equal length")
+        if np.any((rows < 0) | (rows >= k)):
+            raise ValueError(f"rows must index the {k} unknowns eliminated last")
+        pivot = self._lu.perm_r[lead + rows]
+        if np.any(pivot < lead):
+            # a source row pivoted an eliminated column, so its entry of the
+            # permuted right-hand side sits in the leading block: solve in full
+            b = np.zeros((self.n, rows.size), dtype=np.complex128)
+            last = self._order[lead:]
+            b[last[rows], np.arange(rows.size)] = values
+            return self.solve(b)[last]
+        tail = np.zeros((k, rows.size), dtype=np.complex128)
+        tail[pivot - lead, np.arange(rows.size)] = values
+        l22 = self._lu.L[lead:, lead:].toarray()
+        u22 = self._lu.U[lead:, lead:].toarray()
+        z = sla.solve_triangular(l22, tail, lower=True, unit_diagonal=True)
+        return sla.solve_triangular(u22, z, lower=False)
 
 
-def factorize(a) -> Factorization:
+def order_last(a, last) -> np.ndarray:
+    """Symmetric ordering that puts ``last`` at the end, in the order given.
+
+    The other unknowns keep their relative place in SuperLU's own
+    multiple-minimum-degree order of the whole pattern.  On the 161^2
+    modeling grid that gave 22-27 % less fill than ordering the other
+    unknowns' pattern on its own.
+    """
+    a = sp.csc_matrix(a)
+    last = np.asarray(last, dtype=np.int64)
+    n = a.shape[0]
+    if last.ndim != 1 or np.any((last < 0) | (last >= n)) or np.unique(last).size != last.size:
+        raise ValueError(f"last must hold distinct indices below {n}")
+    keep = np.ones(n, dtype=bool)
+    keep[last] = False
+    mmd = _mmd_order(a)
+    return np.concatenate([mmd[keep[mmd]], last])
+
+
+def _mmd_order(a: sp.csc_matrix) -> np.ndarray:
+    """SuperLU's multiple-minimum-degree order of A + A^T, as a read-only index list.
+
+    It is read off a cheap incomplete LU of a real surrogate with the same
+    pattern: ones, with each column's entry count plus one on the diagonal,
+    so that it is strictly diagonally dominant and never meets a zero pivot.
+    In symmetric mode SuperLU does not postorder the elimination tree, so
+    ``perm_c`` is the ordering itself.
+    """
+    global _mmd_cache
+    key = (a.shape, a.indptr.tobytes(), a.indices.tobytes())
+    cached_key, cached = _mmd_cache
+    if key == cached_key:
+        return cached
+    pattern = sp.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+    surrogate = (pattern + sp.diags(np.diff(a.indptr) + 1.0)).tocsc()
+    ilu = spla.spilu(
+        surrogate, drop_tol=0.5, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=DIAG_PIVOT_THRESH, options={"SymmetricMode": True},
+    )
+    order = np.argsort(ilu.perm_c)
+    order.flags.writeable = False
+    _mmd_cache = (key, order)
+    return order
+
+
+def factorize(a, last=None) -> Factorization:
     """LU-factorize a square, structurally symmetric sparse matrix.
 
     The factor is always complex128.  The columns are ordered by multiple
@@ -54,20 +156,31 @@ def factorize(a) -> Factorization:
     Helmholtz operator and the WRI normal matrix are; on them it gives far
     less fill than SuperLU's default unsymmetric COLAMD ordering with full
     partial pivoting.
+
+    With ``last`` (distinct indices), those unknowns are eliminated after all
+    the others (:func:`order_last`), so that :meth:`Factorization.solve_last`
+    can answer point sources on them from the trailing block alone.  That
+    costs fill: on the 161^2 modeling grid with 321 sources and receivers
+    last, about 1.3 times the fill of the free ordering.
     """
     a = sp.csc_matrix(a, dtype=np.complex128)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]}, expected square")
+    order = None
+    if last is not None:
+        order = order_last(a, last)
+        a = a[order][:, order].tocsc()
     try:
         lu = spla.splu(
             a,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
             diag_pivot_thresh=DIAG_PIVOT_THRESH,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # SuperLU reports the offending pivot in its message
         raise FactorizationError(f"sparse LU failed: {exc}") from exc
-    return Factorization(lu, a.shape[0])
+    n_last = 0 if last is None else len(last)
+    return Factorization(lu, a.shape[0], order, n_last)
 
 
 class SpectralEstimate(NamedTuple):

@@ -28,6 +28,10 @@ from .model import (
 
 PML_REFLECTION = 1e-3  # target boundary reflection coefficient
 MIN_POINTS_PER_WAVELENGTH = 8.0
+# from this many sources on, forward eliminates the source and receiver nodes
+# last and skips the per-source solves; one frequency's factor-and-solve broke
+# even at about 12 sources on both the 81^2 and the 161^2 survey grids
+CONDENSE_MIN_SOURCES = 16
 
 
 def ricker_amplitude(f: float, f_peak: float) -> complex:
@@ -248,18 +252,33 @@ def forward(
     free_surface_top: bool = False,
     pml_velocity: float | None = None,
 ) -> FreqData:
-    """Simulate receiver data: assemble and factor once per frequency, solve
-    all sources as one block, and sample nodal values at the receivers."""
+    """Simulate receiver data: assemble and factor once per frequency and
+    sample the wavefield of every source at the receivers.
+
+    With fewer than ``CONDENSE_MIN_SOURCES`` sources, all sources are solved
+    as one block of full wavefields.  With more, the source and receiver
+    nodes are eliminated last and the data are read from the trailing block
+    of the factors (:meth:`linsys.Factorization.solve_last`), which skips
+    the one full-length triangular solve per source that otherwise leads.
+    """
     slowness = as_slowness_squared(model)
     acq.validate_for(model.nz, model.nx, min_iz=1 if free_surface_top else 0)
+    condensed = len(acq.sources) >= CONDENSE_MIN_SOURCES
     blocks = []
     for f in acq.frequencies:
         system = assemble(slowness, 2.0 * np.pi * f, pml_cells, free_surface_top,
                           pml_velocity=pml_velocity)
-        b = system.point_sources(acq.sources, ricker_amplitude(f, f_peak))
-        u = system.factor().solve(b)
+        amplitude = ricker_amplitude(f, f_peak)
         rx = system.padded_indices(acq.receivers)
-        blocks.append(u[rx, :])
+        if condensed:
+            src = system.padded_indices(acq.sources)
+            last, at = np.unique(np.concatenate([rx, src]), return_inverse=True)
+            values = np.full(src.size, amplitude / (system.dz * system.dx))
+            u_last = linsys.factorize(system.matrix, last=last).solve_last(at[rx.size:], values)
+            blocks.append(u_last[at[:rx.size], :])
+        else:
+            u = system.factor().solve(system.point_sources(acq.sources, amplitude))
+            blocks.append(u[rx, :])
     return FreqData(tuple(acq.frequencies), tuple(blocks))
 
 

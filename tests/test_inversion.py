@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from proxfwi import inversion, model, optim, wave
+from proxfwi import inversion, linsys, model, optim, wave
 from proxfwi.denoise import Denoiser
 from proxfwi.errors import ConfigError, NumericalError, StateError
 
@@ -419,6 +419,34 @@ def test_fwi_inversion_reduces_model_error():
     result = optim.proximal_newton_solve(oracle, Denoiser("identity"), config, m0, "nadmm")
     assert inversion.rmse(result.m, m_true) < inversion.rmse(m0, m_true)
     assert oracle.value(result.m) < 0.05 * oracle.value(m0)
+
+
+def test_fwi_line_search_trials_are_the_only_refactorizations(monkeypatch):
+    # FwiOracle keeps the last model's factorizations, so the next outer
+    # step's gradient reuses the accepted trial's: per frequency, one LU for
+    # the start, one for the L-BFGS curvature probe, one per line-search trial
+    true, background, acq, observed = _tiny_problem()
+    factorize, line_search = linsys.factorize, optim.line_search
+    calls, trials = [], []
+
+    def counting_factorize(*args, **kwargs):
+        calls.append(1)
+        return factorize(*args, **kwargs)
+
+    def counting_line_search(*args, **kwargs):
+        result = line_search(*args, **kwargs)
+        trials.append(result.trials)
+        return result
+
+    monkeypatch.setattr(linsys, "factorize", counting_factorize)
+    monkeypatch.setattr(optim, "line_search", counting_line_search)
+    config = optim.OptConfig(lam=0.0, hessian="lbfgs", max_outer=3)
+    m0 = model.as_slowness_squared(background).values
+    result = optim.proximal_newton_solve(
+        _fwi(acq, observed, background), Denoiser("identity"), config, m0, "nadmm"
+    )
+    assert result.n_outer == 3 and len(trials) == 3
+    assert len(calls) == len(acq.frequencies) * (1 + 1 + sum(trials))
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,55 @@ def test_unphysical_helmholtz_and_normal_matrix_residual():
         x = linsys.factorize(matrix).solve(rhs)
         assert _relative_residual(matrix, x, rhs) <= 1e-10
 
+    # the same indefinite A with the receivers and three source nodes last
+    src = system.padded_indices([(0, 5), (0, 20), (0, 35)])
+    last = np.concatenate([rx, src])
+    rows = np.arange(rx.size, last.size)
+    values = np.array([1.0, -2.0j, 0.5 + 0.5j])
+    b = np.zeros((system.n, 3), dtype=complex)
+    b[src, np.arange(3)] = values
+    full = linsys.factorize(a).solve(b)[last]
+    fact = linsys.factorize(a, last=last)
+    assert np.all(fact._lu.perm_r[system.n - last.size + rows] >= system.n - last.size)
+    x_last = fact.solve_last(rows, values)
+    assert np.linalg.norm(x_last - full) <= 1e-10 * np.linalg.norm(full)
+    assert _relative_residual(a, fact.solve(b), b) <= 1e-10
+
+
+def test_solve_last_falls_back_when_a_source_row_pivots_early():
+    # column 0's diagonal is below DIAG_PIVOT_THRESH of its entry in row 2, so
+    # SuperLU pivots the eliminated column 0 on row 2, a source row kept last
+    dense = np.array([[1e-6, 1.0, 2.0], [1.0, 4.0, 1.0], [2.0, 1.0, 4.0]], dtype=complex)
+    last = np.array([1, 2])
+    fact = linsys.factorize(sp.csr_matrix(dense), last=last)
+    assert fact._lu.perm_r[2] < 1  # the trailing block alone would be wrong
+    values = np.array([1.0 + 2.0j, -3.0])
+    x_last = fact.solve_last(np.array([1, 1]), values)
+    ref = np.linalg.solve(dense, np.eye(3)[:, [2, 2]] * values)[last]
+    assert np.allclose(x_last, ref, rtol=1e-12, atol=0.0)
+
+
+def test_solve_last_rejects_bad_input():
+    a = _random_sparse(10, np.random.default_rng(6))
+    with pytest.raises(ValueError):
+        linsys.factorize(a).solve_last([0], [1.0])
+    with pytest.raises(ValueError):
+        linsys.factorize(a, last=[3, 3])
+    with pytest.raises(ValueError):
+        linsys.factorize(a, last=[10])
+    fact = linsys.factorize(a, last=[7, 2])
+    with pytest.raises(ValueError):
+        fact.solve_last([2], [1.0])
+    ref = linsys.factorize(a).solve(np.eye(10)[:, 2])[[7, 2]]
+    assert np.allclose(fact.solve_last([1], [1.0])[:, 0], ref, rtol=1e-12, atol=1e-15)
+
+
+def test_order_last_with_nothing_last_is_superlus_own_ordering():
+    m = np.full((41, 41), 1.0 / 2000.0**2)
+    m[10:30, 15:25] = 1.0 / 2500.0**2
+    a = _helmholtz_41(m).matrix
+    assert linsys.factorize(a, last=[])._lu.nnz == linsys.factorize(a)._lu.nnz
+
 
 def test_helmholtz_fill_below_colamd():
     m = np.full((41, 41), 1.0 / 2000.0**2)

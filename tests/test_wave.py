@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import hankel1
 
-from proxfwi import model, wave
+from proxfwi import linsys, model, wave
 from proxfwi.errors import GeometryError
 
 
@@ -159,6 +159,62 @@ def test_reciprocity(heterogeneous):
     d_ab = wave.forward(grid, acq_ab, f_peak=10.0, pml_cells=8).blocks[0][0, 0]
     d_ba = wave.forward(grid, acq_ba, f_peak=10.0, pml_cells=8).blocks[0][0, 0]
     assert abs(d_ab - d_ba) <= 1e-8 * abs(d_ab)
+
+
+# ---------------------------------------------------------------------------
+# condensed many-source modeling
+
+
+def _survey_41(n_sources, freqs=(6.0, 9.0)):
+    """41^2 heterogeneous model; receivers on three edges plus every source node."""
+    rng = np.random.default_rng(4)
+    grid = model.ModelGrid.from_values(2000.0 * (1.0 + 0.2 * rng.random((41, 41))), 25.0, 25.0)
+    base = model.surface_boundary_geometry(41, 41, freqs, n_sources)
+    receivers = tuple(sorted(set(base.receivers) | set(base.sources)))
+    return grid, model.AcquisitionGeometry(base.sources, receivers, freqs)
+
+
+def _plain_blocks(grid, acq, pml_cells=10):
+    """Reference data: one full-length solve per source, sampled at the receivers."""
+    blocks = []
+    for f in acq.frequencies:
+        system = wave.assemble(model.as_slowness_squared(grid), 2 * np.pi * f, pml_cells)
+        b = system.point_sources(acq.sources, wave.ricker_amplitude(f, 10.0))
+        blocks.append(linsys.factorize(system.matrix).solve(b)[system.padded_indices(acq.receivers)])
+    return blocks
+
+
+def test_condensed_forward_matches_plain_solve_and_is_reciprocal():
+    grid, acq = _survey_41(32)
+    assert len(acq.sources) >= wave.CONDENSE_MIN_SOURCES
+    data = wave.forward(grid, acq)
+    src_rows = [acq.receivers.index(s) for s in acq.sources]
+    for block, ref in zip(data.blocks, _plain_blocks(grid, acq)):
+        assert np.linalg.norm(block - ref) <= 1e-12 * np.linalg.norm(ref)
+        r = block[src_rows, :]
+        assert np.linalg.norm(r - r.T) <= 1e-10 * np.linalg.norm(r)
+
+
+def test_few_sources_keep_the_plain_block_solve():
+    grid, acq = _survey_41(4)
+    assert len(acq.sources) < wave.CONDENSE_MIN_SOURCES
+    for block, ref in zip(wave.forward(grid, acq).blocks, _plain_blocks(grid, acq)):
+        assert np.array_equal(block, ref)
+
+
+def test_condensed_forward_factors_through_linsys_once_per_frequency(monkeypatch):
+    # the benchmark's per-layer trace counts modeling LU at linsys.factorize
+    grid, acq = _survey_41(32, freqs=(5.0, 7.0, 9.0))
+    calls = []
+    original = linsys.factorize
+
+    def counting(a, last=None):
+        calls.append(last is not None)
+        return original(a, last=last)
+
+    monkeypatch.setattr(linsys, "factorize", counting)
+    wave.forward(grid, acq)
+    assert calls == [True, True, True]
 
 
 def _greens_error(n, h, pml, reflection=wave.PML_REFLECTION):
