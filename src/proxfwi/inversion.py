@@ -10,7 +10,7 @@ interior derivatives are clean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +341,8 @@ def multiscale_drive(
     """
     if method not in ("fwi", "irwri"):
         raise ConfigError(f"unknown inversion method {method!r}")
+    if method == "irwri" and (mu is None or mu <= 0.0):
+        raise ConfigError("penalty method needs a positive mu")
     if not plan or not any(len(path) for path in plan):
         raise ConfigError("continuation plan is empty")
     m = np.asarray(m0, dtype=np.float64).copy()
@@ -355,13 +357,11 @@ def multiscale_drive(
                     sub_acq, sub_obs, background, f_peak, pml_cells, free_surface_top
                 )
             else:
-                if mu is None or mu <= 0.0:
-                    raise ConfigError("penalty method needs a positive mu")
                 oracle = WriOracle(
                     sub_acq, sub_obs, background, mu, f_peak, pml_cells, free_surface_top
                 )
             m_start = m.copy()
-            result = proximal_newton_solve(oracle, denoiser, replace(config), m, algorithm)
+            result = proximal_newton_solve(oracle, denoiser, config, m, algorithm)
             m = result.m
             results.append(
                 BatchResult(pi, bi, batch, m_start, m.copy(), result.history,
@@ -390,8 +390,7 @@ class RunConfig:
     paths: int = 1
     max_outer: int = 70
     inner_iters: int = 100
-    c_rule: str = "auto-spectral"
-    c_fixed: float = 1.0
+    c_fixed: float | None = None  # None: C_SAFETY / sigma_max(H) each step
     warm_start: bool = False
     stopping: str = "max-iter"  # max-iter | data-residual[:EPS|auto] | model-error:VAL
     snr_db: float | None = None
@@ -419,6 +418,33 @@ def _parse_points(text: str) -> tuple:
 
 
 def parse_run_config(path) -> RunConfig:
+    """Read a ``key = value`` run file into a RunConfig.
+
+    ``#`` starts a comment, ``-`` in a key reads as ``_``, and an unknown key
+    is a ConfigError.  Keys, as ``name (type, default): syntax``:
+
+    - model_init (path, required), model_true (path), data (path): without
+      data, the data is synthesized from model_true.
+    - method (fwi | irwri, irwri); algorithm (nista | nadmm, nadmm);
+      hessian (hvp | exact-dense | lbfgs | diagonal | identity, diagonal for
+      irwri and lbfgs for fwi); denoiser (make_denoiser spec, identity);
+      lambda (float, 0); mu (float | auto, auto): the WRI penalty weight.
+    - frequencies (Hz, required): ``3,4.5``; batches (one batch of all):
+      ``3,4 | 5,6``; paths (int, 1): passes over the batches.
+    - max_outer (int, 70); inner_iters (int, 100); warm_start (bool, false):
+      ``1 | true | yes | on`` is true.
+    - c_fixed (float, unset): the step scale ck of every outer step; unset,
+      each step takes C_SAFETY / sigma_max of its Hessian.
+    - stopping (max-iter): ``max-iter | data-residual[:EPS|auto] |
+      model-error:VAL``.  data-residual stops at a reduced-space residual
+      ||P A(m)^-1 b - d|| <= 1.01 EPS, and auto takes EPS from the synthesized
+      noise; model-error stops at ||v - v_true|| <= VAL (m/s).
+    - snr_db (float | none | inf, none); seed (int, 0); f_peak (Hz, 10);
+      pml_cells (int, 10); free_surface (bool, false).
+    - n_sources (int, 5), source_depth (int, 0), receiver_spacing (int, 2):
+      the surface layout, replaced by sources and receivers (``iz:ix;iz:ix``)
+      when both are given; out_dir (path, run_out).
+    """
     cfg = RunConfig()
     try:
         lines = Path(path).read_text().splitlines()
@@ -434,7 +460,7 @@ def parse_run_config(path) -> RunConfig:
         key, value = key.strip().replace("-", "_"), value.strip()
         try:
             if key in ("model_init", "model_true", "data", "method", "algorithm",
-                       "hessian", "denoiser", "c_rule", "stopping", "out_dir", "mu"):
+                       "hessian", "denoiser", "stopping", "out_dir", "mu"):
                 setattr(cfg, key, value)
             elif key == "lambda":
                 cfg.lam = float(value)
@@ -522,7 +548,7 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
             )
 
     hessian = cfg.hessian or ("diagonal" if cfg.method == "irwri" else "lbfgs")
-    stopping, stop_target, stop_metric = "max-iter", None, None
+    stop_target, stop_metric = None, None
     if cfg.stopping.startswith("data-residual"):
         _, _, eps_text = cfg.stopping.partition(":")
         if eps_text in ("", "auto"):
@@ -531,17 +557,21 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
             eps = noise_norm
         else:
             eps = float(eps_text)
-        stopping, stop_target = "data-residual-target", 1.01 * eps
+        stop_target = 1.01 * eps
+
+        def stop_metric(oracle, m):
+            return oracle.data_residual_norm(m)
+
     elif cfg.stopping.startswith("model-error"):
         if true is None:
             raise ConfigError("model-error stopping needs model_true")
         _, _, val = cfg.stopping.partition(":")
-        stopping, stop_target = "model-error-target", float(val)
+        stop_target = float(val)
         true_vel = as_velocity(true).values
 
-        def stop_metric(m, _ref=true_vel):
+        def stop_metric(oracle, m):
             vel = 1.0 / np.sqrt(np.asarray(m))
-            return float(np.linalg.norm(vel - _ref))
+            return float(np.linalg.norm(vel - true_vel))
 
     elif cfg.stopping != "max-iter":
         raise ConfigError(f"unknown stopping rule {cfg.stopping!r}")
@@ -557,13 +587,11 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
 
     config = OptConfig(
         lam=cfg.lam,
-        c_rule="fixed" if cfg.c_rule.startswith("fixed") else "auto-spectral",
-        c_fixed=float(cfg.c_rule.split(":", 1)[1]) if cfg.c_rule.startswith("fixed:") else cfg.c_fixed,
+        c_fixed=cfg.c_fixed,
         max_outer=cfg.max_outer,
         inner_iters=cfg.inner_iters,
         warm_start=cfg.warm_start,
         hessian=hessian,
-        stopping=stopping,
         stop_target=stop_target,
         stop_metric=stop_metric,
         seed=cfg.seed,

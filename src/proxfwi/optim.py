@@ -14,12 +14,19 @@ place a Hessian mode is chosen: it builds the per-outer (apply, shifted solve,
 spectral norm) triple, and ``nadmm_step`` takes its ``solve_shifted``.  Both
 solvers accept their step through one ``_search_step``, which backtracks with
 ``line_search`` and holds the iterate when no trial lowers the merit.
+
+``proximal_newton_solve`` is the one outer driver.  It owns the outer index,
+the step scale ck, the history and the stopping decision; ``InversionState``
+holds only the iterate and NADMM's splitting variables, and each step reports
+back through a ``Step``.  ``OptConfig`` states each decision once: the step
+scale in ``c_fixed`` (None for the spectral rule) and early stopping in the
+pair ``stop_target`` / ``stop_metric``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -274,23 +281,25 @@ def nista_direction(
 
 @dataclass
 class InversionState:
-    """Iterate plus splitting auxiliaries and per-step diagnostics."""
+    """The iterate m and the splitting auxiliaries p (denoised) and q (dual)."""
 
     m: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    ck: float = 1.0
-    k: int = 0
-    history: list = field(default_factory=list)
-    last_dm: np.ndarray | None = None
-    last_alpha: float = 1.0
-    last_accepted: bool = True
-    last_misfit: float = math.nan
 
     @classmethod
     def initial(cls, m0) -> "InversionState":
         m0 = np.asarray(m0, dtype=np.float64).copy()
         return cls(m=m0, p=np.zeros_like(m0), q=np.zeros_like(m0))
+
+
+class Step(NamedTuple):
+    """What one outer step did: direction, accepted fraction of it, misfit after."""
+
+    dm: np.ndarray
+    alpha: float
+    accepted: bool
+    misfit: float
 
 
 def _materialize_hessian(oracle, m) -> np.ndarray:
@@ -330,13 +339,14 @@ def nadmm_step(
     solve_shifted: Callable,
     grad=None,
     value: float | None = None,
-) -> InversionState:
+) -> Step:
     """One splitting step: damped Newton solve, line search, prox, dual update.
 
     Solves (ck*H + I) dm = -ck*grad + (p + q - m) with ``solve_shifted(c,
     rhs)`` (one of the solvers built by ``_hessian_ops``), line-searches the
     damped merit M(m) + ||m - (p+q)||^2 / (2 ck), then updates p by denoising
-    (m_new - q) and q by the running constraint mismatch.
+    (m_new - q) and q by the running constraint mismatch.  ``state`` advances
+    in place; the returned ``Step`` carries the misfit at the new m.
     """
     if ck <= 0.0:
         raise ValueError("step size ck must be positive")
@@ -366,13 +376,7 @@ def nadmm_step(
         raise NumericalError("splitting update produced non-finite values")
 
     state.m, state.p, state.q = m_new, p_new, q_new
-    state.ck = ck
-    state.k += 1
-    state.last_dm = dm
-    state.last_alpha = alpha
-    state.last_accepted = accepted
-    state.last_misfit = misfit_new
-    return state
+    return Step(dm, alpha, accepted, misfit_new)
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +385,24 @@ def nadmm_step(
 
 @dataclass
 class OptConfig:
-    """Outer-loop settings shared by both direction solvers."""
+    """Outer-loop settings shared by both direction solvers.
+
+    ``c_fixed`` is the step scale ck of every outer step; None picks
+    C_SAFETY / sigma_max(H_k) each step (1.0 when sigma_max is not positive),
+    and NADMM holds the value of step C_FREEZE_AFTER from then on.  The run
+    stops early once ``stop_metric(oracle, m) <= stop_target``, checked at the
+    start of each outer step; set both or neither.
+    """
 
     lam: float = 0.0
-    c_rule: str = "auto-spectral"  # or "fixed"
-    c_fixed: float = 1.0
+    c_fixed: float | None = None
     max_outer: int = 70
     inner_iters: int = 100
     lbfgs_memory: int = 10
     warm_start: bool = False
     hessian: str = "hvp"  # hvp | exact-dense | lbfgs | diagonal | identity
-    stopping: str = "max-iter"  # max-iter | model-error-target | data-residual-target
     stop_target: float | None = None
-    stop_metric: Callable | None = None
+    stop_metric: Callable | None = None  # (oracle, m) -> float
     seed: int = 0
 
     def validate(self):
@@ -403,12 +412,10 @@ class OptConfig:
             raise ConfigError("lbfgs memory must be nonnegative")
         if self.hessian not in ("hvp", "exact-dense", "lbfgs", "diagonal", "identity"):
             raise ConfigError(f"unknown hessian mode {self.hessian!r}")
-        if self.c_rule not in ("auto-spectral", "fixed"):
-            raise ConfigError(f"unknown c rule {self.c_rule!r}")
-        if self.stopping not in ("max-iter", "model-error-target", "data-residual-target"):
-            raise ConfigError(f"unknown stopping rule {self.stopping!r}")
-        if self.stopping != "max-iter" and self.stop_target is None:
-            raise ConfigError("target stopping rules need stop_target")
+        if self.c_fixed is not None and not self.c_fixed > 0.0:
+            raise ConfigError(f"fixed step size must be positive, got {self.c_fixed!r}")
+        if (self.stop_target is None) != (self.stop_metric is None):
+            raise ConfigError("stop_target and stop_metric must be set together")
 
 
 class HistoryRow(NamedTuple):
@@ -489,12 +496,6 @@ def _hessian_ops(mode, oracle, m, lbfgs_hess, seed):
     return h_apply, (lambda c, rhs: _cg_shifted(h_apply, c, rhs)), est.value
 
 
-def _step_size(config: OptConfig, sigma: float) -> float:
-    if config.c_rule == "fixed" or sigma <= 0.0:
-        return config.c_fixed
-    return C_SAFETY / sigma
-
-
 def proximal_newton_solve(
     oracle,
     denoiser,
@@ -504,7 +505,7 @@ def proximal_newton_solve(
 ) -> SolveResult:
     """Outer proximal-Newton loop with either direction solver.
 
-    Stops on the configured rule, on three consecutive failed line searches
+    Stops on the configured target, on three consecutive failed line searches
     (returning the best iterate seen), or when the step collapses to rounding
     level.  History rows carry (objective, misfit, reg, alpha, step, ck).
     """
@@ -515,14 +516,6 @@ def proximal_newton_solve(
     state = InversionState.initial(np.asarray(m0, dtype=np.float64))
     lbfgs_hess = LbfgsHessian(config.lbfgs_memory) if config.hessian == "lbfgs" else None
     pen = getattr(denoiser, "penalty", None)
-
-    stop_metric = config.stop_metric
-    if config.stopping == "data-residual-target" and stop_metric is None:
-        if not hasattr(oracle, "data_residual_norm"):
-            raise ConfigError("oracle provides no data residual for this stopping rule")
-        stop_metric = oracle.data_residual_norm
-    if config.stopping == "model-error-target" and stop_metric is None:
-        raise ConfigError("model-error-target stopping needs an explicit stop_metric")
 
     def composite(mm, misfit=None):
         val = oracle.value(mm) if misfit is None else misfit
@@ -535,15 +528,17 @@ def proximal_newton_solve(
 
     prev_m = prev_g = None
     dp_warm = None
+    ck = math.nan
     stagnation = 0
     status = "max-iter"
+    history = []
     best_obj, best_m = math.inf, state.m.copy()
-    n_outer = 0
 
     for k in range(config.max_outer):
         if hasattr(oracle, "begin_outer"):
             oracle.begin_outer(state.m)
-        if stop_metric is not None and stop_metric(state.m) <= config.stop_target:
+        if (config.stop_metric is not None
+                and config.stop_metric(oracle, state.m) <= config.stop_target):
             status = "target-reached"
             break
         g = oracle.gradient(state.m)
@@ -562,15 +557,16 @@ def proximal_newton_solve(
         h_apply, solve_shifted, sigma = _hessian_ops(
             config.hessian, oracle, state.m, lbfgs_hess, config.seed
         )
-        if method == "nadmm" and k >= C_FREEZE_AFTER:
-            ck = state.ck
-        else:
-            ck = _step_size(config, sigma)
+        if method == "nista" or k < C_FREEZE_AFTER:
+            if config.c_fixed is not None:
+                ck = config.c_fixed
+            else:
+                ck = C_SAFETY / sigma if sigma > 0.0 else 1.0
         if ck <= 0.0 or not math.isfinite(ck):
             raise NumericalError(f"invalid step size ck={ck!r} at outer {k}")
 
         if method == "nista":
-            dm, dp_next = nista_direction(
+            dm, dp_warm = nista_direction(
                 oracle, state.m, denoiser, lam, ck, config.inner_iters,
                 dp0=dp_warm if config.warm_start else None,
                 h_apply=h_apply, grad=g,
@@ -580,32 +576,22 @@ def proximal_newton_solve(
                 break
             f0, _ = composite(state.m, misfit=val)
             merit = lambda mm: composite(mm)[0]
-            state.last_alpha, state.m, obj, state.last_accepted = _search_step(
-                merit, state.m, dm, f0, ck
-            )
-            state.ck = ck
-            state.k += 1
-            state.last_dm = dm
-            dp_warm = dp_next
+            alpha, state.m, obj, accepted = _search_step(merit, state.m, dm, f0, ck)
             _, reg = composite(state.m, misfit=obj)
-            misfit = obj - reg if math.isfinite(reg) else obj
+            step = Step(dm, alpha, accepted, obj - reg if math.isfinite(reg) else obj)
         else:
-            state = nadmm_step(
+            step = nadmm_step(
                 oracle, state, denoiser, lam, ck,
                 solve_shifted=solve_shifted, grad=g, value=val,
             )
-            misfit = state.last_misfit
-            obj, reg = composite(state.m, misfit=misfit)
+            obj, reg = composite(state.m, misfit=step.misfit)
 
-        step_norm = state.last_alpha * _norm(state.last_dm)
-        state.history.append(
-            HistoryRow(state.k, obj, misfit, reg, state.last_alpha, step_norm, ck)
-        )
-        n_outer = k + 1
+        step_norm = step.alpha * _norm(step.dm)
+        history.append(HistoryRow(k + 1, obj, step.misfit, reg, step.alpha, step_norm, ck))
         if obj < best_obj:
             best_obj, best_m = obj, state.m.copy()
 
-        if not state.last_accepted:
+        if not step.accepted:
             stagnation += 1
             if stagnation >= 3:
                 status = "stagnated"
@@ -617,7 +603,7 @@ def proximal_newton_solve(
                 status = "step-floor"
                 break
 
-    return SolveResult(m=state.m, history=state.history, status=status, n_outer=n_outer)
+    return SolveResult(m=state.m, history=history, status=status, n_outer=len(history))
 
 
 def history_to_csv(history, path):

@@ -71,7 +71,7 @@ def test_model_gen_and_forward_write_outputs_and_manifests(models):
 
 
 def test_invert_writes_run_directory(tmp_path, models, capsys):
-    config = _write_config(tmp_path, models, method="fwi", algorithm="nista", c_fixed=1e-9, c_rule="fixed")
+    config = _write_config(tmp_path, models, method="fwi", algorithm="nista", c_fixed=1e-9)
     assert cli.main(["invert", "--config", str(config)]) == 0
     out = tmp_path / "out"
     outputs = sorted(p for p in out.iterdir() if p.name != "manifest.txt")
@@ -95,7 +95,7 @@ def test_invert_bad_config_exits_with_data_error(tmp_path, models):
 
 @pytest.mark.parametrize("method", ["fwi", "irwri"])
 def test_run_inversion_fixed_step_reaches_every_history_row(tmp_path, models, method):
-    cfg = _run_config(tmp_path, models, method=method, algorithm="nista", c_fixed=1e-9, c_rule="fixed")
+    cfg = _run_config(tmp_path, models, method=method, algorithm="nista", c_fixed=1e-9)
     summary = inversion.run_inversion(cfg)
     (batch,) = summary.batches
     assert batch.n_outer == 2 and batch.status == "max-iter"

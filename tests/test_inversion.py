@@ -410,6 +410,12 @@ def test_multiscale_empty_plan_rejected():
         )
 
 
+@pytest.mark.parametrize("mu", [None, 0.0])
+def test_multiscale_penalty_needs_positive_mu(mu):
+    with pytest.raises(ConfigError, match="positive mu"):
+        _drive(method="irwri", mu=mu)
+
+
 def test_fwi_inversion_reduces_model_error():
     true, background, acq, observed = _tiny_problem(v_inc=2100.0)
     m0 = model.as_slowness_squared(background).values
@@ -466,6 +472,7 @@ mu = 3e-4
 frequencies = 5,7,10,12.5
 batches = 5,7 | 10,12.5
 max_outer = 40
+c_fixed = 0.25
 stopping = data-residual:auto
 snr_db = 5
 seed = 3
@@ -480,6 +487,8 @@ out_dir = out
     assert cfg.batches == ((5.0, 7.0), (10.0, 12.5))
     assert cfg.snr_db == 5.0
     assert cfg.stopping == "data-residual:auto"
+    assert cfg.c_fixed == 0.25
+    assert inversion.RunConfig().c_fixed is None
 
 
 def test_parse_run_config_rejects_bad_lines(tmp_path):
@@ -489,4 +498,8 @@ def test_parse_run_config_rejects_bad_lines(tmp_path):
         inversion.parse_run_config(path)
     path.write_text("frequencies = 5\n")
     with pytest.raises(ConfigError):
+        inversion.parse_run_config(path)
+    # the step scale has one key, c_fixed
+    path.write_text("model_init = a.grd\nfrequencies = 5\nc_rule = fixed:0.5\n")
+    with pytest.raises(ConfigError, match="unknown key 'c_rule'"):
         inversion.parse_run_config(path)

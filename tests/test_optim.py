@@ -3,6 +3,7 @@ import pytest
 
 from proxfwi import optim, rosenbrock
 from proxfwi.denoise import Denoiser
+from proxfwi.errors import ConfigError
 
 
 def _quadratic_oracle(q, b):
@@ -221,11 +222,11 @@ def test_nadmm_step_scalar_arithmetic():
     state = optim.InversionState.initial(np.array([0.0]))
     state.p = state.m.copy()  # prior = p + q = m
     grad = np.array([4.0])
-    state = optim.nadmm_step(
+    step = optim.nadmm_step(
         oracle, state, Denoiser("identity"), 0.0, 0.5,
         lambda c, rhs: rhs / (2.0 * c + 1.0), grad=grad,
     )
-    assert np.allclose(state.last_dm, [-1.0], atol=1e-14)
+    assert np.allclose(step.dm, [-1.0], atol=1e-14)
 
 
 def test_nadmm_identity_prox_reduction():
@@ -240,12 +241,12 @@ def test_nadmm_identity_prox_reduction():
         grad = oracle.gradient(m_k)
         hess = oracle.hessian_dense(m_k)
         _, solve_shifted, _ = optim._hessian_ops("exact-dense", oracle, m_k, None, 0)
-        state = optim.nadmm_step(oracle, state, Denoiser("identity"), 0.0, ck, solve_shifted)
+        step = optim.nadmm_step(oracle, state, Denoiser("identity"), 0.0, ck, solve_shifted)
         assert np.array_equal(state.q, np.zeros(2))
         assert np.array_equal(state.p, state.m)
         if np.all(np.linalg.eigvalsh(hess) > 0):
             expected = np.linalg.solve(ck * hess + np.eye(2), -ck * grad)
-            assert np.linalg.norm(state.last_dm - expected) < 1e-8
+            assert np.linalg.norm(step.dm - expected) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,7 @@ def test_nadmm_identity_prox_reduction():
 def _toy_solve(lam, method, **overrides):
     defaults = dict(lam=lam, hessian="exact-dense", max_outer=400)
     if method == "nadmm":
-        defaults.update(c_rule="fixed", c_fixed=0.1, max_outer=2000)
+        defaults.update(c_fixed=0.1, max_outer=2000)
     defaults.update(overrides)
     config = optim.OptConfig(**defaults)
     return optim.proximal_newton_solve(
@@ -337,12 +338,34 @@ def test_history_csv_export(tmp_path):
     assert int(first[0]) == 1 and len(first) == 7
 
 
+def test_nadmm_holds_ck_from_the_freeze_step_on():
+    n = optim.C_FREEZE_AFTER + 3
+    result = _toy_solve(0.0, "nadmm", c_fixed=None, max_outer=n)
+    cks = [row.ck for row in result.history]
+    assert [row.iteration for row in result.history] == list(range(1, n + 1))
+    # the spectral rule tracks H_k until the freeze, then the last value holds
+    assert len(set(cks[: optim.C_FREEZE_AFTER])) == optim.C_FREEZE_AFTER
+    assert cks[optim.C_FREEZE_AFTER :] == [cks[optim.C_FREEZE_AFTER - 1]] * 3
+    nista = _toy_solve(0.0, "nista", max_outer=n)
+    assert len({row.ck for row in nista.history[optim.C_FREEZE_AFTER - 1 :]}) > 1
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(stop_target=1.0), dict(stop_metric=lambda oracle, m: 0.0), dict(c_fixed=0.0),
+     dict(c_fixed=-1.0)],
+)
+def test_config_rejects_half_stopping_rule_and_bad_step(kwargs):
+    with pytest.raises(ConfigError):
+        optim.OptConfig(**kwargs).validate()
+
+
 def test_stop_metric_target():
     target = rosenbrock.rosenbrock_l1_argmin(1.5)
     config = optim.OptConfig(
         lam=1.5, hessian="exact-dense", max_outer=400,
-        stopping="model-error-target", stop_target=1e-3,
-        stop_metric=lambda m: float(np.linalg.norm(m - target)),
+        stop_target=1e-3,
+        stop_metric=lambda oracle, m: float(np.linalg.norm(m - target)),
     )
     result = optim.proximal_newton_solve(
         rosenbrock.RosenbrockOracle(), Denoiser("l1"), config, np.array([-1.2, 1.0]), "nista"
