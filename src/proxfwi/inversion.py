@@ -221,7 +221,6 @@ class WriOracle(_OracleBase):
             rhs[rx, :] += self.mu**2 * self.observed.blocks[i]
             fact = linsys.factorize(normal)
             u = fact.solve(rhs)
-            u += fact.solve(rhs - normal @ u)
 
             e_ref = b - a @ u
             interior = system.interior_indices().ravel()
