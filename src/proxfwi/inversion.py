@@ -100,6 +100,22 @@ class _OracleBase:
             pml_velocity=self._pml_velocity,
         )
 
+    def _forward(self, m: np.ndarray, i: int) -> dict:
+        """Reduced-space solve at frequency i: the fields u = A(m)^-1 b and P u - d."""
+        f = self.acq.frequencies[i]
+        system = self._assemble(m, f)
+        fact = system.factor()
+        b = system.point_sources(self.acq.sources, wave.ricker_amplitude(f, self.f_peak))
+        u = fact.solve(b)
+        rx = system.padded_indices(self.acq.receivers)
+        resid = u[rx, :] - self.observed.blocks[i]
+        return {"system": system, "fact": fact, "u": u, "rx": rx, "resid": resid}
+
+    def data_residual_norm(self, m) -> float:
+        """Reduced-space data residual ||P A(m)^-1 b - d|| over all frequencies."""
+        return math.sqrt(sum(float(np.sum(np.abs(self._forward(m, i)["resid"]) ** 2))
+                             for i in range(len(self.acq.frequencies))))
+
 
 class FwiOracle(_OracleBase):
     """Reduced-space data misfit 0.5 sum ||d - P A(m)^-1 b||^2.
@@ -121,21 +137,12 @@ class FwiOracle(_OracleBase):
         key = m.tobytes()
         if key == self._cache_key:
             return self._cache
-        per_freq = []
+        per_freq = [self._forward(m, i) for i in range(len(self.acq.frequencies))]
         misfit = 0.0
-        for i, f in enumerate(self.acq.frequencies):
-            system = self._assemble(m, f)
-            fact = system.factor()
-            b = system.point_sources(self.acq.sources, wave.ricker_amplitude(f, self.f_peak))
-            u = fact.solve(b)
-            rx = system.padded_indices(self.acq.receivers)
-            resid = u[rx, :] - self.observed.blocks[i]
-            misfit += 0.5 * float(np.sum(np.abs(resid) ** 2))
-            per_freq.append(
-                {"system": system, "fact": fact, "u": u, "rx": rx, "resid": resid}
-            )
+        for entry in per_freq:
+            misfit += 0.5 * float(np.sum(np.abs(entry["resid"]) ** 2))
         self._cache_key = key
-        self._cache = {"per_freq": per_freq, "misfit": misfit, "shape": m.shape}
+        self._cache = {"per_freq": per_freq, "misfit": misfit}
         return self._cache
 
     def begin_outer(self, m):
@@ -153,6 +160,7 @@ class FwiOracle(_OracleBase):
         ]
 
     def data_residual_norm(self, m) -> float:
+        """The reduced-space data residual, read from the cached solve."""
         return math.sqrt(2.0 * self.value(m))
 
     def _back_correlate(self, entry, r) -> np.ndarray:
@@ -206,7 +214,6 @@ class WriOracle(_OracleBase):
         m = np.asarray(m, dtype=np.float64)
         per_freq = []
         hdiag = np.zeros((self.nz, self.nx))
-        data_resid_sq = 0.0
         for i, f in enumerate(self.acq.frequencies):
             system = self._assemble(m, f)
             rx = system.padded_indices(self.acq.receivers)
@@ -229,7 +236,6 @@ class WriOracle(_OracleBase):
             outside_sq = float(np.sum(np.abs(e_ref) ** 2)) - float(np.sum(np.abs(e_int) ** 2))
             omega2 = system.omega**2
             hdiag += omega2**2 * np.sum(np.abs(u_int) ** 2, axis=2)
-            data_resid_sq += float(np.sum(np.abs(u[rx, :] - self.observed.blocks[i]) ** 2))
             per_freq.append(
                 {
                     "system": system, "normal": normal, "rhs": rhs, "u": u, "rx": rx,
@@ -237,12 +243,7 @@ class WriOracle(_OracleBase):
                     "omega2": omega2,
                 }
             )
-        self._state = {
-            "m_ref": m.copy(),
-            "per_freq": per_freq,
-            "hdiag": hdiag,
-            "data_residual": math.sqrt(data_resid_sq),
-        }
+        self._state = {"m_ref": m.copy(), "per_freq": per_freq, "hdiag": hdiag}
         return self
 
     def begin_outer(self, m):
@@ -282,9 +283,6 @@ class WriOracle(_OracleBase):
 
     def hvp(self, m, v) -> np.ndarray:
         return self._require_state()["hdiag"] * np.asarray(v, dtype=np.float64)
-
-    def data_residual_norm(self, m) -> float:
-        return self._require_state()["data_residual"]
 
 
 def default_penalty_mu(background: ModelGrid, first_freq: float, ratio: float = 1e-2,

@@ -129,3 +129,14 @@ def test_rosenbrock_command(tmp_path, capsys):
     _assert_manifest_hashes(out.with_name(out.name + ".manifest"), [str(out)])
     # two outer steps stop far from the analytic minimizer
     assert cli.main(["rosenbrock", "--max-outer", "2"]) == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("method", ["fwi", "irwri"])
+def test_data_residual_stopping_takes_a_step(tmp_path, models, method):
+    # the penalty fields fit the data by construction, so the stopping rule
+    # must read the reduced-space residual or irwri stops before its first step
+    cfg = _run_config(tmp_path, models, method=method, algorithm="nista", c_fixed=1e-9,
+                      stopping="data-residual:auto")
+    summary = inversion.run_inversion(cfg)
+    assert summary.stop_target == pytest.approx(1.01 * summary.noise_norm, rel=1e-15)
+    assert summary.batches[-1].n_outer >= 1

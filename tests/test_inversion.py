@@ -235,6 +235,17 @@ def test_wri_materialized_hessian_is_diagonal():
     assert np.allclose(np.diag(hess), oracle.hessian_diag(m).ravel(), rtol=1e-6)
 
 
+def test_data_residual_norm_is_the_reduced_residual_for_both_oracles():
+    true, background, acq, observed = _tiny_problem(snr=20.0, seed=2)
+    m = model.as_slowness_squared(background).values
+    blocks = wave.forward(background, acq, f_peak=10.0, pml_cells=5, pml_velocity=2000.0).blocks
+    expected = np.sqrt(sum(np.sum(np.abs(p - d) ** 2) for p, d in zip(blocks, observed.blocks)))
+    wri = _wri(acq, observed, background)
+    wri.update_wavefields(m)
+    for oracle in (_fwi(acq, observed, background), wri):
+        assert oracle.data_residual_norm(m) == pytest.approx(expected, rel=1e-10)
+
+
 def test_wri_small_mu_fields_match_plain_forward():
     true, background, acq, observed = _tiny_problem()
     oracle = _wri(acq, observed, background, mu=1e-10)
