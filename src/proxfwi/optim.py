@@ -7,13 +7,14 @@ driven purely by Hessian-vector products (``nista_direction``) and an
 operator-splitting step that combines a damped Newton solve, a prox/denoise
 step, and a dual update (``nadmm_step``).
 
-The Hessian can be the oracle's exact/Gauss-Newton operator, a dense matrix
-for toy sizes, a limited-memory quasi-Newton approximation built from outer
-gradient pairs, a diagonal, or the identity.  ``_hessian_ops`` is the only
-place a Hessian mode is chosen: it builds the per-outer (apply, shifted solve,
-spectral norm) triple, and ``nadmm_step`` takes its ``solve_shifted``.  Both
-solvers accept their step through one ``_search_step``, which backtracks with
-``line_search`` and holds the iterate when no trial lowers the merit.
+The Hessian can be the oracle's exact/Gauss-Newton operator (``hvp``), its
+dense matrix for toy sizes (``hessian_dense``), a limited-memory quasi-Newton
+approximation built from outer gradient pairs, the oracle's diagonal, or the
+identity.  ``_hessian_ops`` is the only place a Hessian mode is chosen: it
+builds the per-outer (apply, shifted solve, spectral norm) triple, and
+``nadmm_step`` takes its ``solve_shifted``.  Both solvers accept their step
+through one ``_search_step``, which backtracks with ``line_search`` and holds
+the iterate when no trial lowers the merit.
 
 ``proximal_newton_solve`` is the one outer driver.  It owns the outer index,
 the step scale ck, the history and the stopping decision; ``InversionState``
@@ -38,6 +39,8 @@ _CURVATURE_FLOOR = 1e-12
 C_SAFETY = 0.9  # ck = C_SAFETY / sigma_max(H_k), just inside the inner loop's 1/L limit
 C_FREEZE_AFTER = 3  # NADMM fixes ck from this outer step on, so the dual update sees one penalty
 STEP_FLOOR = 1e-14  # an accepted step this small relative to 1 + ||m|| is rounding noise
+# the oracle method each Hessian mode reads; lbfgs and identity need none
+_HESSIAN_NEEDS = {"hvp": "hvp", "exact-dense": "hessian_dense", "diagonal": "hessian_diag"}
 
 
 def _dot(a, b) -> float:
@@ -302,25 +305,6 @@ class Step(NamedTuple):
     misfit: float
 
 
-def _materialize_hessian(oracle, m) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if hasattr(oracle, "hessian_dense"):
-        try:
-            h = np.asarray(oracle.hessian_dense(m), dtype=np.float64)
-            return 0.5 * (h + h.T)
-        except ConfigError:
-            pass
-    n = m.size
-    if n > 64:
-        raise ConfigError(f"dense Hessian solver limited to 64 unknowns, got {n}")
-    h = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        h[:, j] = np.ravel(oracle.hvp(m, e.reshape(m.shape)))
-    return 0.5 * (h + h.T)
-
-
 def _psd_guard(h: np.ndarray) -> np.ndarray:
     """Shift eigenvalues so the quadratic model is convex (inner loops need it)."""
     eigs = np.linalg.eigvalsh(h)
@@ -472,7 +456,8 @@ def _hessian_ops(mode, oracle, m, lbfgs_hess, seed):
             float(np.max(d)) if d.size else 0.0,
         )
     if mode == "exact-dense":
-        h = _psd_guard(_materialize_hessian(oracle, m))
+        h = np.asarray(oracle.hessian_dense(m), dtype=np.float64)
+        h = _psd_guard(0.5 * (h + h.T))
         eye = np.eye(h.shape[0])
 
         def h_apply(v):
@@ -512,6 +497,9 @@ def proximal_newton_solve(
     if method not in ("nista", "nadmm"):
         raise ConfigError(f"unknown method {method!r}")
     config.validate()
+    need = _HESSIAN_NEEDS.get(config.hessian)
+    if need is not None and not hasattr(oracle, need):
+        raise ConfigError(f"hessian mode {config.hessian!r} needs an oracle with {need}")
     lam = config.lam
     state = InversionState.initial(np.asarray(m0, dtype=np.float64))
     lbfgs_hess = LbfgsHessian(config.lbfgs_memory) if config.hessian == "lbfgs" else None

@@ -60,6 +60,60 @@ def test_lbfgs_hessian_skips_bad_curvature():
 
 
 # ---------------------------------------------------------------------------
+# Hessian modes
+
+
+def test_hvp_mode_shifted_solve_matches_exact_dense():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((6, 6))
+    q = a @ a.T + 0.5 * np.eye(6)
+    oracle = _quadratic_oracle(q, rng.standard_normal(6))
+    m = rng.standard_normal(6)
+    h_apply, cg_solve, sigma = optim._hessian_ops("hvp", oracle, m, None, 0)
+    _, dense_solve, dense_sigma = optim._hessian_ops("exact-dense", oracle, m, None, 0)
+    assert sigma == pytest.approx(dense_sigma, rel=1e-3)  # power iteration, tol 1e-4
+    for c in (0.01, 1.0, 30.0):
+        rhs = rng.standard_normal(6)
+        assert np.allclose(h_apply(rhs), q @ rhs, rtol=0.0, atol=1e-14)
+        assert np.max(np.abs(cg_solve(c, rhs) - dense_solve(c, rhs))) <= 1e-10
+
+
+@pytest.mark.parametrize("method", ["nista", "nadmm"])
+def test_hvp_mode_toy_solve_reaches_exact_dense_result(method):
+    dense = _toy_solve(1.5, method)
+    hvp = _toy_solve(1.5, method, hessian="hvp")
+    assert np.linalg.norm(hvp.m - dense.m) < 1e-6
+    assert np.linalg.norm(hvp.m - rosenbrock.rosenbrock_l1_argmin(1.5)) < 1e-4
+
+
+def test_identity_mode_solves_shifted_identity():
+    h_apply, solve_shifted, sigma = optim._hessian_ops("identity", None, np.zeros(3), None, 0)
+    r = np.array([1.0, -2.0, 3.0])
+    assert sigma == 1.0 and np.array_equal(h_apply(r), r)
+    for c in (0.0, 0.5, 7.0):
+        assert np.array_equal(solve_shifted(c, r), r / (c + 1.0))
+
+
+def test_exact_dense_mode_needs_the_dense_hessian():
+    oracle = optim.CallbackOracle(
+        value=lambda m: float(m @ m), gradient=lambda m: 2.0 * m, hvp=lambda m, v: 2.0 * v
+    )
+    with pytest.raises(ConfigError):
+        optim._hessian_ops("exact-dense", oracle, np.ones(2), None, 0)
+    config = optim.OptConfig(hessian="exact-dense", max_outer=3)
+    with pytest.raises(ConfigError):
+        optim.proximal_newton_solve(oracle, Denoiser("identity"), config, np.ones(2))
+
+
+def test_hessian_mode_missing_from_oracle_is_a_config_error():
+    config = optim.OptConfig(hessian="diagonal", max_outer=3)
+    with pytest.raises(ConfigError, match="hessian_diag"):
+        optim.proximal_newton_solve(
+            rosenbrock.RosenbrockOracle(), Denoiser("identity"), config, np.ones(2)
+        )
+
+
+# ---------------------------------------------------------------------------
 # line search
 
 
