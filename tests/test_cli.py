@@ -88,9 +88,18 @@ def test_invert_writes_run_directory(tmp_path, models, capsys):
     assert model.read_grid(out / "final.grd").values.shape == (21, 21)
 
 
-def test_invert_bad_config_exits_with_data_error(tmp_path, models):
-    config = _write_config(tmp_path, models, bogus_key=1)
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"bogus_key": 1}, "unknown key 'bogus_key'"),
+        ({"c_rule": "fixed"}, "unknown key 'c_rule'"),
+        ({"method": "fwi", "hessian": "diagonal"}, "needs an oracle with hessian_diag"),
+    ],
+)
+def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, keys, message):
+    config = _write_config(tmp_path, models, **keys)
     assert cli.main(["invert", "--config", str(config)]) == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["fwi", "irwri"])
