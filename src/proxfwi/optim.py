@@ -373,9 +373,10 @@ class OptConfig:
 
     ``c_fixed`` is the step scale ck of every outer step; None picks
     C_SAFETY / sigma_max(H_k) each step (1.0 when sigma_max is not positive),
-    and NADMM holds the value of step C_FREEZE_AFTER from then on.  The run
-    stops early once ``stop_metric(oracle, m) <= stop_target``, checked at the
-    start of each outer step; set both or neither.
+    and NADMM keeps the ck of its outer step C_FREEZE_AFTER (counting from 1)
+    for the rest of the run.  The run stops early once ``stop_metric(oracle,
+    m) <= stop_target``, checked at the start of each outer step; set both or
+    neither.
     """
 
     lam: float = 0.0
@@ -501,15 +502,13 @@ def proximal_newton_solve(
     if need is not None and not hasattr(oracle, need):
         raise ConfigError(f"hessian mode {config.hessian!r} needs an oracle with {need}")
     lam = config.lam
-    state = InversionState.initial(np.asarray(m0, dtype=np.float64))
+    state = InversionState.initial(m0)
     lbfgs_hess = LbfgsHessian(config.lbfgs_memory) if config.hessian == "lbfgs" else None
     pen = getattr(denoiser, "penalty", None)
 
     def composite(mm, misfit=None):
         val = oracle.value(mm) if misfit is None else misfit
-        if pen is None:
-            return val, math.nan
-        r = pen(mm)
+        r = None if pen is None else pen(mm)
         if r is None:
             return val, math.nan
         return val + lam * r, lam * r
