@@ -112,7 +112,7 @@ class _OracleBase:
         return {"system": system, "fact": fact, "u": u, "rx": rx, "resid": resid}
 
     def data_residual_norm(self, m) -> float:
-        """Reduced-space data residual ||P A(m)^-1 b - d|| over all frequencies."""
+        """Reduced-space data residual ||P A(m)^-1 b - d||; one LU of A(m) per frequency."""
         return math.sqrt(sum(float(np.sum(np.abs(self._forward(m, i)["resid"]) ** 2))
                              for i in range(len(self.acq.frequencies))))
 

@@ -39,8 +39,9 @@ _CURVATURE_FLOOR = 1e-12
 C_SAFETY = 0.9  # ck = C_SAFETY / sigma_max(H_k), just inside the inner loop's 1/L limit
 C_FREEZE_AFTER = 3  # NADMM fixes ck from this outer step on, so the dual update sees one penalty
 STEP_FLOOR = 1e-14  # an accepted step this small relative to 1 + ||m|| is rounding noise
-# the oracle method each Hessian mode reads; lbfgs and identity need none
-_HESSIAN_NEEDS = {"hvp": "hvp", "exact-dense": "hessian_dense", "diagonal": "hessian_diag"}
+# every Hessian mode and the oracle method it reads; lbfgs and identity need none
+_HESSIAN_NEEDS = {"hvp": "hvp", "exact-dense": "hessian_dense", "diagonal": "hessian_diag",
+                  "lbfgs": None, "identity": None}
 
 
 def _dot(a, b) -> float:
@@ -395,10 +396,10 @@ class OptConfig:
             raise ConfigError("regularization weight must be nonnegative")
         if self.lbfgs_memory < 0:
             raise ConfigError("lbfgs memory must be nonnegative")
-        if self.hessian not in ("hvp", "exact-dense", "lbfgs", "diagonal", "identity"):
+        if self.hessian not in _HESSIAN_NEEDS:
             raise ConfigError(f"unknown hessian mode {self.hessian!r}")
-        if self.c_fixed is not None and not self.c_fixed > 0.0:
-            raise ConfigError(f"fixed step size must be positive, got {self.c_fixed!r}")
+        if self.c_fixed is not None and not (0.0 < self.c_fixed < math.inf):
+            raise ConfigError(f"fixed step size must be positive and finite, got {self.c_fixed!r}")
         if (self.stop_target is None) != (self.stop_metric is None):
             raise ConfigError("stop_target and stop_metric must be set together")
 
@@ -498,7 +499,7 @@ def proximal_newton_solve(
     if method not in ("nista", "nadmm"):
         raise ConfigError(f"unknown method {method!r}")
     config.validate()
-    need = _HESSIAN_NEEDS.get(config.hessian)
+    need = _HESSIAN_NEEDS[config.hessian]
     if need is not None and not hasattr(oracle, need):
         raise ConfigError(f"hessian mode {config.hessian!r} needs an oracle with {need}")
     lam = config.lam

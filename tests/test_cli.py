@@ -1,15 +1,12 @@
 """End-to-end runs of the command line and of ``run_inversion`` on a 21x21 grid."""
 
 import hashlib
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from proxfwi import cli, inversion, model
-
-warnings.filterwarnings("ignore", message=".*points per minimum wavelength.*")
 
 FREQS = "3,4"
 

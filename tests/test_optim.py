@@ -407,7 +407,7 @@ def test_nadmm_holds_ck_from_the_freeze_step_on():
 @pytest.mark.parametrize(
     "kwargs",
     [dict(stop_target=1.0), dict(stop_metric=lambda oracle, m: 0.0), dict(c_fixed=0.0),
-     dict(c_fixed=-1.0)],
+     dict(c_fixed=-1.0), dict(c_fixed=np.nan), dict(c_fixed=np.inf)],
 )
 def test_config_rejects_half_stopping_rule_and_bad_step(kwargs):
     with pytest.raises(ConfigError):
