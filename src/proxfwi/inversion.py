@@ -45,6 +45,18 @@ def rmse(m, m_true) -> float:
     return 100.0 * float(np.linalg.norm(m - m_true) / denom)
 
 
+def velocity_error(m, true_vel) -> float:
+    """||v - v_true|| in m/s for a squared-slowness model m.
+
+    A model with any cell m <= 0 (or NaN) has no velocity there, so its error
+    is inf: a model-error stopping target is never met by such a model.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if not np.all(m > 0.0):
+        return math.inf
+    return float(np.linalg.norm(1.0 / np.sqrt(m) - true_vel))
+
+
 def snr_db(signal, noise) -> float:
     """20 log10(signal RMS / noise RMS) over all entries."""
     signal = np.asarray(signal).ravel()
@@ -435,7 +447,8 @@ def parse_run_config(path) -> RunConfig:
     - stopping (max-iter): ``max-iter | data-residual[:EPS|auto] |
       model-error:VAL``.  data-residual stops at a reduced-space residual
       ||P A(m)^-1 b - d|| <= 1.01 EPS, and auto takes EPS from the synthesized
-      noise; model-error stops at ||v - v_true|| <= VAL (m/s).
+      noise; model-error stops at ||v - v_true|| <= VAL (m/s), which a model
+      with any cell m <= 0 never meets.
     - snr_db (float | none | inf, none); seed (int, 0); f_peak (Hz, 10);
       pml_cells (int, 10); free_surface (bool, false).
     - n_sources (int, 5), source_depth (int, 0), receiver_spacing (int, 2):
@@ -567,8 +580,7 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
         true_vel = as_velocity(true).values
 
         def stop_metric(oracle, m):
-            vel = 1.0 / np.sqrt(np.asarray(m))
-            return float(np.linalg.norm(vel - true_vel))
+            return velocity_error(m, true_vel)
 
     elif cfg.stopping != "max-iter":
         raise ConfigError(f"unknown stopping rule {cfg.stopping!r}")

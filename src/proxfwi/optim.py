@@ -112,6 +112,7 @@ class LbfgsHessian:
         self.memory = memory
         self._s: list[np.ndarray] = []
         self._y: list[np.ndarray] = []
+        self._form = None  # (delta, U, M) of the current pairs, built on first use
         self.skipped = 0
 
     def __len__(self):
@@ -126,6 +127,7 @@ class LbfgsHessian:
         if len(self._s) > self.memory:
             self._s.pop(0)
             self._y.pop(0)
+        self._form = None
 
     def _delta(self) -> float:
         if not self._s:
@@ -134,15 +136,21 @@ class LbfgsHessian:
         return _dot(y, y) / _dot(s, y)
 
     def _compact(self):
-        s_mat = np.column_stack(self._s)
-        y_mat = np.column_stack(self._y)
-        delta = self._delta()
-        sty = s_mat.T @ y_mat
-        lower = np.tril(sty, k=-1)
-        diag = np.diag(np.diag(sty))
-        u = np.hstack([delta * s_mat, y_mat])
-        mid = np.block([[delta * (s_mat.T @ s_mat), lower], [lower.T, -diag]])
-        return delta, u, mid
+        """(delta, U, M) with B = delta I - U M^-1 U^T.
+
+        Built on first use and kept until ``update`` changes the pairs.
+        """
+        if self._form is None:
+            s_mat = np.column_stack(self._s)
+            y_mat = np.column_stack(self._y)
+            delta = self._delta()
+            sty = s_mat.T @ y_mat
+            lower = np.tril(sty, k=-1)
+            diag = np.diag(np.diag(sty))
+            u = np.hstack([delta * s_mat, y_mat])
+            mid = np.block([[delta * (s_mat.T @ s_mat), lower], [lower.T, -diag]])
+            self._form = (delta, u, mid)
+        return self._form
 
     def apply(self, v) -> np.ndarray:
         """B v, matching the dense BFGS recursion started from delta*I."""

@@ -142,6 +142,50 @@ def test_tv2d_default_cap_reaches_the_prox(n, t):
     assert _tv_objective(x, denoise.tv2d(x, t), t) - reference <= 1e-4 * reference
 
 
+def _reference_tv2d(x, t, inner_iters=600):
+    """The FGP loop as first written, one temporary per operation."""
+    nz, nx = x.shape
+    pz, px = np.zeros((nz - 1, nx)), np.zeros((nz, nx - 1))
+    rz, rx = pz, px
+    m = m_prev = u = x
+    s = 1.0
+    step = 1.0 / (8.0 * t)
+    tol = 1e-10 * np.linalg.norm(x)
+    for _ in range(inner_iters):
+        qz = np.clip(rz + step * np.diff(u, axis=0), -1.0, 1.0)
+        qx = np.clip(rx + step * np.diff(u, axis=1), -1.0, 1.0)
+        if np.vdot(rz - qz, qz - pz) + np.vdot(rx - qx, qx - px) > 0.0:
+            s = 1.0
+        s_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * s * s))
+        beta = (s - 1.0) / s_next
+        rz, rx = qz + beta * (qz - pz), qx + beta * (qx - px)
+        pz, px, s = qz, qx, s_next
+        m_prev, m = m, x.copy()
+        m[:-1, :] += t * pz
+        m[1:, :] -= t * pz
+        m[:, :-1] += t * px
+        m[:, 1:] -= t * px
+        if np.linalg.norm(m - m_prev) <= tol:
+            break
+        u = m + beta * (m - m_prev)
+    return m
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 2), (7, 13), (41, 41)])
+def test_tv2d_is_bit_identical_to_the_reference_loop(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    cases = [(rng.standard_normal(shape), t, 600) for t in (0.05, 2.0)]
+    # the WRI workloads' regime: squared slowness near 2.5e-7, prox weight near 7e-12
+    cases.append((2.5e-7 * (1.0 + 0.1 * rng.standard_normal(shape)), 7e-12, 600))
+    cases.append((rng.standard_normal(shape), 0.3, 3))  # stopped by the cap
+    for x, t, iters in cases:
+        before = x.copy()
+        out = denoise.tv2d(x, t, iters)
+        assert np.array_equal(out, _reference_tv2d(x, t, iters))
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(out, x)
+
+
 # ---------------------------------------------------------------------------
 # non-local means
 

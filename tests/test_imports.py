@@ -1,9 +1,11 @@
-"""Every name a package module imports is used by that module.
+"""Every name a package module imports is used, and every private helper is.
 
 No linter ships with the package's dependencies, so this parses each module
 with ``ast`` and compares the names its imports bind with the names its code
 loads.  ``from __future__`` imports change the compiler, not the namespace,
-and are exempt.
+and are exempt.  A module-level private function, class or constant
+(``_name``; dunders are exempt) must be referenced somewhere in the package:
+by name, as an attribute, or in a ``from ... import``.
 """
 
 import ast
@@ -42,3 +44,62 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each private module-level definition no module references."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in referenced
+    ]
+
+
+def test_private_name_scanner_flags_only_dead_helpers():
+    sources = {
+        "a": (
+            "__all__ = ['f']\n"
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "def _dead(x):\n"
+            "    return x\n"
+            "def _by_attr():\n"
+            "    pass\n"
+            "def _imported():\n"
+            "    pass\n"
+            "class _Gone:\n"
+            "    pass\n"
+            "def f(x):\n"
+            "    _local = _LIMIT\n"
+            "    return x + _local\n"
+        ),
+        "b": "from .a import _imported\nfrom . import a\nvalue = a._by_attr()\n",
+    }
+    assert _unreferenced_private_names(sources) == ["a._UNUSED", "a._dead", "a._Gone"]
+
+
+def test_package_has_no_unreferenced_private_names():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_private_names(sources) == []

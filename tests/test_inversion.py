@@ -43,6 +43,24 @@ def test_rmse_cases():
         inversion.rmse(m, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [-1e-8, 0.0])
+def test_velocity_error_is_inf_for_a_nonpositive_cell(bad):
+    m = np.full((3, 4), 2.5e-7)
+    m[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert inversion.velocity_error(m, np.full((3, 4), 2000.0)) == np.inf
+
+
+def test_velocity_error_of_a_positive_model():
+    rng = np.random.default_rng(3)
+    true_vel = 2000.0 + 500.0 * rng.random((5, 6))
+    m = (1.0 + 0.1 * rng.random((5, 6))) / true_vel**2
+    expected = float(np.linalg.norm(1.0 / np.sqrt(m) - true_vel))
+    assert inversion.velocity_error(m, true_vel) == expected
+    assert inversion.velocity_error(1.0 / true_vel**2, true_vel) == pytest.approx(0.0, abs=1e-9)
+
+
 def test_snr_cases():
     sig = np.array([1.0, -1.0, 1.0, -1.0])
     assert inversion.snr_db(sig, sig) == 0.0

@@ -52,6 +52,26 @@ def test_lbfgs_hessian_apply_matches_dense_bfgs_recursion():
         assert np.allclose(hess.solve_shifted(c, rhs), dense, rtol=1e-9, atol=1e-11)
 
 
+def test_lbfgs_hessian_rebuilds_its_compact_form_after_each_update():
+    rng = np.random.default_rng(8)
+    n = 5
+    hess = optim.LbfgsHessian(memory=2)
+    pairs = []
+    for _ in range(4):  # the last two updates drop the oldest pair
+        s = rng.standard_normal(n)
+        y = s + 0.2 * rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        hess.apply(v)  # builds the compact form of the current pairs
+        hess.update(s, y)
+        pairs = (pairs + [(s, y)])[-2:]
+        fresh = optim.LbfgsHessian(memory=2)
+        for ps, py in pairs:
+            fresh.update(ps, py)
+        assert np.array_equal(hess.apply(v), fresh.apply(v))
+        assert np.array_equal(hess.solve_shifted(0.7, v), fresh.solve_shifted(0.7, v))
+        assert hess.norm_estimate() == fresh.norm_estimate()
+
+
 def test_lbfgs_hessian_skips_bad_curvature():
     hess = optim.LbfgsHessian(memory=5)
     hess.update(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
