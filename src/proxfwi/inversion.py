@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from . import linsys, wave
 from .denoise import make_denoiser
-from .errors import ConfigError, GeometryError, StateError
+from .errors import ConfigError, GeometryError, NumericalError, StateError
 from .model import (
     KIND_SLOWNESS_SQ,
     AcquisitionGeometry,
@@ -69,7 +69,8 @@ def snr_db(signal, noise) -> float:
 
 
 class _OracleBase:
-    """Geometry plumbing shared by both oracles: frozen-collar padding."""
+    """Geometry plumbing shared by both oracles: the padded layout and the
+    point-source solve come from ``wave``, with the collar frozen at the background."""
 
     def __init__(self, acq, observed, background, f_peak, pml_cells, free_surface_top):
         background = as_slowness_squared(background)
@@ -85,40 +86,28 @@ class _OracleBase:
         self.free_surface_top = bool(free_surface_top)
         self.nz, self.nx = background.nz, background.nx
         self.dz, self.dx = background.dz, background.dx
-        self._pad_top = 0 if free_surface_top else self.pml_cells
-        # the interior block of the padded grid
-        self._interior = np.s_[self._pad_top : self._pad_top + self.nz,
-                               self.pml_cells : self.pml_cells + self.nx]
-        self._collar = np.pad(
-            background.values,
-            ((self._pad_top, self.pml_cells), (self.pml_cells, self.pml_cells)),
-            mode="edge",
+        self._collar, self._interior = wave.pad_collar(
+            background.values, self.pml_cells, self.free_surface_top
         )
         # damping profile frozen at the background speed so A stays affine in m
         self._pml_velocity = 1.0 / math.sqrt(float(np.min(self._collar)))
 
-    def _padded(self, m: np.ndarray) -> np.ndarray:
+    def _assemble(self, m: np.ndarray, freq: float) -> wave.HelmholtzSystem:
         m = np.asarray(m, dtype=np.float64)
         if m.shape != (self.nz, self.nx):
             raise GeometryError(f"model shape {m.shape} != ({self.nz}, {self.nx})")
         padded = self._collar.copy()
         padded[self._interior] = m
-        return padded
-
-    def _assemble(self, m: np.ndarray, freq: float) -> wave.HelmholtzSystem:
         return wave.assemble_padded(
-            self._padded(m), self.dz, self.dx, 2.0 * np.pi * freq,
-            self.pml_cells, self._pad_top, self.free_surface_top,
-            pml_velocity=self._pml_velocity,
+            padded, self.dz, self.dx, 2.0 * np.pi * freq,
+            self.pml_cells, self.free_surface_top, pml_velocity=self._pml_velocity,
         )
 
     def _forward(self, m: np.ndarray, i: int) -> dict:
         """Reduced-space solve at frequency i: the fields u = A(m)^-1 b and P u - d."""
         f = self.acq.frequencies[i]
         system = self._assemble(m, f)
-        fact = system.factor()
-        b = system.point_sources(self.acq.sources, wave.ricker_amplitude(f, self.f_peak))
-        u = fact.solve(b)
+        fact, u = system.solve_sources(self.acq.sources, wave.ricker_amplitude(f, self.f_peak))
         rx = system.padded_indices(self.acq.receivers)
         resid = u[rx, :] - self.observed.blocks[i]
         return {"system": system, "fact": fact, "u": u, "rx": rx, "resid": resid}
@@ -156,9 +145,6 @@ class FwiOracle(_OracleBase):
         self._cache_key = key
         self._cache = {"per_freq": per_freq, "misfit": misfit}
         return self._cache
-
-    def begin_outer(self, m):
-        self._prepare(m)
 
     def value(self, m) -> float:
         return self._prepare(m)["misfit"]
@@ -520,7 +506,9 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
     """Execute a configured inversion run and write its outputs.
 
     Observed data comes from ``data`` when given, otherwise it is synthesized
-    from ``model_true`` (with optional seeded noise at ``snr_db``).
+    from ``model_true`` (with optional seeded noise at ``snr_db``).  The
+    histories are written first; a batch or final model with any cell m <= 0
+    or NaN then raises NumericalError, and no grid is written.
     """
     init = read_grid(cfg.model_init)
     true = read_grid(cfg.model_true) if cfg.model_true else None
@@ -616,24 +604,28 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    vel_final = as_velocity(
-        ModelGrid(init.nz, init.nx, init.dz, init.dx, m_final, KIND_SLOWNESS_SQ)
-    )
-    write_grid(vel_final, out / "final.grd")
-    final_rmse = None
+    models = {}
     for res in batch_results:
         tag = f"p{res.path_index}_b{res.batch_index}"
-        grid = as_velocity(
-            ModelGrid(init.nz, init.nx, init.dz, init.dx, res.m_final, KIND_SLOWNESS_SQ)
-        )
-        write_grid(grid, out / f"batch_{tag}.grd")
         history_to_csv(res.history, out / f"history_{tag}.csv")
+        models[f"batch_{tag}"] = res.m_final
+    models["final"] = m_final
+    for name, m in models.items():
+        bad = int(np.count_nonzero(~(m > 0.0)))
+        if bad:
+            raise NumericalError(f"{name} model has {bad} of {m.size} cells with m <= 0 "
+                                 "or NaN: the run diverged, and no grid was written")
+    grids = {name: as_velocity(ModelGrid(init.nz, init.nx, init.dz, init.dx, m, KIND_SLOWNESS_SQ))
+             for name, m in models.items()}
+    for name, grid in grids.items():
+        write_grid(grid, out / f"{name}.grd")
+    final_rmse = None
     if true is not None:
-        final_rmse = rmse(vel_final, as_velocity(true))
+        final_rmse = rmse(grids["final"], as_velocity(true))
         (out / "summary.txt").write_text(
             f"final_rmse_percent={final_rmse:.6f}\n"
             f"batches={len(batch_results)}\n"
             f"status={batch_results[-1].status}\n"
         )
-    return RunSummary(vel_final, batch_results, final_rmse, noise_norm, stop_target,
+    return RunSummary(grids["final"], batch_results, final_rmse, noise_norm, stop_target,
                       observed, acq)

@@ -72,14 +72,6 @@ class ModelGrid:
         """New grid with the same geometry/kind but different values."""
         return ModelGrid(self.nz, self.nx, self.dz, self.dx, np.asarray(values), self.kind)
 
-    @property
-    def extent_z(self) -> float:
-        return (self.nz - 1) * self.dz
-
-    @property
-    def extent_x(self) -> float:
-        return (self.nx - 1) * self.dx
-
     def __eq__(self, other):
         if not isinstance(other, ModelGrid):
             return NotImplemented

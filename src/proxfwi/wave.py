@@ -6,6 +6,10 @@ stretching (time convention e^{-i omega t}, s = 1 + i sigma/omega with a
 quadratic damping profile) is folded into symmetric edge coefficients, so A
 is complex-symmetric by construction; the outermost padded ring and, with a
 free surface, the top row are homogeneous Dirichlet.
+
+The module owns the padded-grid layout (:func:`pad_collar` and the index maps
+of :class:`HelmholtzSystem`) and the factor-and-solve step for a block of point
+sources (:meth:`HelmholtzSystem.solve_sources`); modeling and both oracles use them.
 """
 
 from __future__ import annotations
@@ -42,9 +46,27 @@ def ricker_amplitude(f: float, f_peak: float) -> complex:
     return complex(amp)
 
 
+def _pad_top(pml_cells: int, free_surface_top: bool) -> int:
+    """Collar rows above the interior: none under a free surface."""
+    return 0 if free_surface_top else pml_cells
+
+
+def pad_collar(values: np.ndarray, pml_cells: int, free_surface_top: bool):
+    """``values`` padded with the absorbing collar, and the interior block.
+
+    The collar repeats the edge values, ``pml_cells`` wide on the sides and
+    the bottom, and on top unless there is a free surface.  Returns
+    ``(padded, interior)`` with ``padded[interior]`` equal to ``values``.
+    """
+    top = _pad_top(pml_cells, free_surface_top)
+    nz, nx = values.shape
+    padded = np.pad(values, ((top, pml_cells), (pml_cells, pml_cells)), mode="edge")
+    return padded, np.s_[top : top + nz, pml_cells : pml_cells + nx]
+
+
 @dataclass
 class HelmholtzSystem:
-    """Assembled operator for one frequency, with a lazily cached factorization."""
+    """Assembled operator for one frequency and its padded-grid layout."""
 
     omega: float
     nz: int
@@ -52,25 +74,14 @@ class HelmholtzSystem:
     dz: float
     dx: float
     pml_cells: int
-    free_surface_top: bool
     pad_top: int
     nzp: int
     nxp: int
     matrix: sp.csr_matrix
-    _fact: linsys.Factorization | None = None
 
     @property
     def n(self) -> int:
         return self.nzp * self.nxp
-
-    def factor(self) -> linsys.Factorization:
-        if self._fact is None:
-            self._fact = linsys.factorize(self.matrix)
-        return self._fact
-
-    def padded_index(self, iz: int, ix: int) -> int:
-        """Linear index of interior node (iz, ix) in the padded grid."""
-        return int(self.padded_indices([(iz, ix)])[0])
 
     def padded_indices(self, points) -> np.ndarray:
         """Padded linear indices of a sequence of interior (iz, ix) nodes, in order."""
@@ -95,6 +106,11 @@ class HelmholtzSystem:
         rows = self.padded_indices(sources)
         b[rows, np.arange(rows.size)] = amplitude / (self.dz * self.dx)
         return b
+
+    def solve_sources(self, sources, amplitude: complex):
+        """Factor A and solve for a block of point sources: (factorization, wavefields)."""
+        fact = linsys.factorize(self.matrix)
+        return fact, fact.solve(self.point_sources(sources, amplitude))
 
 
 def _pml_sigma(coord: np.ndarray, pad_lo: int, pad_hi: int, n_total: int, h: float,
@@ -133,12 +149,9 @@ def assemble(
         raise ValueError("angular frequency must be positive")
     if pml_cells < 5:
         raise GeometryError(f"need at least 5 absorbing cells, got {pml_cells}")
-    pad_top = 0 if free_surface_top else pml_cells
-    padded = np.pad(
-        model.values, ((pad_top, pml_cells), (pml_cells, pml_cells)), mode="edge"
-    )
+    padded, _ = pad_collar(model.values, pml_cells, free_surface_top)
     return assemble_padded(
-        padded, model.dz, model.dx, omega, pml_cells, pad_top, free_surface_top,
+        padded, model.dz, model.dx, omega, pml_cells, free_surface_top,
         pml_velocity=pml_velocity, reflection=reflection,
     )
 
@@ -149,17 +162,17 @@ def assemble_padded(
     dx: float,
     omega: float,
     pml_cells: int,
-    pad_top: int,
     free_surface_top: bool,
     pml_velocity: float | None = None,
     reflection: float = PML_REFLECTION,
 ) -> HelmholtzSystem:
-    """Assemble from an explicitly padded squared-slowness field.
+    """Assemble from a squared-slowness field laid out as :func:`pad_collar` pads it.
 
     The inversion oracles use this entry point to keep the absorbing collar
     (both its model values and its damping profile) frozen at the background
     while the interior varies.
     """
+    pad_top = _pad_top(pml_cells, free_surface_top)
     nzp, nxp = m_padded.shape
     nz = nzp - pad_top - pml_cells
     nx = nxp - 2 * pml_cells
@@ -239,8 +252,7 @@ def assemble_padded(
     matrix.sort_indices()
     return HelmholtzSystem(
         omega=omega, nz=nz, nx=nx, dz=dz, dx=dx, pml_cells=pml_cells,
-        free_surface_top=free_surface_top, pad_top=pad_top, nzp=nzp, nxp=nxp,
-        matrix=matrix,
+        pad_top=pad_top, nzp=nzp, nxp=nxp, matrix=matrix,
     )
 
 
@@ -256,10 +268,11 @@ def forward(
     sample the wavefield of every source at the receivers.
 
     With fewer than ``CONDENSE_MIN_SOURCES`` sources, all sources are solved
-    as one block of full wavefields.  With more, the source and receiver
-    nodes are eliminated last and the data are read from the trailing block
-    of the factors (:meth:`linsys.Factorization.solve_last`), which skips
-    the one full-length triangular solve per source that otherwise leads.
+    as one block of full wavefields (:meth:`HelmholtzSystem.solve_sources`).
+    With more, the source and receiver nodes are eliminated last and the data
+    are read from the trailing block of the factors
+    (:meth:`linsys.Factorization.solve_last`), which skips the one full-length
+    triangular solve per source that otherwise leads.
     """
     slowness = as_slowness_squared(model)
     acq.validate_for(model.nz, model.nx, min_iz=1 if free_surface_top else 0)
@@ -277,7 +290,7 @@ def forward(
             u_last = linsys.factorize(system.matrix, last=last).solve_last(at[rx.size:], values)
             blocks.append(u_last[at[:rx.size], :])
         else:
-            u = system.factor().solve(system.point_sources(acq.sources, amplitude))
+            _, u = system.solve_sources(acq.sources, amplitude)
             blocks.append(u[rx, :])
     return FreqData(tuple(acq.frequencies), tuple(blocks))
 

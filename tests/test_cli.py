@@ -85,6 +85,25 @@ def test_invert_writes_run_directory(tmp_path, models, capsys):
     assert model.read_grid(out / "final.grd").values.shape == (21, 21)
 
 
+@pytest.mark.parametrize("bad_value", [0.0, np.nan])
+def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
+    tmp_path, models, capsys, monkeypatch, bad_value
+):
+    drive = inversion.multiscale_drive
+
+    def diverging(*args, **kwargs):
+        m, batches = drive(*args, **kwargs)
+        for values in (m, batches[-1].m_final):
+            values[3, 4] = bad_value
+        return m, batches
+
+    monkeypatch.setattr(inversion, "multiscale_drive", diverging)
+    config = _write_config(tmp_path, models, method="fwi", algorithm="nista", c_fixed=1e-9)
+    assert cli.main(["invert", "--config", str(config)]) == cli.EXIT_NUMERIC
+    assert "batch_p0_b0 model has 1 of 441 cells" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["history_p0_b0.csv"]
+
+
 @pytest.mark.parametrize(
     "keys, message",
     [

@@ -5,7 +5,9 @@ with ``ast`` and compares the names its imports bind with the names its code
 loads.  ``from __future__`` imports change the compiler, not the namespace,
 and are exempt.  A module-level private function, class or constant
 (``_name``; dunders are exempt) must be referenced somewhere in the package:
-by name, as an attribute, or in a ``from ... import``.
+by name, as an attribute, or in a ``from ... import``.  Two decisions have
+one owner each: only ``linsys`` names SuperLU (``splu``, ``spilu``), and only
+``wave`` pads the grid with ``np.pad``, apart from ``denoise``'s patch margin.
 """
 
 import ast
@@ -103,3 +105,52 @@ def test_private_name_scanner_flags_only_dead_helpers():
 def test_package_has_no_unreferenced_private_names():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _unreferenced_private_names(sources) == []
+
+
+SUPERLU = {"splu", "spilu"}
+SUPERLU_OWNER = "linsys"
+PAD_OWNERS = {"wave", "denoise"}  # denoise pads nlm's patch margin, not the grid
+
+
+def _owner_breaches(sources: dict[str, str]) -> list[str]:
+    """``module:line: name`` of each SuperLU reference or ``np.pad`` call outside its owner."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            if module != SUPERLU_OWNER:
+                found += [(module, node.lineno, n) for n in names if n in SUPERLU]
+            if (module not in PAD_OWNERS and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute) and node.func.attr == "pad"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")):
+                found.append((module, node.lineno, "np.pad"))
+    return [f"{module}:{line}: {name}" for module, line, name in sorted(found)]
+
+
+def test_owner_scanner_flags_only_calls_outside_the_owner():
+    sources = {
+        "linsys": "import scipy.sparse.linalg as spla\nlu = spla.splu(a)\n",
+        "wave": "x = np.pad(v, 1, mode='edge')\n",
+        "denoise": "z = np.pad(x, 3, mode='symmetric')\n",
+        "inversion": (
+            "from scipy.sparse.linalg import spilu\n"
+            "lu = spla.splu(a)\n"
+            "y = np.pad(v, 2, mode='edge')\n"
+            "w = padded.pad\n"
+        ),
+    }
+    assert _owner_breaches(sources) == [
+        "inversion:1: spilu", "inversion:2: splu", "inversion:3: np.pad"
+    ]
+
+
+def test_only_linsys_factors_and_only_wave_pads_the_grid():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _owner_breaches(sources) == []

@@ -276,7 +276,7 @@ def test_wri_small_mu_fields_match_plain_forward():
     m = model.as_slowness_squared(background).values
     oracle.update_wavefields(m)
     for i, entry in enumerate(oracle.wavefields):
-        plain = entry["system"].factor().solve(entry["b"])
+        plain = linsys.factorize(entry["system"].matrix).solve(entry["b"])
         rel = np.linalg.norm(entry["u"] - plain) / np.linalg.norm(plain)
         assert rel < 1e-4
 

@@ -87,7 +87,7 @@ def _helmholtz_41(m_interior, pml=10, h=25.0, v=2000.0, freq=5.0):
     """PML Helmholtz system on a 41^2 interior with a homogeneous collar."""
     pad = np.full((41 + 2 * pml, 41 + 2 * pml), 1.0 / v**2)
     pad[pml:-pml, pml:-pml] = m_interior
-    return wave.assemble_padded(pad, h, h, 2 * np.pi * freq, pml, pml, False, pml_velocity=v)
+    return wave.assemble_padded(pad, h, h, 2 * np.pi * freq, pml, False, pml_velocity=v)
 
 
 def _relative_residual(a, x, rhs):

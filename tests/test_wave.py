@@ -60,7 +60,7 @@ def test_interior_stencil_row():
     grid = _slowness(21, h)
     omega = 2 * np.pi * 10.0
     system = wave.assemble(grid, omega, pml_cells=6)
-    row = system.padded_index(10, 10)  # deep interior, far from the collar
+    row = int(system.padded_indices([(10, 10)])[0])  # deep interior, far from the collar
     a = system.matrix
     entries = {
         int(col): a[row, col] for col in a.indices[a.indptr[row] : a.indptr[row + 1]]
@@ -74,12 +74,12 @@ def test_interior_stencil_row():
 
     points = [(10, 10), (0, 0), (20, 3), (10, 10)]
     rows = system.padded_indices(points)
-    assert rows.tolist() == [system.padded_index(iz, ix) for iz, ix in points]
+    assert rows.tolist() == [system.interior_indices()[iz, ix] for iz, ix in points]
     assert rows[0] == row and rows[1] == system.pml_cells * (system.nxp + 1)
     assert system.padded_indices([]).shape == (0,)
     for bad in [(21, 0), (0, -1)]:
         with pytest.raises(GeometryError):
-            system.padded_index(*bad)
+            system.padded_indices([bad])
         with pytest.raises(GeometryError):
             system.padded_indices([(10, 10), bad])
 
@@ -123,6 +123,30 @@ def test_low_sampling_warns():
         wave.assemble(grid, 2 * np.pi * 10.0, pml_cells=5)
 
 
+@pytest.mark.parametrize("free_surface", [False, True])
+def test_pad_collar_replicates_edges_around_the_interior(free_surface):
+    values = np.random.default_rng(2).random((4, 6))
+    padded, interior = wave.pad_collar(values, 5, free_surface)
+    top = 0 if free_surface else 5
+    assert padded.shape == (top + 4 + 5, 5 + 6 + 5)
+    assert np.array_equal(padded[interior], values)
+    # every collar cell holds the value of the nearest interior cell
+    rows = np.clip(np.arange(padded.shape[0]) - top, 0, 3)
+    cols = np.clip(np.arange(padded.shape[1]) - 5, 0, 5)
+    assert np.array_equal(padded, values[np.ix_(rows, cols)])
+
+
+@pytest.mark.parametrize("free_surface", [False, True])
+def test_system_layout_matches_pad_collar(free_surface):
+    grid = _slowness(11, 10.0)
+    system = wave.assemble(grid, 2 * np.pi * 12.0, pml_cells=5, free_surface_top=free_surface)
+    padded, interior = wave.pad_collar(grid.values, 5, free_surface)
+    assert system.pad_top == (0 if free_surface else 5) == interior[0].start
+    assert (system.nzp, system.nxp) == padded.shape
+    lin = np.arange(system.n).reshape(system.nzp, system.nxp)
+    assert np.array_equal(system.interior_indices(), lin[interior])
+
+
 def test_free_surface_top_row_is_dirichlet():
     grid = _slowness(11, 10.0)
     system = wave.assemble(grid, 2 * np.pi * 12.0, pml_cells=5, free_surface_top=True)
@@ -142,7 +166,7 @@ def test_zero_amplitude_source_gives_zero_field():
     grid = _slowness(11, 10.0)
     system = wave.assemble(grid, 2 * np.pi * 12.0, pml_cells=5)
     b = system.point_sources([(5, 5)], 0.0)
-    assert np.all(system.factor().solve(b) == 0.0)
+    assert np.all(linsys.factorize(system.matrix).solve(b) == 0.0)
 
 
 @pytest.mark.parametrize("heterogeneous", [False, True])
@@ -228,8 +252,8 @@ def _greens_error(n, h, pml, reflection=wave.PML_REFLECTION):
     rxs = [(mid, mid + int(round(d))) for d in offsets]
     system = wave.assemble(grid, 2 * np.pi * f, pml ,reflection=reflection)
     b = system.point_sources([(mid, mid)], wave.ricker_amplitude(f, f))
-    field = system.factor().solve(b)
-    u = np.array([field[system.padded_index(*rx), 0] for rx in rxs])
+    field = linsys.factorize(system.matrix).solve(b)
+    u = field[system.padded_indices(rxs), 0]
     k = 2 * np.pi * f / v
     r = np.array([(rx[1] - mid) * h for rx in rxs])
     reference = -0.25j * hankel1(0, k * r)
