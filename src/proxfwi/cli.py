@@ -1,8 +1,8 @@
 """Command-line surface: model generation, modeling, inversion, denoising,
 metrics, previews, and the analytic toy solver.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
-failure.  Every command that writes files also writes a ``<name>.manifest``
+Exit codes: 0 success, 2 usage error (a bad flag value too), 3 data/format error,
+4 numerical failure.  Every command that writes files also writes a ``<name>.manifest``
 (or ``manifest.txt`` for run directories) recording the command, seed,
 version, and content hashes, so fixed-seed runs can be verified bit-for-bit.
 """
@@ -87,16 +87,12 @@ def cmd_model_gen(args, argv):
 
 
 def _geometry_from_args(args, grid) -> model.AcquisitionGeometry:
-    freqs = tuple(float(f) for f in args.freqs.split(","))
     if args.sources or args.receivers:
         if not (args.sources and args.receivers):
             raise ConfigError("--sources and --receivers must be given together")
-        return model.AcquisitionGeometry(
-            inversion._parse_points(args.sources), inversion._parse_points(args.receivers),
-            freqs,
-        )
+        return model.AcquisitionGeometry(args.sources, args.receivers, args.freqs)
     return model.surface_boundary_geometry(
-        grid.nz, grid.nx, freqs, args.n_sources, args.source_depth, args.receiver_spacing
+        grid.nz, grid.nx, args.freqs, args.n_sources, args.source_depth, args.receiver_spacing
     )
 
 
@@ -199,11 +195,8 @@ def cmd_rosenbrock(args, argv):
         inner_iters=args.inner_iters, lbfgs_memory=args.max_outer,
     )
     oracle = rosenbrock.RosenbrockOracle()
-    m0 = np.array([float(v) for v in args.start.split(",")])
-    if m0.shape != (2,):
-        raise ConfigError("start point must be two comma-separated numbers")
     t0 = time.monotonic()
-    result = optim.proximal_newton_solve(oracle, Denoiser("l1"), config, m0, args.method)
+    result = optim.proximal_newton_solve(oracle, Denoiser("l1"), config, args.start, args.method)
     elapsed = time.monotonic() - t0
     target = rosenbrock.rosenbrock_l1_argmin(args.lam)
     dist = float(np.linalg.norm(result.m - target))
@@ -218,6 +211,20 @@ def cmd_rosenbrock(args, argv):
 
 # ---------------------------------------------------------------------------
 # wiring
+
+
+def _number(low: float, strict: bool = False):
+    """argparse type of a finite number at least (``strict``: above) ``low``."""
+
+    def number(text: str) -> float:
+        return inversion._in_range(float(text), low, strict)
+
+    return number
+
+
+def _point_pair(text: str) -> np.ndarray:
+    x, y = text.split(",")
+    return np.array([float(x), float(y)])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forward", help="simulate frequency-domain receiver data")
     p.add_argument("--model", required=True)
-    p.add_argument("--freqs", required=True, help="comma-separated Hz values")
+    p.add_argument("--freqs", type=inversion._frequencies, required=True, help="Hz, as 3,4.5")
     p.add_argument("--out", required=True)
-    p.add_argument("--f-peak", type=float, default=10.0)
+    p.add_argument("--f-peak", type=_number(0.0, strict=True), default=10.0)
     p.add_argument("--pml-cells", type=int, default=10)
     p.add_argument("--free-surface", action="store_true")
     p.add_argument("--snr-db", type=float, default=None)
@@ -252,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-sources", type=int, default=5)
     p.add_argument("--source-depth", type=int, default=0)
     p.add_argument("--receiver-spacing", type=int, default=2)
-    p.add_argument("--sources", default="", help="explicit iz:ix;iz:ix list")
-    p.add_argument("--receivers", default="")
+    p.add_argument("--sources", type=inversion._parse_points, default="", help="iz:ix;iz:ix list")
+    p.add_argument("--receivers", type=inversion._parse_points, default="")
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("invert", help="run an inversion from a config file")
@@ -265,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--denoiser", default="identity")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_number(0.0), default=1.0)
     p.add_argument("--ref", default="", help="reference grid for the damping denoiser")
     p.set_defaults(func=cmd_denoise)
 
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.5)
     p.add_argument("--method", choices=("nista", "nadmm"), default="nadmm")
     p.add_argument("--hessian", choices=("exact", "lbfgs", "identity"), default="exact")
-    p.add_argument("--start", default="-1.2,1.0")
+    p.add_argument("--start", type=_point_pair, default="-1.2,1.0")
     p.add_argument("--max-outer", type=int, default=200)
     p.add_argument("--inner-iters", type=int, default=100)
     p.add_argument("--out", default="")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linsys, wave
 from .denoise import make_denoiser
@@ -191,96 +190,64 @@ class FwiOracle(_OracleBase):
 
 
 class WriOracle(_OracleBase):
-    """Penalty-formulation misfit 0.5 sum ||b - A(m) u_k||^2 at assimilated fields.
+    """Penalty-formulation misfit 0.5 sum ||b - A(m) u||^2 at frozen data-assimilated fields u.
 
-    ``begin_outer`` refreshes u_k by solving the stacked wave-equation /
-    observation system; at fixed u_k the misfit, its gradient, and the exact
-    diagonal Hessian sum omega^4 |u|^2 are all closed-form in m because the
-    operator is affine in squared slowness.
+    ``update_wavefields`` (run by ``begin_outer``) solves for u at m_ref = m with
+    ``HelmholtzSystem.solve_penalty`` and freezes, with the (frequency, source) columns
+    stacked last, m_ref, the interior fields W = omega^2 u of shape (nz, nx, n_freq * n_src),
+    the interior residual E = b - A(m_ref) u, its energy outside the interior, and
+    sum |W|^2.  Inside, A(m) - A(m_ref) = omega^2 diag(m - m_ref), so b - A(m) u is
+    r = E + (m_ref - m) W, with gradient -sum Re(conj(W) r) and exact Hessian diag sum |W|^2.
     """
 
     def __init__(self, acq, observed, background, mu, f_peak=10.0, pml_cells=10,
                  free_surface_top=False):
         super().__init__(acq, observed, background, f_peak, pml_cells, free_surface_top)
-        if mu <= 0.0:
-            raise ValueError("penalty parameter mu must be positive")
+        if not 0.0 < mu < math.inf:
+            raise ValueError(f"penalty parameter mu must be positive and finite, got {mu!r}")
         self.mu = float(mu)
-        self._state = None
+        self._hdiag = None  # frozen with the rest by update_wavefields
 
     def update_wavefields(self, m):
-        """Solve the augmented normal equations for every source and frequency."""
-        m = np.asarray(m, dtype=np.float64)
-        per_freq = []
-        hdiag = np.zeros((self.nz, self.nx))
-        for i, f in enumerate(self.acq.frequencies):
+        """Solve for the penalty fields of every source and frequency at m and freeze them."""
+        weighted, resid, outside_sq = [], [], 0.0
+        for f, data in zip(self.acq.frequencies, self.observed.blocks):
             system = self._assemble(m, f)
-            rx = system.padded_indices(self.acq.receivers)
-            a = system.matrix.tocsc()
-            ah = a.conjugate().transpose().tocsc()
-            penalty = sp.coo_matrix(
-                (np.full(rx.size, self.mu**2), (rx, rx)), shape=(system.n, system.n)
-            )
-            normal = (ah @ a + penalty).tocsc()
-            b = system.point_sources(self.acq.sources, wave.ricker_amplitude(f, self.f_peak))
-            rhs = ah @ b
-            rhs[rx, :] += self.mu**2 * self.observed.blocks[i]
-            fact = linsys.factorize(normal)
-            u = fact.solve(rhs)
-
-            e_ref = b - a @ u
+            u, e = system.solve_penalty(self.acq.sources, wave.ricker_amplitude(f, self.f_peak),
+                                        self.acq.receivers, data, self.mu)
             interior = system.interior_indices().ravel()
-            u_int = u[interior, :].reshape(self.nz, self.nx, -1)
-            e_int = e_ref[interior, :].reshape(self.nz, self.nx, -1)
-            outside_sq = float(np.sum(np.abs(e_ref) ** 2)) - float(np.sum(np.abs(e_int) ** 2))
-            omega2 = system.omega**2
-            hdiag += omega2**2 * np.sum(np.abs(u_int) ** 2, axis=2)
-            per_freq.append(
-                {
-                    "system": system, "normal": normal, "rhs": rhs, "u": u, "rx": rx,
-                    "b": b, "u_int": u_int, "e_int": e_int, "outside_sq": outside_sq,
-                    "omega2": omega2,
-                }
-            )
-        self._state = {"m_ref": m.copy(), "per_freq": per_freq, "hdiag": hdiag}
+            outside_sq += float(np.sum(np.abs(e) ** 2)) - float(np.sum(np.abs(e[interior]) ** 2))
+            weighted.append(system.omega**2 * u[interior])
+            resid.append(e[interior])
+        self._m_ref = np.array(m, dtype=np.float64)
+        self._w = np.hstack(weighted).reshape(self.nz, self.nx, -1)
+        self._e = np.hstack(resid).reshape(self.nz, self.nx, -1)
+        self._outside_sq = outside_sq
+        self._hdiag = np.sum(np.abs(self._w) ** 2, axis=2)
         return self
 
     def begin_outer(self, m):
         self.update_wavefields(m)
 
-    @property
-    def wavefields(self):
-        return self._require_state()["per_freq"]
-
-    def _require_state(self):
-        if self._state is None:
+    def _residual(self, m) -> np.ndarray:
+        """r = E + (m_ref - m) W, the interior part of b - A(m) u at the frozen fields."""
+        if self._hdiag is None:
             raise StateError("wavefields not initialized; call update_wavefields first")
-        return self._state
-
-    def _interior_residual(self, entry, m: np.ndarray) -> np.ndarray:
-        delta = self._state["m_ref"] - np.asarray(m, dtype=np.float64)
-        return entry["e_int"] + entry["omega2"] * delta[:, :, None] * entry["u_int"]
+        return self._e + (self._m_ref - np.asarray(m, dtype=np.float64))[:, :, None] * self._w
 
     def value(self, m) -> float:
-        state = self._require_state()
-        total = 0.0
-        for entry in state["per_freq"]:
-            e_int = self._interior_residual(entry, m)
-            total += entry["outside_sq"] + float(np.sum(np.abs(e_int) ** 2))
-        return 0.5 * total
+        return 0.5 * (float(np.sum(np.abs(self._residual(m)) ** 2)) + self._outside_sq)
 
     def gradient(self, m) -> np.ndarray:
-        state = self._require_state()
-        grad = np.zeros((self.nz, self.nx))
-        for entry in state["per_freq"]:
-            e_int = self._interior_residual(entry, m)
-            grad += -entry["omega2"] * np.sum((np.conj(entry["u_int"]) * e_int).real, axis=2)
-        return grad
+        return -np.sum((np.conj(self._w) * self._residual(m)).real, axis=2)
 
     def hessian_diag(self, m) -> np.ndarray:
-        return self._require_state()["hdiag"].copy()
+        if self._hdiag is None:
+            raise StateError("wavefields not initialized; call update_wavefields first")
+        return self._hdiag.copy()
 
     def hvp(self, m, v) -> np.ndarray:
-        return self._require_state()["hdiag"] * np.asarray(v, dtype=np.float64)
+        return self.hessian_diag(m) * np.asarray(v, dtype=np.float64)
 
 
 def default_penalty_mu(background: ModelGrid, first_freq: float, ratio: float = 1e-2,
@@ -336,8 +303,8 @@ def multiscale_drive(
     """
     if method not in ("fwi", "irwri"):
         raise ConfigError(f"unknown inversion method {method!r}")
-    if method == "irwri" and (mu is None or mu <= 0.0):
-        raise ConfigError("penalty method needs a positive mu")
+    if method == "irwri" and not (mu is not None and 0.0 < mu < math.inf):
+        raise ConfigError(f"penalty method needs a positive mu, got {mu!r}")
     if not plan or not any(len(path) for path in plan):
         raise ConfigError("continuation plan is empty")
     m = np.asarray(m0, dtype=np.float64).copy()
@@ -379,7 +346,7 @@ class RunConfig:
     hessian: str = ""  # default chosen per method
     denoiser: str = "identity"
     lam: float = 0.0
-    mu: str = "auto"
+    mu: float | str = "auto"  # auto: default_penalty_mu
     frequencies: tuple = ()
     batches: tuple = ()  # tuple of tuples; empty means one batch of all
     paths: int = 1
@@ -401,41 +368,48 @@ class RunConfig:
     out_dir: str = "run_out"
 
 
+def _in_range(value, low: float, strict: bool = False):
+    """``value`` if it is finite and at least ``low`` (above it if ``strict``), else ValueError."""
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        raise ValueError(f"{value!r} is not finite and {'above' if strict else 'at least'} {low:g}")
+    return value
+
+
+def _frequencies(text: str) -> tuple:
+    """Comma-separated frequencies, each finite and above 0 Hz; empty items are skipped."""
+    return tuple(_in_range(float(v), 0.0, True) for v in text.split(",") if v.strip())
+
+
 def _parse_points(text: str) -> tuple:
-    pts = []
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        iz, _, ix = item.partition(":")
-        pts.append((int(iz), int(ix)))
-    return tuple(pts)
+    pairs = [item.split(":") for item in text.split(";") if item.strip()]
+    return tuple((int(iz), int(ix)) for iz, ix in pairs)
 
 
 def parse_run_config(path) -> RunConfig:
     """Read a ``key = value`` run file into a RunConfig.
 
-    ``#`` starts a comment, ``-`` in a key reads as ``_``, and an unknown key
-    is a ConfigError.  Keys, as ``name (type, default): syntax``:
+    ``#`` starts a comment, ``-`` in a key reads as ``_``, and an unknown key,
+    or a value of the wrong type or out of range (a bounded number must also be
+    finite), is a ConfigError naming the key.  Keys, as ``name (type, default): syntax``:
 
     - model_init (path, required), model_true (path), data (path): without
       data, the data is synthesized from model_true.
     - method (fwi | irwri, irwri); algorithm (nista | nadmm, nadmm);
       hessian (hvp | exact-dense | lbfgs | diagonal | identity, diagonal for
       irwri and lbfgs for fwi); denoiser (make_denoiser spec, identity);
-      lambda (float, 0); mu (float | auto, auto): the WRI penalty weight.
-    - frequencies (Hz, required): ``3,4.5``; batches (one batch of all):
-      ``3,4 | 5,6``; paths (int, 1): passes over the batches.
-    - max_outer (int, 70); inner_iters (int, 100); warm_start (bool, false):
-      ``1 | true | yes | on`` is true.
-    - c_fixed (float, unset): the step scale ck of every outer step; unset,
-      each step takes C_SAFETY / sigma_max of its Hessian.
+      lambda (float >= 0, 0); mu (float > 0 | auto, auto): the WRI penalty weight.
+    - frequencies (Hz > 0, required): ``3,4.5``; batches (Hz > 0, one batch
+      of all): ``3,4 | 5,6``; paths (int >= 1, 1): passes over the batches.
+    - max_outer (int, 70); inner_iters (int >= 1, 100); warm_start (bool,
+      false): ``1 | true | yes | on`` is true.
+    - c_fixed (float > 0, unset): the step scale ck of every outer step;
+      unset, each step takes C_SAFETY / sigma_max of its Hessian.
     - stopping (max-iter): ``max-iter | data-residual[:EPS|auto] |
-      model-error:VAL``.  data-residual stops at a reduced-space residual
-      ||P A(m)^-1 b - d|| <= 1.01 EPS, and auto takes EPS from the synthesized
-      noise; model-error stops at ||v - v_true|| <= VAL (m/s), which a model
-      with any cell m <= 0 never meets.
-    - snr_db (float | none | inf, none); seed (int, 0); f_peak (Hz, 10);
+      model-error:VAL`` with EPS, VAL >= 0.  data-residual stops at a
+      reduced-space residual ||P A(m)^-1 b - d|| <= 1.01 EPS, and auto takes
+      EPS from the synthesized noise; model-error stops at ||v - v_true|| <=
+      VAL (m/s), which a model with any cell m <= 0 never meets.
+    - snr_db (float | none | inf, none); seed (int, 0); f_peak (Hz > 0, 10);
       pml_cells (int, 10); free_surface (bool, false).
     - n_sources (int, 5), source_depth (int, 0), receiver_spacing (int, 2):
       the surface layout, replaced by sources and receivers (``iz:ix;iz:ix``)
@@ -456,22 +430,28 @@ def parse_run_config(path) -> RunConfig:
         key, value = key.strip().replace("-", "_"), value.strip()
         try:
             if key in ("model_init", "model_true", "data", "method", "algorithm",
-                       "hessian", "denoiser", "stopping", "out_dir", "mu"):
+                       "hessian", "denoiser", "out_dir"):
                 setattr(cfg, key, value)
+            elif key == "mu":
+                cfg.mu = value if value == "auto" else _in_range(float(value), 0.0, True)
+            elif key == "stopping":
+                rule, _, target = value.partition(":")
+                if rule == "model-error" or target not in ("", "auto"):
+                    _in_range(float(target), 0.0)
+                cfg.stopping = value
             elif key == "lambda":
                 cfg.lam = float(value)
             elif key == "frequencies":
-                cfg.frequencies = tuple(float(v) for v in value.split(",") if v.strip())
+                cfg.frequencies = _frequencies(value)
             elif key == "batches":
-                cfg.batches = tuple(
-                    tuple(float(v) for v in part.split(",") if v.strip())
-                    for part in value.split("|")
-                )
-            elif key in ("paths", "max_outer", "inner_iters", "seed", "pml_cells",
+                cfg.batches = tuple(_frequencies(part) for part in value.split("|"))
+            elif key == "paths":
+                cfg.paths = _in_range(int(value), 1)
+            elif key in ("max_outer", "inner_iters", "seed", "pml_cells",
                          "n_sources", "source_depth", "receiver_spacing"):
                 setattr(cfg, key, int(value))
             elif key in ("c_fixed", "f_peak"):
-                setattr(cfg, key, float(value))
+                setattr(cfg, key, _in_range(float(value), 0.0, True))
             elif key == "snr_db":
                 cfg.snr_db = None if value.lower() in ("none", "inf") else float(value)
             elif key in ("warm_start", "free_surface"):
@@ -546,25 +526,22 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
             )
 
     hessian = cfg.hessian or ("diagonal" if cfg.method == "irwri" else "lbfgs")
+    rule, _, target = cfg.stopping.partition(":")
     stop_target, stop_metric = None, None
-    if cfg.stopping.startswith("data-residual"):
-        _, _, eps_text = cfg.stopping.partition(":")
-        if eps_text in ("", "auto"):
+    if rule == "data-residual":
+        if target in ("", "auto"):
             if noise_norm is None:
                 raise ConfigError("data-residual:auto stopping needs synthesized noisy data")
-            eps = noise_norm
-        else:
-            eps = float(eps_text)
-        stop_target = 1.01 * eps
+            target = noise_norm
+        stop_target = 1.01 * float(target)
 
         def stop_metric(oracle, m):
             return oracle.data_residual_norm(m)
 
-    elif cfg.stopping.startswith("model-error"):
+    elif rule == "model-error":
         if true is None:
             raise ConfigError("model-error stopping needs model_true")
-        _, _, val = cfg.stopping.partition(":")
-        stop_target = float(val)
+        stop_target = float(target)
         true_vel = as_velocity(true).values
 
         def stop_metric(oracle, m):
@@ -595,7 +572,7 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
     )
 
     batches = cfg.batches if cfg.batches else (cfg.frequencies,)
-    plan = [list(batches)] * max(cfg.paths, 1)
+    plan = [list(batches)] * cfg.paths
     m0 = as_slowness_squared(init).values
     m_final, batch_results = multiscale_drive(
         m0, observed, acq, cfg.method, cfg.algorithm, denoiser, cfg.lam, mu,

@@ -238,8 +238,11 @@ def _search_step(merit, m, dm, f0: float, ck: float):
 
     Backtracks on ``merit`` from f0 = merit(m) with the line-search defaults
     and never moves uphill: when no trial beats f0 the iterate is held
-    (alpha 0) and the caller decides what to do about it.
+    (alpha 0) and the caller decides what to do about it.  A zero direction
+    is an accepted null step, which the outer loop's step floor then stops.
     """
+    if _norm(dm) == 0.0:
+        return 1.0, m, f0, True
     ls = line_search(merit, m, dm, ck=ck, f0=f0)
     if ls.accepted or ls.value < f0:
         return ls.alpha, m + ls.alpha * dm, ls.value, ls.accepted
@@ -400,8 +403,10 @@ class OptConfig:
     seed: int = 0
 
     def validate(self):
-        if self.lam < 0.0:
-            raise ConfigError("regularization weight must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be nonnegative and finite, got {self.lam!r}")
+        if self.inner_iters < 1:
+            raise ConfigError(f"inner_iters must be at least 1, got {self.inner_iters!r}")
         if self.lbfgs_memory < 0:
             raise ConfigError("lbfgs memory must be nonnegative")
         if self.hessian not in _HESSIAN_NEEDS:
@@ -567,9 +572,6 @@ def proximal_newton_solve(
                 dp0=dp_warm if config.warm_start else None,
                 h_apply=h_apply, grad=g,
             )
-            if _norm(dm) == 0.0:
-                status = "step-floor"
-                break
             f0, _ = composite(state.m, misfit=val)
             merit = lambda mm: composite(mm)[0]
             alpha, state.m, obj, accepted = _search_step(merit, state.m, dm, f0, ck)

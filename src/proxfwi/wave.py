@@ -7,9 +7,9 @@ quadratic damping profile) is folded into symmetric edge coefficients, so A
 is complex-symmetric by construction; the outermost padded ring and, with a
 free surface, the top row are homogeneous Dirichlet.
 
-The module owns the padded-grid layout (:func:`pad_collar` and the index maps
-of :class:`HelmholtzSystem`) and the factor-and-solve step for a block of point
-sources (:meth:`HelmholtzSystem.solve_sources`); modeling and both oracles use them.
+The module owns the padded-grid layout (:func:`pad_collar`, the index maps of
+:class:`HelmholtzSystem`) and all three solves through :func:`linsys.factorize`:
+``solve_sources`` (modeling, FWI), ``solve_penalty`` (WRI) and condensed modeling.
 """
 
 from __future__ import annotations
@@ -111,6 +111,19 @@ class HelmholtzSystem:
         """Factor A and solve for a block of point sources: (factorization, wavefields)."""
         fact = linsys.factorize(self.matrix)
         return fact, fact.solve(self.point_sources(sources, amplitude))
+
+    def solve_penalty(self, sources, amplitude: complex, receivers, data, mu: float):
+        """Fields u minimizing ||A u - b||^2 + mu^2 ||P u - d||^2 for a block of point
+        sources, by one LU of A^H A + mu^2 P^T P, and their residual: (u, b - A u)."""
+        rx = self.padded_indices(receivers)
+        a = self.matrix.tocsc()
+        ah = a.conjugate().transpose().tocsc()
+        penalty = sp.coo_matrix((np.full(rx.size, mu**2), (rx, rx)), shape=(self.n, self.n))
+        b = self.point_sources(sources, amplitude)
+        rhs = ah @ b
+        rhs[rx, :] += mu**2 * data
+        u = linsys.factorize((ah @ a + penalty).tocsc()).solve(rhs)
+        return u, b - a @ u
 
 
 def _pml_sigma(coord: np.ndarray, pad_lo: int, pad_hi: int, n_total: int, h: float,

@@ -110,12 +110,40 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"bogus_key": 1}, "unknown key 'bogus_key'"),
         ({"c_rule": "fixed"}, "unknown key 'c_rule'"),
         ({"method": "fwi", "hessian": "diagonal"}, "needs an oracle with hessian_diag"),
+        ({"mu": "abc"}, "bad value for mu"),
+        ({"mu": "nan"}, "bad value for mu"),
+        ({"lambda": "nan"}, "lambda must be nonnegative and finite"),
+        ({"stopping": "data-residual:abc"}, "bad value for stopping"),
+        ({"stopping": "data-residual:-1"}, "bad value for stopping"),
+        ({"stopping": "model-error:abc"}, "bad value for stopping"),
+        ({"algorithm": "nista", "inner_iters": 0}, "inner_iters must be at least 1"),
+        ({"f_peak": 0}, "bad value for f_peak"),
+        ({"paths": 0}, "bad value for paths"),
     ],
 )
 def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, keys, message):
     config = _write_config(tmp_path, models, **keys)
     assert cli.main(["invert", "--config", str(config)]) == cli.EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3,abc"], "--freqs"),
+        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--f-peak", "0"],
+         "--f-peak"),
+        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3",
+          "--sources", "1:a", "--receivers", "2:2"], "--sources"),
+        (["denoise", "--in", "a.grd", "--out", "b.grd", "--scale", "-1"], "--scale"),
+        (["rosenbrock", "--start", "1,abc"], "--start"),
+    ],
+)
+def test_bad_flag_value_is_a_usage_error_naming_the_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert f"argument {flag}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["fwi", "irwri"])

@@ -5,9 +5,11 @@ with ``ast`` and compares the names its imports bind with the names its code
 loads.  ``from __future__`` imports change the compiler, not the namespace,
 and are exempt.  A module-level private function, class or constant
 (``_name``; dunders are exempt) must be referenced somewhere in the package:
-by name, as an attribute, or in a ``from ... import``.  Two decisions have
-one owner each: only ``linsys`` names SuperLU (``splu``, ``spilu``), and only
-``wave`` pads the grid with ``np.pad``, apart from ``denoise``'s patch margin.
+by name, as an attribute, or in a ``from ... import``.  The solve layering is
+linsys <- wave <- everything else: only ``linsys`` names SuperLU (``splu``,
+``spilu``), only ``wave`` names ``linsys.factorize`` outside ``linsys``, and
+only the two of them import ``scipy.sparse``.  Only ``wave`` pads the grid with ``np.pad``, apart
+from ``denoise``'s patch margin.
 """
 
 import ast
@@ -109,14 +111,29 @@ def test_package_has_no_unreferenced_private_names():
 
 SUPERLU = {"splu", "spilu"}
 SUPERLU_OWNER = "linsys"
+SOLVE_OWNERS = {"linsys", "wave"}  # import scipy.sparse and name factorize
 PAD_OWNERS = {"wave", "denoise"}  # denoise pads nlm's patch margin, not the grid
 
 
+def _sparse_imports(node) -> list[str]:
+    """The ``scipy.sparse`` modules an import node binds, by their dotted names."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        return []
+    return [n for n in names if n == "scipy.sparse" or n.startswith("scipy.sparse.")]
+
+
 def _owner_breaches(sources: dict[str, str]) -> list[str]:
-    """``module:line: name`` of each SuperLU reference or ``np.pad`` call outside its owner."""
+    """``module:line: name`` of each SuperLU or ``factorize`` reference,
+    ``scipy.sparse`` import or ``np.pad`` call outside its owner."""
     found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
+            if module not in SOLVE_OWNERS:
+                found += [(module, node.lineno, n) for n in _sparse_imports(node)]
             names = []
             if isinstance(node, ast.Name):
                 names = [node.id]
@@ -126,6 +143,8 @@ def _owner_breaches(sources: dict[str, str]) -> list[str]:
                 names = [alias.name for alias in node.names]
             if module != SUPERLU_OWNER:
                 found += [(module, node.lineno, n) for n in names if n in SUPERLU]
+            if module not in SOLVE_OWNERS:
+                found += [(module, node.lineno, n) for n in names if n == "factorize"]
             if (module not in PAD_OWNERS and isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute) and node.func.attr == "pad"
                     and isinstance(node.func.value, ast.Name)
@@ -137,17 +156,27 @@ def _owner_breaches(sources: dict[str, str]) -> list[str]:
 def test_owner_scanner_flags_only_calls_outside_the_owner():
     sources = {
         "linsys": "import scipy.sparse.linalg as spla\nlu = spla.splu(a)\n",
-        "wave": "x = np.pad(v, 1, mode='edge')\n",
-        "denoise": "z = np.pad(x, 3, mode='symmetric')\n",
+        "wave": (
+            "import scipy.sparse as sp\n"
+            "x = np.pad(v, 1, mode='edge')\n"
+            "fact = linsys.factorize(a)\n"
+        ),
+        "denoise": "z = np.pad(x, 3, mode='symmetric')\nimport scipy.ndimage\n",
         "inversion": (
             "from scipy.sparse.linalg import spilu\n"
             "lu = spla.splu(a)\n"
             "y = np.pad(v, 2, mode='edge')\n"
             "w = padded.pad\n"
+            "import numpy as np, scipy.sparse as sp\n"
+            "from scipy import sparse\n"
+            "fact = linsys.factorize(normal)\n"
+            "from .linsys import factorize\n"
         ),
     }
     assert _owner_breaches(sources) == [
-        "inversion:1: spilu", "inversion:2: splu", "inversion:3: np.pad"
+        "inversion:1: scipy.sparse.linalg.spilu", "inversion:1: spilu", "inversion:2: splu",
+        "inversion:3: np.pad", "inversion:5: scipy.sparse", "inversion:6: scipy.sparse",
+        "inversion:7: factorize", "inversion:8: factorize",
     ]
 
 

@@ -182,10 +182,23 @@ def _wri(acq, observed, background, mu=3e-4):
     return inversion.WriOracle(acq, observed, background, mu, f_peak=10.0, pml_cells=5)
 
 
-def _penalty_fit(oracle):
-    """||P u - d|| of the stored penalty fields u over all frequencies."""
-    return np.sqrt(sum(np.sum(np.abs(entry["u"][entry["rx"], :] - d) ** 2)
-                       for entry, d in zip(oracle.wavefields, oracle.observed.blocks)))
+def _penalty_fields(oracle, m):
+    """(system, b, u, b - A u) per frequency: the fields ``update_wavefields(m)`` freezes."""
+    out = []
+    for f, d in zip(oracle.acq.frequencies, oracle.observed.blocks):
+        system = oracle._assemble(m, f)
+        amplitude = wave.ricker_amplitude(f, oracle.f_peak)
+        u, e = system.solve_penalty(oracle.acq.sources, amplitude, oracle.acq.receivers, d,
+                                    oracle.mu)
+        out.append((system, system.point_sources(oracle.acq.sources, amplitude), u, e))
+    return out
+
+
+def _penalty_fit(oracle, m):
+    """||P u - d|| over all frequencies of the penalty fields u solved at m."""
+    fits = [np.sum(np.abs(u[system.padded_indices(oracle.acq.receivers), :] - d) ** 2)
+            for (system, _, u, _), d in zip(_penalty_fields(oracle, m), oracle.observed.blocks)]
+    return np.sqrt(sum(fits))
 
 
 def test_wri_requires_wavefields():
@@ -199,18 +212,21 @@ def test_wri_exact_fit_at_true_model_noiseless():
     true, background, acq, observed = _tiny_problem()
     oracle = _wri(acq, observed, background)
     m_true = model.as_slowness_squared(true).values
-    oracle.update_wavefields(m_true)
     data_norm = np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in observed.blocks))
-    assert _penalty_fit(oracle) < 1e-9 * max(1.0, data_norm)
+    assert _penalty_fit(oracle, m_true) < 1e-9 * max(1.0, data_norm)
 
 
 def test_wri_normal_equation_residual():
     true, background, acq, observed = _tiny_problem()
     oracle = _wri(acq, observed, background)
-    oracle.update_wavefields(model.as_slowness_squared(background).values)
-    for entry in oracle.wavefields:
-        resid = entry["rhs"] - entry["normal"] @ entry["u"]
-        assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(entry["rhs"])
+    m = model.as_slowness_squared(background).values
+    for (system, b, u, _), d in zip(_penalty_fields(oracle, m), observed.blocks):
+        a, rx, mu2 = system.matrix, system.padded_indices(acq.receivers), oracle.mu**2
+        rhs = a.conjugate().transpose() @ b
+        rhs[rx, :] += mu2 * d
+        resid = rhs - a.conjugate().transpose() @ (a @ u)
+        resid[rx, :] -= mu2 * u[rx, :]
+        assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(rhs)
 
 
 def test_wri_hessian_diag_formula():
@@ -219,8 +235,9 @@ def test_wri_hessian_diag_formula():
     m = model.as_slowness_squared(background).values
     oracle.update_wavefields(m)
     expected = np.zeros_like(m)
-    for entry in oracle.wavefields:
-        expected += entry["omega2"] ** 2 * np.sum(np.abs(entry["u_int"]) ** 2, axis=2)
+    for system, _, u, _ in _penalty_fields(oracle, m):
+        u_int = u[system.interior_indices(), :]
+        expected += system.omega**4 * np.sum(np.abs(u_int) ** 2, axis=2)
     hdiag = oracle.hessian_diag(m)
     assert np.allclose(hdiag, expected, rtol=1e-14)
     assert np.all(hdiag >= 0.0)
@@ -274,10 +291,9 @@ def test_wri_small_mu_fields_match_plain_forward():
     true, background, acq, observed = _tiny_problem()
     oracle = _wri(acq, observed, background, mu=1e-10)
     m = model.as_slowness_squared(background).values
-    oracle.update_wavefields(m)
-    for i, entry in enumerate(oracle.wavefields):
-        plain = linsys.factorize(entry["system"].matrix).solve(entry["b"])
-        rel = np.linalg.norm(entry["u"] - plain) / np.linalg.norm(plain)
+    for system, b, u, _ in _penalty_fields(oracle, m):
+        plain = linsys.factorize(system.matrix).solve(b)
+        rel = np.linalg.norm(u - plain) / np.linalg.norm(plain)
         assert rel < 1e-4
 
 
@@ -296,34 +312,33 @@ def _random_data_problem(seed=0, n=9, n_src=2, freq=6.0):
 
 
 def _wri_fields(grid, acq, observed, mu):
-    """The oracle's data-assimilated fields for the single frequency."""
+    """(system, b, u, b - A u): the data-assimilated fields for the single frequency."""
     oracle = _wri(acq, observed, grid, mu=mu)
-    oracle.update_wavefields(model.as_slowness_squared(grid).values)
-    return oracle.wavefields[0]
+    return _penalty_fields(oracle, model.as_slowness_squared(grid).values)[0]
 
 
 def test_wri_fields_match_dense_least_squares():
     grid, acq, observed = _random_data_problem(n=7)
     mu = 3e-4
-    entry = _wri_fields(grid, acq, observed, mu)
-    system = entry["system"]
+    system, b, u, _ = _wri_fields(grid, acq, observed, mu)
     p = np.zeros((len(acq.receivers), system.n))
-    p[np.arange(len(acq.receivers)), entry["rx"]] = 1.0
+    p[np.arange(len(acq.receivers)), system.padded_indices(acq.receivers)] = 1.0
     stacked = np.vstack([system.matrix.toarray(), mu * p])
     for s in range(acq.n_sources):
-        rhs = np.concatenate([entry["b"][:, s], mu * observed.blocks[0][:, s]])
+        rhs = np.concatenate([b[:, s], mu * observed.blocks[0][:, s]])
         reference, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        rel = np.linalg.norm(entry["u"][:, s] - reference) / np.linalg.norm(reference)
+        rel = np.linalg.norm(u[:, s] - reference) / np.linalg.norm(reference)
         assert rel < 1e-8
 
 
 def test_wri_fields_are_stationary():
     grid, acq, observed = _random_data_problem()
     mu = 1e-3
-    entry = _wri_fields(grid, acq, observed, mu)
-    a, b, rx = entry["system"].matrix, entry["b"], entry["rx"]
+    system, b, fields, e = _wri_fields(grid, acq, observed, mu)
+    a, rx = system.matrix, system.padded_indices(acq.receivers)
+    assert np.linalg.norm(e - (b - a @ fields)) <= 1e-12 * np.linalg.norm(b)
     for s in range(acq.n_sources):
-        u = entry["u"][:, s]
+        u = fields[:, s]
         # gradient of 0.5||b - A u||^2 + 0.5 mu^2 ||P u - d||^2
         grad = -(a.conjugate().transpose() @ (b[:, s] - a @ u))
         grad[rx] += mu**2 * (u[rx] - observed.blocks[0][:, s])
@@ -336,9 +351,7 @@ def test_wri_data_fit_improves_with_mu():
     m = model.as_slowness_squared(grid).values
     fits = []
     for mu in [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]:
-        oracle = _wri(acq, observed, grid, mu=mu)
-        oracle.update_wavefields(m)
-        fits.append(_penalty_fit(oracle))
+        fits.append(_penalty_fit(_wri(acq, observed, grid, mu=mu), m))
     assert all(b <= a + 1e-12 for a, b in zip(fits, fits[1:]))
 
 
@@ -369,12 +382,13 @@ def test_wri_field_update_decreases_joint_objective():
     oracle.update_wavefields(m0)
     m1 = m0 * (1.0 + 1e-3)  # a model step away from where u was solved
 
-    def joint(m):
-        return oracle.value(m) + 0.5 * mu**2 * _penalty_fit(oracle) ** 2
+    def joint(m, fields_at):
+        # the frozen misfit plus the data penalty of the fields it froze
+        return oracle.value(m) + 0.5 * mu**2 * _penalty_fit(oracle, fields_at) ** 2
 
-    before = joint(m1)
+    before = joint(m1, m0)
     oracle.update_wavefields(m1)
-    after = joint(m1)
+    after = joint(m1, m1)
     assert after <= before + 1e-12 * max(1.0, abs(before))
 
 
@@ -384,15 +398,40 @@ def test_wri_value_after_zeroing_fields():
     oracle = _wri(acq, observed, background)
     m = model.as_slowness_squared(background).values
     oracle.update_wavefields(m)
-    entry = oracle.wavefields[0]
-    entry["u_int"][:] = 0.0
-    entry["e_int"][:] = entry["b"][entry["system"].interior_indices().ravel(), :].reshape(
-        entry["e_int"].shape
-    )
-    entry["outside_sq"] = 0.0  # point sources live strictly in the interior
-    b_sq = float(np.sum(np.abs(entry["b"]) ** 2))
+    ((system, b, _, _),) = _penalty_fields(oracle, m)
+    oracle._w[:] = 0.0
+    oracle._e[:] = b[system.interior_indices(), :]
+    oracle._outside_sq = 0.0  # point sources live strictly in the interior
+    b_sq = float(np.sum(np.abs(b) ** 2))
     assert oracle.value(m) == pytest.approx(0.5 * b_sq, rel=1e-12)
     assert np.all(oracle.gradient(m) == 0.0)
+
+
+def test_wri_value_matches_an_independent_assembly_at_a_new_model():
+    # 0.5 sum_f ||b_f - A_f(m1) u_f||^2 with A_f(m1) assembled anew and
+    # u_f frozen at m_ref: pins the omega^2 weighting of the stacked state,
+    # which the finite-difference and Hessian checks read back unchecked
+    true, background, acq, observed = _tiny_problem()
+    oracle = _wri(acq, observed, background)
+    m_ref = model.as_slowness_squared(background).values
+    oracle.update_wavefields(m_ref)
+    m1 = model.as_slowness_squared(true).values
+    collar, interior = wave.pad_collar(m_ref, 5, False)
+    padded = collar.copy()
+    padded[interior] = m1
+    pml_velocity = 1.0 / np.sqrt(np.min(collar))
+    expected = 0.0
+    for f, d in zip(acq.frequencies, observed.blocks):
+        omega, amplitude = 2.0 * np.pi * f, wave.ricker_amplitude(f, 10.0)
+        at_ref = wave.assemble_padded(collar, background.dz, background.dx, omega, 5, False,
+                                      pml_velocity=pml_velocity)
+        u, _ = at_ref.solve_penalty(acq.sources, amplitude, acq.receivers, d, oracle.mu)
+        a1 = wave.assemble_padded(padded, background.dz, background.dx, omega, 5, False,
+                                  pml_velocity=pml_velocity).matrix
+        b = at_ref.point_sources(acq.sources, amplitude)
+        expected += 0.5 * float(np.sum(np.abs(b - a1 @ u) ** 2))
+    assert not np.array_equal(m1, m_ref)
+    assert oracle.value(m1) == pytest.approx(expected, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +484,7 @@ def test_multiscale_empty_plan_rejected():
         )
 
 
-@pytest.mark.parametrize("mu", [None, 0.0])
+@pytest.mark.parametrize("mu", [None, 0.0, np.nan, np.inf])
 def test_multiscale_penalty_needs_positive_mu(mu):
     with pytest.raises(ConfigError, match="positive mu"):
         _drive(method="irwri", mu=mu)

@@ -186,6 +186,25 @@ def test_search_step_holds_iterate_on_ascent_direction():
     assert m_new is m
 
 
+@pytest.mark.parametrize("hessian", ["identity", "exact-dense", "lbfgs"])
+@pytest.mark.parametrize("method", ["nista", "nadmm"])
+def test_zero_direction_is_an_accepted_null_step_that_stops_the_run(method, hessian):
+    # a constant objective under the identity denoiser leaves no direction:
+    # NISTA at its first step, NADMM once p has caught up with m
+    oracle = optim.CallbackOracle(
+        value=lambda m: 1.0, gradient=lambda m: np.zeros_like(m),
+        hessian_dense=lambda m: np.zeros((m.size, m.size)),
+    )
+    config = optim.OptConfig(hessian=hessian, max_outer=10)
+    m0 = np.array([1.0, -2.0])
+    result = optim.proximal_newton_solve(oracle, Denoiser("identity"), config, m0, method)
+    assert result.status == "step-floor"
+    last = result.history[-1]
+    assert (last.alpha, last.step_norm) == (1.0, 0.0)
+    if method == "nista":
+        assert np.array_equal(result.m, m0)
+
+
 # ---------------------------------------------------------------------------
 # direction subproblems
 
@@ -427,7 +446,8 @@ def test_nadmm_holds_ck_from_the_freeze_step_on():
 @pytest.mark.parametrize(
     "kwargs",
     [dict(stop_target=1.0), dict(stop_metric=lambda oracle, m: 0.0), dict(c_fixed=0.0),
-     dict(c_fixed=-1.0), dict(c_fixed=np.nan), dict(c_fixed=np.inf)],
+     dict(c_fixed=-1.0), dict(c_fixed=np.nan), dict(c_fixed=np.inf), dict(lam=np.nan),
+     dict(lam=-1.0), dict(inner_iters=0)],
 )
 def test_config_rejects_half_stopping_rule_and_bad_step(kwargs):
     with pytest.raises(ConfigError):
