@@ -227,6 +227,17 @@ def _point_pair(text: str) -> np.ndarray:
     return np.array([float(x), float(y)])
 
 
+def _join_point_values(argv: list) -> list:
+    """``--start X`` as ``--start=X``: argparse takes ``-1.2,1.0`` for an option."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--start":
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proxfwi",
@@ -305,13 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_point_values(argv))
     try:
         return args.func(args, [parser.prog] + argv)
-    except (FormatError, GeometryError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (FormatError, GeometryError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, ProxfwiError) as exc:

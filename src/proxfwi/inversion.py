@@ -353,7 +353,6 @@ class RunConfig:
     max_outer: int = 70
     inner_iters: int = 100
     c_fixed: float | None = None  # None: C_SAFETY / sigma_max(H) each step
-    warm_start: bool = False
     stopping: str = "max-iter"  # max-iter | data-residual[:EPS|auto] | model-error:VAL
     snr_db: float | None = None
     seed: int = 0
@@ -400,8 +399,7 @@ def parse_run_config(path) -> RunConfig:
       lambda (float >= 0, 0); mu (float > 0 | auto, auto): the WRI penalty weight.
     - frequencies (Hz > 0, required): ``3,4.5``; batches (Hz > 0, one batch
       of all): ``3,4 | 5,6``; paths (int >= 1, 1): passes over the batches.
-    - max_outer (int, 70); inner_iters (int >= 1, 100); warm_start (bool,
-      false): ``1 | true | yes | on`` is true.
+    - max_outer (int, 70); inner_iters (int >= 1, 100).
     - c_fixed (float > 0, unset): the step scale ck of every outer step;
       unset, each step takes C_SAFETY / sigma_max of its Hessian.
     - stopping (max-iter): ``max-iter | data-residual[:EPS|auto] |
@@ -410,7 +408,7 @@ def parse_run_config(path) -> RunConfig:
       EPS from the synthesized noise; model-error stops at ||v - v_true|| <=
       VAL (m/s), which a model with any cell m <= 0 never meets.
     - snr_db (float | none | inf, none); seed (int, 0); f_peak (Hz > 0, 10);
-      pml_cells (int, 10); free_surface (bool, false).
+      pml_cells (int, 10); free_surface (bool, false; ``1 | true | yes | on`` is true).
     - n_sources (int, 5), source_depth (int, 0), receiver_spacing (int, 2):
       the surface layout, replaced by sources and receivers (``iz:ix;iz:ix``)
       when both are given; out_dir (path, run_out).
@@ -454,8 +452,8 @@ def parse_run_config(path) -> RunConfig:
                 setattr(cfg, key, _in_range(float(value), 0.0, True))
             elif key == "snr_db":
                 cfg.snr_db = None if value.lower() in ("none", "inf") else float(value)
-            elif key in ("warm_start", "free_surface"):
-                setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
+            elif key == "free_surface":
+                cfg.free_surface = value.lower() in ("1", "true", "yes", "on")
             elif key == "sources":
                 cfg.sources = _parse_points(value)
             elif key == "receivers":
@@ -564,7 +562,6 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
         c_fixed=cfg.c_fixed,
         max_outer=cfg.max_outer,
         inner_iters=cfg.inner_iters,
-        warm_start=cfg.warm_start,
         hessian=hessian,
         stop_target=stop_target,
         stop_metric=stop_metric,

@@ -11,10 +11,11 @@ The Hessian can be the oracle's exact/Gauss-Newton operator (``hvp``), its
 dense matrix for toy sizes (``hessian_dense``), a limited-memory quasi-Newton
 approximation built from outer gradient pairs, the oracle's diagonal, or the
 identity.  ``_hessian_ops`` is the only place a Hessian mode is chosen: it
-builds the per-outer (apply, shifted solve, spectral norm) triple, and
-``nadmm_step`` takes its ``solve_shifted``.  Both solvers accept their step
-through one ``_search_step``, which backtracks with ``line_search`` and holds
-the iterate when no trial lowers the merit.
+builds the per-outer (apply, shifted solve, sigma_max) triple, and sigma_max
+is computed only when the driver calls it to set ck.  ``LbfgsHessian`` keeps
+its own curvature pairs, and ``nadmm_step`` takes ``solve_shifted``.  Both
+solvers accept their step through one ``_search_step``, which backtracks with
+``line_search`` and holds the iterate when no trial lowers the merit.
 
 ``proximal_newton_solve`` is the one outer driver.  It owns the outer index,
 the step scale ck, the history and the stopping decision; ``InversionState``
@@ -94,15 +95,11 @@ class CallbackOracle:
 # limited-memory quasi-Newton Hessian
 
 
-def _curvature_ok(s, y) -> bool:
-    return _dot(s, y) > _CURVATURE_FLOOR * max(_norm(s) * _norm(y), 1e-300)
-
-
 class LbfgsHessian:
     """Compact-form limited-memory BFGS Hessian (the direct operator B).
 
-    Stores up to ``memory`` curvature pairs from the outer iteration and
-    supports applying B and solving (c*B + I) x = rhs exactly via a low-rank
+    Forms up to ``memory`` curvature pairs from the outer iterates it observes
+    and supports applying B and solving (c*B + I) x = rhs exactly via a low-rank
     update formula, which is what the splitting step needs.
     """
 
@@ -113,13 +110,14 @@ class LbfgsHessian:
         self._s: list[np.ndarray] = []
         self._y: list[np.ndarray] = []
         self._form = None  # (delta, U, M) of the current pairs, built on first use
+        self._last = None  # (m, g) of the last observed outer iterate
         self.skipped = 0
 
     def __len__(self):
         return len(self._s)
 
     def update(self, s, y):
-        if not _curvature_ok(s, y):
+        if not _dot(s, y) > _CURVATURE_FLOOR * max(_norm(s) * _norm(y), 1e-300):
             self.skipped += 1
             return
         self._s.append(np.ravel(np.asarray(s, dtype=np.float64)).copy())
@@ -128,6 +126,22 @@ class LbfgsHessian:
             self._s.pop(0)
             self._y.pop(0)
         self._form = None
+
+    def observe(self, m, g, gradient):
+        """Take the pair from the last observed (m, g) to this one.
+
+        While the memory is empty (B = I, which can be wildly misscaled), probe
+        the curvature along g with one extra ``gradient`` evaluation.
+        """
+        if self._last is not None:
+            m_prev, g_prev = self._last
+            self.update(m - m_prev, g - g_prev)
+        if not self._s:
+            g_norm = _norm(g)
+            if g_norm > 0.0:
+                probe = (-1e-4 * (1.0 + _norm(m)) / g_norm) * g
+                self.update(probe, gradient(m + probe) - g)
+        self._last = (m.copy(), g.copy())
 
     def _delta(self) -> float:
         if not self._s:
@@ -175,13 +189,6 @@ class LbfgsHessian:
         inner = mid / c - (u.T @ u) / a
         x = flat / a + u @ np.linalg.solve(inner, u.T @ flat / a) / a
         return x.reshape(rhs.shape)
-
-    def norm_estimate(self, seed: int = 0) -> float:
-        if not self._s:
-            return 1.0
-        n = self._s[0].size
-        est = spectral_norm(lambda v: np.ravel(self.apply(v)), n, seed=seed)
-        return est.value
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +267,6 @@ def nista_direction(
     lam: float,
     ck: float,
     n_inner: int,
-    dp0=None,
     h_apply: Callable | None = None,
     grad=None,
 ):
@@ -268,9 +274,8 @@ def nista_direction(
 
     Runs exactly ``n_inner`` sweeps of: gradient step on the quadratic model
     (one Hessian-vector product), prox of the shifted point, Nesterov
-    extrapolation with coefficient (l-1)/(l+2), starting from ``dp0`` (zero
-    by default).  Returns (dm, dp_final); dp_final can warm-start the next
-    outer iteration.
+    extrapolation with coefficient (l-1)/(l+2), starting from zero.  Returns
+    the direction dm.
     """
     if ck <= 0.0:
         raise ValueError("step size ck must be positive")
@@ -281,8 +286,7 @@ def nista_direction(
         grad = oracle.gradient(m_k)
     if h_apply is None:
         h_apply = lambda v: oracle.hvp(m_k, v)
-    dp = np.zeros_like(m_k) if dp0 is None else np.asarray(dp0, dtype=np.float64).copy()
-    dm = dp.copy()
+    dp, dm = np.zeros_like(m_k), np.zeros_like(m_k)
     scale = ck * lam
     for ell in range(1, n_inner + 1):
         dm_half = dp - ck * (np.asarray(h_apply(dp)) + grad)
@@ -291,7 +295,7 @@ def nista_direction(
             raise NumericalError(f"inner iterate diverged at sweep {ell} (ck={ck:g})")
         dp = dm_new + ((ell - 1.0) / (ell + 2.0)) * (dm_new - dm)
         dm = dm_new
-    return dm, dp
+    return dm
 
 
 @dataclass
@@ -386,9 +390,10 @@ class OptConfig:
     ``c_fixed`` is the step scale ck of every outer step; None picks
     C_SAFETY / sigma_max(H_k) each step (1.0 when sigma_max is not positive),
     and NADMM keeps the ck of its outer step C_FREEZE_AFTER (counting from 1)
-    for the rest of the run.  The run stops early once ``stop_metric(oracle,
-    m) <= stop_target``, checked at the start of each outer step; set both or
-    neither.
+    for the rest of the run; sigma_max is computed only on the steps where it
+    sets ck.  ``LbfgsHessian`` keeps its own pairs, at most ``lbfgs_memory``.
+    The run stops early once ``stop_metric(oracle, m) <= stop_target``,
+    checked at the start of each outer step; set both or neither.
     """
 
     lam: float = 0.0
@@ -396,7 +401,6 @@ class OptConfig:
     max_outer: int = 70
     inner_iters: int = 100
     lbfgs_memory: int = 10
-    warm_start: bool = False
     hessian: str = "hvp"  # hvp | exact-dense | lbfgs | diagonal | identity
     stop_target: float | None = None
     stop_metric: Callable | None = None  # (oracle, m) -> float
@@ -459,16 +463,19 @@ def _cg_shifted(h_apply, c, rhs, tol=1e-12, max_iter=None):
 
 
 def _hessian_ops(mode, oracle, m, lbfgs_hess, seed):
-    """Per-outer (h_apply, solve_shifted, sigma_max) for the chosen mode."""
+    """Per-outer (h_apply, solve_shifted, sigma_max) for the chosen mode.
+
+    ``sigma_max()`` computes on call; lbfgs and hvp share one power iteration.
+    """
     m = np.asarray(m, dtype=np.float64)
     if mode == "identity":
-        return (lambda v: np.asarray(v)), (lambda c, rhs: np.asarray(rhs) / (c + 1.0)), 1.0
+        return (lambda v: np.asarray(v)), (lambda c, rhs: np.asarray(rhs) / (c + 1.0)), lambda: 1.0
     if mode == "diagonal":
         d = np.maximum(np.asarray(oracle.hessian_diag(m), dtype=np.float64), 0.0)
         return (
             lambda v: d * np.asarray(v),
             lambda c, rhs: np.asarray(rhs) / (c * d + 1.0),
-            float(np.max(d)) if d.size else 0.0,
+            lambda: float(np.max(d)) if d.size else 0.0,
         )
     if mode == "exact-dense":
         h = np.asarray(oracle.hessian_dense(m), dtype=np.float64)
@@ -483,17 +490,16 @@ def _hessian_ops(mode, oracle, m, lbfgs_hess, seed):
             rhs = np.asarray(rhs)
             return np.linalg.solve(c * h + eye, np.ravel(rhs)).reshape(rhs.shape)
 
-        return h_apply, solve_shifted, float(np.max(np.abs(np.linalg.eigvalsh(h))))
+        return h_apply, solve_shifted, lambda: float(np.max(np.abs(np.linalg.eigvalsh(h))))
     if mode == "lbfgs":
-        return (
-            lbfgs_hess.apply,
-            lbfgs_hess.solve_shifted,
-            lbfgs_hess.norm_estimate(seed=seed),
-        )
-    # raw Hessian-vector products
-    h_apply = lambda v: np.asarray(oracle.hvp(m, v))
-    est = spectral_norm(lambda v: np.ravel(h_apply(v.reshape(m.shape))), m.size, seed=seed)
-    return h_apply, (lambda c, rhs: _cg_shifted(h_apply, c, rhs)), est.value
+        h_apply, solve_shifted = lbfgs_hess.apply, lbfgs_hess.solve_shifted
+        if not len(lbfgs_hess):
+            return h_apply, solve_shifted, lambda: 1.0
+    else:  # raw Hessian-vector products
+        h_apply = lambda v: np.asarray(oracle.hvp(m, v))
+        solve_shifted = lambda c, rhs: _cg_shifted(h_apply, c, rhs)
+    flat = lambda v: np.ravel(h_apply(v.reshape(m.shape)))
+    return h_apply, solve_shifted, lambda: spectral_norm(flat, m.size, seed=seed).value
 
 
 def proximal_newton_solve(
@@ -527,8 +533,6 @@ def proximal_newton_solve(
             return val, math.nan
         return val + lam * r, lam * r
 
-    prev_m = prev_g = None
-    dp_warm = None
     ck = math.nan
     stagnation = 0
     status = "max-iter"
@@ -544,33 +548,23 @@ def proximal_newton_solve(
             break
         g = oracle.gradient(state.m)
         val = oracle.value(state.m)
-        if lbfgs_hess is not None and prev_g is not None:
-            lbfgs_hess.update(state.m - prev_m, g - prev_g)
-        if lbfgs_hess is not None and len(lbfgs_hess) == 0:
-            # empty memory means B = I, which can be wildly misscaled; probe
-            # the curvature along the gradient with one extra evaluation
-            g_norm = _norm(g)
-            if g_norm > 0.0:
-                probe = (-1e-4 * (1.0 + _norm(state.m)) / g_norm) * g
-                lbfgs_hess.update(probe, oracle.gradient(state.m + probe) - g)
-        prev_m, prev_g = state.m.copy(), g.copy()
+        if lbfgs_hess is not None:
+            lbfgs_hess.observe(state.m, g, oracle.gradient)
 
-        h_apply, solve_shifted, sigma = _hessian_ops(
+        h_apply, solve_shifted, sigma_max = _hessian_ops(
             config.hessian, oracle, state.m, lbfgs_hess, config.seed
         )
-        if method == "nista" or k < C_FREEZE_AFTER:
-            if config.c_fixed is not None:
-                ck = config.c_fixed
-            else:
-                ck = C_SAFETY / sigma if sigma > 0.0 else 1.0
+        if config.c_fixed is not None:
+            ck = config.c_fixed
+        elif method == "nista" or k < C_FREEZE_AFTER:
+            sigma = sigma_max()
+            ck = C_SAFETY / sigma if sigma > 0.0 else 1.0
         if ck <= 0.0 or not math.isfinite(ck):
             raise NumericalError(f"invalid step size ck={ck!r} at outer {k}")
 
         if method == "nista":
-            dm, dp_warm = nista_direction(
-                oracle, state.m, denoiser, lam, ck, config.inner_iters,
-                dp0=dp_warm if config.warm_start else None,
-                h_apply=h_apply, grad=g,
+            dm = nista_direction(
+                oracle, state.m, denoiser, lam, ck, config.inner_iters, h_apply=h_apply, grad=g
             )
             f0, _ = composite(state.m, misfit=val)
             merit = lambda mm: composite(mm)[0]

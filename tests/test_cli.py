@@ -119,6 +119,7 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"algorithm": "nista", "inner_iters": 0}, "inner_iters must be at least 1"),
         ({"f_peak": 0}, "bad value for f_peak"),
         ({"paths": 0}, "bad value for paths"),
+        ({"warm_start": "true"}, "unknown key 'warm_start'"),
     ],
 )
 def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, keys, message):
@@ -182,6 +183,12 @@ def test_rosenbrock_command(tmp_path, capsys):
     _assert_manifest_hashes(out.with_name(out.name + ".manifest"), [str(out)])
     # two outer steps stop far from the analytic minimizer
     assert cli.main(["rosenbrock", "--max-outer", "2"]) == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("start", [["--start", "-0.5,0.4"], ["--start=-0.5,0.4"]])
+def test_rosenbrock_start_takes_a_negative_pair_after_a_space_or_equals(start, capsys):
+    assert cli.main(["rosenbrock", *start, "--max-outer", "0"]) == cli.EXIT_NUMERIC
+    assert "converged=(-0.50000000, 0.40000000) in 0 iterations" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("method", ["fwi", "irwri"])

@@ -13,11 +13,14 @@ from ``denoise``'s patch margin.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "proxfwi"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "proxfwi"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -183,3 +186,15 @@ def test_owner_scanner_flags_only_calls_outside_the_owner():
 def test_only_linsys_factors_and_only_wave_pads_the_grid():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _owner_breaches(sources) == []
+
+
+def test_benchmark_wrap_points_name_existing_attributes(monkeypatch):
+    # the benchmark swaps each wrap point in through vars(owner) during traced
+    # runs only, so a rename would otherwise pass every untraced test
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look the module up
+    spec.loader.exec_module(spans)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in spans.wrap_points()
+               if attr not in vars(owner)]
+    assert missing == []
