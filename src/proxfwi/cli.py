@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hessian", choices=("exact", "lbfgs", "identity"), default="exact")
     p.add_argument("--start", type=_point_pair, default="-1.2,1.0")
     p.add_argument("--max-outer", type=int, default=200)
-    p.add_argument("--inner-iters", type=int, default=100)
+    p.add_argument("--inner-iters", type=int, default=100,
+                   help="cap on NISTA's inner sweeps per outer step")
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_rosenbrock)
     return parser

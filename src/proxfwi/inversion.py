@@ -399,7 +399,8 @@ def parse_run_config(path) -> RunConfig:
       lambda (float >= 0, 0); mu (float > 0 | auto, auto): the WRI penalty weight.
     - frequencies (Hz > 0, required): ``3,4.5``; batches (Hz > 0, one batch
       of all): ``3,4 | 5,6``; paths (int >= 1, 1): passes over the batches.
-    - max_outer (int, 70); inner_iters (int >= 1, 100).
+    - max_outer (int >= 0, 70); inner_iters (int >= 1, 100): the cap on
+      NISTA's inner sweeps, which stop earlier at optim.INNER_FORCING.
     - c_fixed (float > 0, unset): the step scale ck of every outer step;
       unset, each step takes C_SAFETY / sigma_max of its Hessian.
     - stopping (max-iter): ``max-iter | data-residual[:EPS|auto] |

@@ -5,7 +5,10 @@ minimizes the local quadratic misfit model plus the regularizer.  Two
 direction solvers are provided: an accelerated proximal-gradient inner loop
 driven purely by Hessian-vector products (``nista_direction``) and an
 operator-splitting step that combines a damped Newton solve, a prox/denoise
-step, and a dual update (``nadmm_step``).
+step, and a dual update (``nadmm_step``).  NISTA's inner loop is an inexact
+proximal Newton solve (Lee, Sun & Saunders 2014): the driver stops it once a
+sweep moves at most ``INNER_FORCING`` times as far as the first sweep did,
+and ``inner_iters`` caps it.
 
 The Hessian can be the oracle's exact/Gauss-Newton operator (``hvp``), its
 dense matrix for toy sizes (``hessian_dense``), a limited-memory quasi-Newton
@@ -38,6 +41,9 @@ from .linsys import spectral_norm
 
 _CURVATURE_FLOOR = 1e-12
 C_SAFETY = 0.9  # ck = C_SAFETY / sigma_max(H_k), just inside the inner loop's 1/L limit
+# NISTA's forcing term: its inner loop stops once a sweep's prox-gradient residual is
+# at most this share of the first sweep's (Eisenstat & Walker 1996)
+INNER_FORCING = 0.05
 C_FREEZE_AFTER = 3  # NADMM fixes ck from this outer step on, so the dual update sees one penalty
 STEP_FLOOR = 1e-14  # an accepted step this small relative to 1 + ||m|| is rounding noise
 # every Hessian mode and the oracle method it reads; lbfgs and identity need none
@@ -269,13 +275,18 @@ def nista_direction(
     n_inner: int,
     h_apply: Callable | None = None,
     grad=None,
+    forcing: float = 0.0,
 ):
     """Search direction from the accelerated proximal-gradient inner loop.
 
-    Runs exactly ``n_inner`` sweeps of: gradient step on the quadratic model
+    Runs at most ``n_inner`` sweeps of: gradient step on the quadratic model
     (one Hessian-vector product), prox of the shifted point, Nesterov
-    extrapolation with coefficient (l-1)/(l+2), starting from zero.  Returns
-    the direction dm.
+    extrapolation with coefficient (l-1)/(l+2), starting from zero.  Sweep l's
+    residual r_l = ||dm_l - dp_{l-1}|| is how far it moved from the point its
+    gradient step started at; r_1 = ck ||G(m_k)||, the outer gradient mapping.
+    With ``forcing`` > 0 the loop stops at the first l with
+    r_l <= forcing * r_1; with 0 it runs all ``n_inner`` sweeps.  Returns
+    (dm, sweeps run).
     """
     if ck <= 0.0:
         raise ValueError("step size ck must be positive")
@@ -293,9 +304,15 @@ def nista_direction(
         dm_new = denoiser.apply(m_k + dm_half, scale) - m_k
         if not np.all(np.isfinite(dm_new)):
             raise NumericalError(f"inner iterate diverged at sweep {ell} (ck={ck:g})")
+        if forcing > 0.0:
+            residual = _norm(dm_new - dp)
+            if ell == 1:
+                first = residual
+            if residual <= forcing * first:
+                return dm_new, ell
         dp = dm_new + ((ell - 1.0) / (ell + 2.0)) * (dm_new - dm)
         dm = dm_new
-    return dm
+    return dm, n_inner
 
 
 @dataclass
@@ -313,12 +330,14 @@ class InversionState:
 
 
 class Step(NamedTuple):
-    """What one outer step did: direction, accepted fraction of it, misfit after."""
+    """What one outer step did: direction, accepted fraction of it, misfit after,
+    and the inner sweeps that found the direction (0 for NADMM)."""
 
     dm: np.ndarray
     alpha: float
     accepted: bool
     misfit: float
+    inner_sweeps: int = 0
 
 
 def _psd_guard(h: np.ndarray) -> np.ndarray:
@@ -391,9 +410,11 @@ class OptConfig:
     C_SAFETY / sigma_max(H_k) each step (1.0 when sigma_max is not positive),
     and NADMM keeps the ck of its outer step C_FREEZE_AFTER (counting from 1)
     for the rest of the run; sigma_max is computed only on the steps where it
-    sets ck.  ``LbfgsHessian`` keeps its own pairs, at most ``lbfgs_memory``.
-    The run stops early once ``stop_metric(oracle, m) <= stop_target``,
-    checked at the start of each outer step; set both or neither.
+    sets ck.  ``inner_iters`` caps NISTA's inner sweeps, which stop earlier
+    at the forcing term ``INNER_FORCING``.  ``LbfgsHessian`` keeps its own
+    pairs, at most ``lbfgs_memory``.  The run stops early once
+    ``stop_metric(oracle, m) <= stop_target``, checked at the start of each
+    outer step; set both or neither.
     """
 
     lam: float = 0.0
@@ -411,6 +432,8 @@ class OptConfig:
             raise ConfigError(f"lambda must be nonnegative and finite, got {self.lam!r}")
         if self.inner_iters < 1:
             raise ConfigError(f"inner_iters must be at least 1, got {self.inner_iters!r}")
+        if self.max_outer < 0:
+            raise ConfigError(f"max_outer must be nonnegative, got {self.max_outer!r}")
         if self.lbfgs_memory < 0:
             raise ConfigError("lbfgs memory must be nonnegative")
         if self.hessian not in _HESSIAN_NEEDS:
@@ -429,6 +452,7 @@ class HistoryRow(NamedTuple):
     alpha: float
     step_norm: float
     ck: float
+    inner_sweeps: int
 
 
 @dataclass
@@ -513,7 +537,8 @@ def proximal_newton_solve(
 
     Stops on the configured target, on three consecutive failed line searches
     (returning the best iterate seen), or when the step collapses to rounding
-    level.  History rows carry (objective, misfit, reg, alpha, step, ck).
+    level.  History rows carry (objective, misfit, reg, alpha, step, ck,
+    inner sweeps).
     """
     if method not in ("nista", "nadmm"):
         raise ConfigError(f"unknown method {method!r}")
@@ -563,14 +588,15 @@ def proximal_newton_solve(
             raise NumericalError(f"invalid step size ck={ck!r} at outer {k}")
 
         if method == "nista":
-            dm = nista_direction(
-                oracle, state.m, denoiser, lam, ck, config.inner_iters, h_apply=h_apply, grad=g
+            dm, sweeps = nista_direction(
+                oracle, state.m, denoiser, lam, ck, config.inner_iters, h_apply=h_apply, grad=g,
+                forcing=INNER_FORCING,
             )
             f0, _ = composite(state.m, misfit=val)
             merit = lambda mm: composite(mm)[0]
             alpha, state.m, obj, accepted = _search_step(merit, state.m, dm, f0, ck)
             _, reg = composite(state.m, misfit=obj)
-            step = Step(dm, alpha, accepted, obj - reg if math.isfinite(reg) else obj)
+            step = Step(dm, alpha, accepted, obj - reg if math.isfinite(reg) else obj, sweeps)
         else:
             step = nadmm_step(
                 oracle, state, denoiser, lam, ck,
@@ -579,7 +605,8 @@ def proximal_newton_solve(
             obj, reg = composite(state.m, misfit=step.misfit)
 
         step_norm = step.alpha * _norm(step.dm)
-        history.append(HistoryRow(k + 1, obj, step.misfit, reg, step.alpha, step_norm, ck))
+        history.append(HistoryRow(k + 1, obj, step.misfit, reg, step.alpha, step_norm, ck,
+                                  step.inner_sweeps))
         if obj < best_obj:
             best_obj, best_m = obj, state.m.copy()
 
@@ -601,9 +628,10 @@ def proximal_newton_solve(
 def history_to_csv(history, path):
     """Write the convergence history in the exported CSV layout."""
     with open(path, "w") as fh:
-        fh.write("iter,objective,misfit,reg_value,alpha,step_norm,ck\n")
+        fh.write("iter,objective,misfit,reg_value,alpha,step_norm,ck,inner_sweeps\n")
         for row in history:
             fh.write(
                 f"{row.iteration},{row.objective:.17g},{row.misfit:.17g},"
-                f"{row.reg_value:.17g},{row.alpha:.17g},{row.step_norm:.17g},{row.ck:.17g}\n"
+                f"{row.reg_value:.17g},{row.alpha:.17g},{row.step_norm:.17g},{row.ck:.17g},"
+                f"{row.inner_sweeps}\n"
             )

@@ -78,9 +78,11 @@ def test_invert_writes_run_directory(tmp_path, models, capsys):
     _assert_manifest_hashes(out / "manifest.txt", [str(p) for p in outputs])
     summary = dict(line.split("=") for line in (out / "summary.txt").read_text().split())
     assert summary["status"] == "max-iter" and summary["batches"] == "1"
-    rows = (out / "history_p0_b0.csv").read_text().splitlines()[1:]
-    assert [int(r.split(",")[0]) for r in rows] == [1, 2]
-    assert all(float(r.split(",")[-1]) == 1e-9 for r in rows)
+    header, *lines = (out / "history_p0_b0.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [int(r["iter"]) for r in rows] == [1, 2]
+    assert all(float(r["ck"]) == 1e-9 for r in rows)
+    assert all(1 <= int(r["inner_sweeps"]) <= 100 for r in rows)
     assert "last status max-iter after 2 outer iterations" in capsys.readouterr().out
     assert model.read_grid(out / "final.grd").values.shape == (21, 21)
 
@@ -120,6 +122,7 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"f_peak": 0}, "bad value for f_peak"),
         ({"paths": 0}, "bad value for paths"),
         ({"warm_start": "true"}, "unknown key 'warm_start'"),
+        ({"max_outer": -3}, "max_outer must be nonnegative"),
     ],
 )
 def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, keys, message):
@@ -179,10 +182,24 @@ def test_rosenbrock_command(tmp_path, capsys):
     out = tmp_path / "toy.csv"
     assert cli.main(["rosenbrock", "--out", str(out)]) == cli.EXIT_OK
     assert "distance=" in capsys.readouterr().out
-    assert out.read_text().startswith("iter,objective,misfit,reg_value,alpha,step_norm,ck\n")
+    assert out.read_text().startswith(
+        "iter,objective,misfit,reg_value,alpha,step_norm,ck,inner_sweeps\n"
+    )
     _assert_manifest_hashes(out.with_name(out.name + ".manifest"), [str(out)])
     # two outer steps stop far from the analytic minimizer
     assert cli.main(["rosenbrock", "--max-outer", "2"]) == cli.EXIT_NUMERIC
+    capsys.readouterr()
+    assert cli.main(["rosenbrock", "--max-outer", "-3"]) == cli.EXIT_DATA
+    assert "max_outer must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hessian", ["exact", "lbfgs", "identity"])
+def test_rosenbrock_nista_reaches_the_minimizer(hessian, capsys):
+    # with its inner loop stopped by the forcing rule, NISTA still reaches the
+    # minimizer in every Hessian mode
+    assert cli.main(["rosenbrock", "--method", "nista", "--hessian", hessian]) == cli.EXIT_OK
+    distance = float(capsys.readouterr().out.split("distance=")[1])
+    assert distance < 1e-6
 
 
 @pytest.mark.parametrize("start", [["--start", "-0.5,0.4"], ["--start=-0.5,0.4"]])

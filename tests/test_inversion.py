@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxfwi import inversion, linsys, model, optim, wave
-from proxfwi.denoise import Denoiser
+from proxfwi.denoise import Denoiser, make_denoiser
 from proxfwi.errors import ConfigError, NumericalError, StateError
 
 warnings.filterwarnings("ignore", message=".*points per minimum wavelength.*")
@@ -499,6 +499,30 @@ def test_fwi_inversion_reduces_model_error():
     result = optim.proximal_newton_solve(oracle, Denoiser("identity"), config, m0, "nadmm")
     assert inversion.rmse(result.m, m_true) < inversion.rmse(m0, m_true)
     assert oracle.value(result.m) < 0.05 * oracle.value(m0)
+
+
+def test_wri_nista_tv_inversion_at_41_lowers_model_error_within_the_box():
+    # all-four inclusions at 41^2 and 50 m, 5 surface sources, 3/4/5 Hz, 20 dB
+    # noise, tv2d at lambda = 1e-9 and 5 outer steps from 2000 m/s
+    n, h, freqs, inner_iters = 41, 50.0, (3.0, 4.0, 5.0), 100
+    true = model.make_inclusion_model("all-four", n, n, h, h, 2000.0, 2500.0)
+    init = model.ModelGrid.from_values(np.full((n, n), 2000.0), h, h)
+    acq = model.surface_boundary_geometry(n, n, freqs, 5)
+    clean = wave.forward(true, acq, 10.0, 10, pml_velocity=2000.0)
+    observed = wave.add_noise(clean, 20.0, 7)
+    mu = inversion.default_penalty_mu(init, freqs[0], pml_cells=10)
+    m0 = model.as_slowness_squared(init).values
+    m_true = model.as_slowness_squared(true).values
+    config = optim.OptConfig(lam=1e-9, max_outer=5, inner_iters=inner_iters,
+                             hessian="diagonal", seed=7)
+    m, (batch,) = inversion.multiscale_drive(
+        m0, observed, acq, "irwri", "nista", make_denoiser("tv2d", ref=m0), 1e-9, mu,
+        [[freqs]], config, init, 10.0, 10,
+    )
+    assert batch.n_outer == 5
+    assert inversion.rmse(m, m_true) < inversion.rmse(m0, m_true)
+    assert np.all((m >= 1.0 / 4500.0**2) & (m <= 1.0 / 1500.0**2))
+    assert all(0 < row.inner_sweeps < inner_iters for row in batch.history)
 
 
 def test_fwi_line_search_trials_are_the_only_refactorizations(monkeypatch):

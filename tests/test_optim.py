@@ -213,7 +213,8 @@ def test_zero_direction_is_an_accepted_null_step_that_stops_the_run(method, hess
 def test_nista_single_step_is_gradient_step():
     oracle = _quadratic_oracle(np.eye(2), np.zeros(2))
     m = np.array([3.0, -4.0])
-    dm = optim.nista_direction(oracle, m, Denoiser("identity"), 0.0, 1.0, 1)
+    dm, sweeps = optim.nista_direction(oracle, m, Denoiser("identity"), 0.0, 1.0, 1)
+    assert sweeps == 1
     assert np.allclose(dm, -oracle.gradient(m), atol=1e-15)
 
 
@@ -225,7 +226,7 @@ def test_nista_converges_to_newton_direction():
     m = rng.standard_normal(2)
     newton = -np.linalg.solve(q, oracle.gradient(m))
     ck = 0.9 / np.linalg.eigvalsh(q)[-1]
-    dm = optim.nista_direction(oracle, m, Denoiser("identity"), 0.0, ck, 2000)
+    dm, _ = optim.nista_direction(oracle, m, Denoiser("identity"), 0.0, ck, 2000)
     assert np.linalg.norm(dm - newton) < 1e-6
 
 
@@ -237,7 +238,7 @@ def test_nista_subproblem_matches_grid_search():
     hess = oracle.hessian_dense(m)
     grad = oracle.gradient(m)
     ck = 0.9 / np.linalg.eigvalsh(hess)[-1]
-    dm = optim.nista_direction(oracle, m, Denoiser("l1"), lam, ck, 100)
+    dm, _ = optim.nista_direction(oracle, m, Denoiser("l1"), lam, ck, 100)
 
     # exhaustive refining search over the subproblem objective
     def model(d):
@@ -260,7 +261,7 @@ def test_nista_subproblem_matches_grid_search():
     assert np.linalg.norm(dm - best) <= max(5e-3, 3 * step.max())
     assert model(dm) <= model(best) + 1e-4
     # with a large inner budget the sweep nails the subproblem argmin
-    dm_long = optim.nista_direction(oracle, m, Denoiser("l1"), lam, ck, 5000)
+    dm_long, _ = optim.nista_direction(oracle, m, Denoiser("l1"), lam, ck, 5000)
     assert np.linalg.norm(dm_long - [0.25, 0.0]) < 1e-5
 
 
@@ -279,8 +280,72 @@ def test_nista_uses_exactly_n_hvp_evaluations():
             calls.append(1)
             return base.hvp(m, v)
 
-    optim.nista_direction(Counting(), np.zeros(2), Denoiser("l1"), 1.0, 1e-3, 37)
-    assert len(calls) == 37
+    _, sweeps = optim.nista_direction(Counting(), np.zeros(2), Denoiser("l1"), 1.0, 1e-3, 37)
+    assert len(calls) == sweeps == 37
+
+
+@pytest.mark.parametrize("forcing, sweeps", [(0.0, 9), (0.05, 1)])
+def test_nista_zero_gradient_runs_every_sweep_only_without_forcing(forcing, sweeps):
+    # at the minimizer r_1 = 0, so any forcing term is met on the first sweep
+    calls = []
+    q, b = np.array([[4.0, 1.0], [1.0, 2.0]]), np.array([1.0, -1.0])
+
+    def h_apply(v):
+        calls.append(1)
+        return q @ v
+
+    oracle = _quadratic_oracle(q, b)
+    m = np.linalg.solve(q, b)
+    dm, ran = optim.nista_direction(
+        oracle, m, Denoiser("identity"), 0.0, 0.2, 9, h_apply=h_apply, grad=np.zeros(2),
+        forcing=forcing,
+    )
+    assert len(calls) == ran == sweeps
+    assert np.array_equal(dm, np.zeros(2))
+
+
+def test_nista_forcing_stops_at_the_first_small_residual():
+    rng = np.random.default_rng(3)
+    q = np.array([[4.0, 1.0], [1.0, 2.0]])
+    oracle = _quadratic_oracle(q, rng.standard_normal(2))
+    m = rng.standard_normal(2)
+    ck = 0.9 / np.linalg.eigvalsh(q)[-1]
+    n = 60
+    starts = []  # dp_{l-1}, the point sweep l's gradient step starts at
+
+    def h_apply(v):
+        starts.append(np.array(v, copy=True))
+        return q @ v
+
+    def run(n_inner, forcing=0.0):
+        return optim.nista_direction(
+            oracle, m, Denoiser("identity"), 0.0, ck, n_inner, h_apply=h_apply, forcing=forcing
+        )
+
+    run(n)
+    dp = starts[:]
+    residuals = [np.linalg.norm(run(ell)[0] - dp[ell - 1]) for ell in range(1, n + 1)]
+    stop = next(ell for ell, r in enumerate(residuals, 1) if r <= 0.05 * residuals[0])
+    assert 1 < stop < n
+
+    starts.clear()
+    dm, sweeps = run(n, forcing=0.05)
+    assert sweeps == len(starts) == stop
+    assert np.array_equal(dm, run(stop)[0])
+
+
+def test_proximal_newton_solve_passes_the_inner_forcing_term(monkeypatch):
+    seen = []
+    direction = optim.nista_direction
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["forcing"])
+        return direction(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "nista_direction", recording)
+    monkeypatch.setattr(optim, "INNER_FORCING", 0.125)
+    result = _toy_solve(1.5, "nista", max_outer=3)
+    assert seen == [0.125] * result.n_outer and result.n_outer == 3
 
 
 def test_nista_extrapolation_coefficients_exact():
@@ -421,10 +486,13 @@ def test_history_csv_export(tmp_path):
     path = tmp_path / "hist.csv"
     optim.history_to_csv(result.history, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,objective,misfit,reg_value,alpha,step_norm,ck"
+    assert lines[0] == "iter,objective,misfit,reg_value,alpha,step_norm,ck,inner_sweeps"
     assert len(lines) == len(result.history) + 1
     first = lines[1].split(",")
-    assert int(first[0]) == 1 and len(first) == 7
+    assert int(first[0]) == 1 and len(first) == 8
+    assert [int(line.split(",")[-1]) for line in lines[1:]] == [
+        row.inner_sweeps for row in result.history
+    ]
 
 
 def test_nadmm_holds_ck_from_the_freeze_step_on(monkeypatch):
@@ -456,7 +524,7 @@ def test_nadmm_holds_ck_from_the_freeze_step_on(monkeypatch):
     "kwargs",
     [dict(stop_target=1.0), dict(stop_metric=lambda oracle, m: 0.0), dict(c_fixed=0.0),
      dict(c_fixed=-1.0), dict(c_fixed=np.nan), dict(c_fixed=np.inf), dict(lam=np.nan),
-     dict(lam=-1.0), dict(inner_iters=0)],
+     dict(lam=-1.0), dict(inner_iters=0), dict(max_outer=-3)],
 )
 def test_config_rejects_half_stopping_rule_and_bad_step(kwargs):
     with pytest.raises(ConfigError):
