@@ -86,20 +86,11 @@ def cmd_model_gen(args, argv):
     return EXIT_OK
 
 
-def _geometry_from_args(args, grid) -> model.AcquisitionGeometry:
-    if args.sources or args.receivers:
-        if not (args.sources and args.receivers):
-            raise ConfigError("--sources and --receivers must be given together")
-        return model.AcquisitionGeometry(args.sources, args.receivers, args.freqs)
-    return model.surface_boundary_geometry(
-        grid.nz, grid.nx, args.freqs, args.n_sources, args.source_depth, args.receiver_spacing
-    )
-
-
 def cmd_forward(args, argv):
     t0 = time.monotonic()
     grid = read_grid(args.model)
-    acq = _geometry_from_args(args, grid)
+    acq = model.survey_geometry(grid.nz, grid.nx, args.freqs, args.sources, args.receivers,
+                                args.n_sources, args.source_depth, args.receiver_spacing)
     data = wave.forward(grid, acq, args.f_peak, args.pml_cells, args.free_surface)
     data = wave.add_noise(data, args.snr_db, args.seed)
     model.write_freq_data(data, args.out)
@@ -191,8 +182,7 @@ def cmd_preview(args, argv):
 def cmd_rosenbrock(args, argv):
     hessian = {"exact": "exact-dense", "lbfgs": "lbfgs", "identity": "identity"}[args.hessian]
     config = optim.OptConfig(
-        lam=args.lam, hessian=hessian, max_outer=args.max_outer,
-        inner_iters=args.inner_iters, lbfgs_memory=args.max_outer,
+        lam=args.lam, hessian=hessian, max_outer=args.max_outer, inner_iters=args.inner_iters,
     )
     oracle = rosenbrock.RosenbrockOracle()
     t0 = time.monotonic()

@@ -3,7 +3,8 @@
 Every entry point maps a real field to a same-shape real field and is
 deterministic, which is all the optimization layer assumes about them.  The
 ``scale`` argument of :meth:`Denoiser.apply` is the running prox weight
-(step size times regularization weight); scale 0 is always the identity.
+(step size times regularization weight lambda), the one strength a denoiser
+takes; scale 0 is always the identity.
 The TV prox is exact, computed by fast gradient projection (FGP) on its dual
 with array differences only; the ``iters`` spec parameter caps the FGP
 iterations.  :class:`ExternalDenoiser` runs a black-box denoiser as a
@@ -24,6 +25,8 @@ from scipy.ndimage import uniform_filter
 
 from .errors import ConfigError, DenoiserPipeError, GeometryError, ProxfwiError
 from .model import KIND_SLOWNESS_SQ, ModelGrid, read_grid, write_grid
+
+NLM_BANDWIDTH = 0.1  # nlm's bandwidth h per unit of prox scale
 
 
 def prox_l1(x: np.ndarray, t: float) -> np.ndarray:
@@ -132,7 +135,7 @@ def nlm(
     x: np.ndarray,
     patch_radius: int = 1,
     search_radius: int = 3,
-    h: float = 0.1,
+    h: float = NLM_BANDWIDTH,
     sigma: float = 0.0,
 ) -> np.ndarray:
     """Non-local means: weight-normalized average over a search window.
@@ -176,19 +179,18 @@ def nlm(
 class Denoiser:
     """Dispatch record for the built-in denoiser kinds.
 
-    kind is one of identity | l1 | l2sq | tv2d | nlm.  ``weight`` multiplies
-    the prox scale for l1/l2sq/tv2d; for nlm the scale multiplies the
-    bandwidth, a documented heuristic (stronger regularization smooths more).
-    ``inner_iters`` caps the FGP iterations of the tv2d prox.
+    kind is one of identity | l1 | l2sq | tv2d | nlm.  The prox scale alone
+    sets the strength: l1/l2sq/tv2d take it as their prox weight, and nlm
+    takes the bandwidth ``NLM_BANDWIDTH * scale``, a documented heuristic
+    (stronger regularization smooths more).  ``inner_iters`` caps the FGP
+    iterations of the tv2d prox.
     """
 
     kind: str = "identity"
-    weight: float = 1.0
     ref: np.ndarray | None = None
     inner_iters: int = 600
     patch_radius: int = 1
     search_radius: int = 3
-    bandwidth: float = 0.1
     sigma: float = 0.0
 
     def __post_init__(self):
@@ -204,14 +206,12 @@ class Denoiser:
         if scale == 0.0 or self.kind == "identity":
             return x.copy()
         if self.kind == "l1":
-            return prox_l1(x, scale * self.weight)
+            return prox_l1(x, scale)
         if self.kind == "l2sq":
-            return prox_l2sq(x, scale * self.weight, self.ref)
+            return prox_l2sq(x, scale, self.ref)
         if self.kind == "tv2d":
-            return tv2d(x, scale * self.weight, self.inner_iters)
-        return nlm(
-            x, self.patch_radius, self.search_radius, self.bandwidth * scale, self.sigma
-        )
+            return tv2d(x, scale, self.inner_iters)
+        return nlm(x, self.patch_radius, self.search_radius, NLM_BANDWIDTH * scale, self.sigma)
 
     def penalty(self, x: np.ndarray) -> float | None:
         """R(x) when the denoiser corresponds to an explicit functional."""
@@ -219,11 +219,11 @@ class Denoiser:
         if self.kind == "identity":
             return 0.0
         if self.kind == "l1":
-            return self.weight * float(np.sum(np.abs(x)))
+            return float(np.sum(np.abs(x)))
         if self.kind == "l2sq":
-            return self.weight * float(np.sum((x - self.ref) ** 2))
+            return float(np.sum((x - self.ref) ** 2))
         if self.kind == "tv2d":
-            return self.weight * tv_value(x)
+            return tv_value(x)
         return None
 
 
@@ -278,13 +278,13 @@ class ExternalDenoiser:
 
 def make_denoiser(spec: str, ref: np.ndarray | None = None, dz: float = 1.0, dx: float = 1.0,
                   kind: str = KIND_SLOWNESS_SQ) -> Denoiser | ExternalDenoiser:
-    """Parse a denoiser spec string like ``tv2d:weight=2e-9,iters=30``.
+    """Parse a denoiser spec string like ``tv2d:iters=30``.
 
-    Recognized parameters: weight (l1/l2sq/tv2d), iters (the cap on tv2d's
-    dual iterations), patch/search/h/sigma (nlm).  ``ref`` supplies the l2sq
-    reference field.  ``external:<template>`` builds an
-    :class:`ExternalDenoiser` whose grid files carry spacing ``dz``/``dx`` and
-    model ``kind``.
+    Recognized parameters: iters (the cap on tv2d's dual iterations),
+    patch/search/sigma (nlm); the strength is the prox scale, never a spec
+    parameter.  ``ref`` supplies the l2sq reference field.
+    ``external:<template>`` builds an :class:`ExternalDenoiser` whose grid
+    files carry spacing ``dz``/``dx`` and model ``kind``.
     """
     if spec.startswith("external:"):
         return ExternalDenoiser(spec[len("external:"):], dz=dz, dx=dx, kind=kind)
@@ -300,16 +300,12 @@ def make_denoiser(spec: str, ref: np.ndarray | None = None, dz: float = 1.0, dx:
     try:
         mapped = {}
         for key, value in kwargs.items():
-            if key == "weight":
-                mapped["weight"] = float(value)
-            elif key == "iters":
+            if key == "iters":
                 mapped["inner_iters"] = int(value)
             elif key == "patch":
                 mapped["patch_radius"] = int(value)
             elif key == "search":
                 mapped["search_radius"] = int(value)
-            elif key == "h":
-                mapped["bandwidth"] = float(value)
             elif key == "sigma":
                 mapped["sigma"] = float(value)
             else:

@@ -307,7 +307,7 @@ def make_inclusion_model(
         }
         mask = np.zeros((nz, nx), dtype=bool)
         for name, center in quads.items():
-            mask |= _shape_mask(name, z, x, center, _shape_size(name, base, span, scale=1.0))
+            mask |= _shape_mask(name, z, x, center, _shape_size(name, base, span))
     else:
         center = (0.5 * lz, 0.5 * lx)
         mask = _shape_mask(shape, z, x, center, _shape_size(shape, size, span))
@@ -320,12 +320,11 @@ def make_inclusion_model(
     return ModelGrid(nz, nx, dz, dx, values, KIND_VELOCITY)
 
 
-def _shape_size(shape, size, span, scale=None):
+def _shape_size(shape, size, span):
     if size is not None:
         return float(size)
     defaults = {"square": 0.25, "disk": 0.125, "ring": 0.15, "cross": 0.3}
-    frac = defaults[shape] * (scale if scale is not None else 1.0)
-    return frac * span
+    return defaults[shape] * span
 
 
 def _shape_mask(shape, z, x, center, size):
@@ -397,3 +396,16 @@ def surface_boundary_geometry(
         receivers.append((nz - 1, ix))
     receivers = sorted(set(receivers))
     return AcquisitionGeometry(tuple(sources), tuple(receivers), tuple(frequencies))
+
+
+def survey_geometry(nz: int, nx: int, frequencies, sources=(), receivers=(), n_sources: int = 5,
+                    source_depth: int = 0, receiver_spacing: int = 2) -> AcquisitionGeometry:
+    """Explicit ``sources`` and ``receivers`` when both are given, else the
+    surface layout; one list alone is a GeometryError naming both."""
+    if not (sources or receivers):
+        return surface_boundary_geometry(nz, nx, frequencies, n_sources, source_depth,
+                                         receiver_spacing)
+    if not (sources and receivers):
+        given = "sources" if sources else "receivers"
+        raise GeometryError(f"sources and receivers must be given together, got {given} only")
+    return AcquisitionGeometry(sources, receivers, frequencies)

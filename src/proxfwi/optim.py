@@ -24,8 +24,10 @@ solvers accept their step through one ``_search_step``, which backtracks with
 the step scale ck, the history and the stopping decision; ``InversionState``
 holds only the iterate and NADMM's splitting variables, and each step reports
 back through a ``Step``.  ``OptConfig`` states each decision once: the step
-scale in ``c_fixed`` (None for the spectral rule) and early stopping in the
-pair ``stop_target`` / ``stop_metric``.
+scale in ``c_fixed`` (None for the spectral rule), the regularization
+strength in ``lam`` (both solvers call the prox at scale ck * lam, and the
+objective adds lam * penalty) and early stopping in the pair
+``stop_target`` / ``stop_metric``.
 """
 
 from __future__ import annotations
@@ -412,7 +414,7 @@ class OptConfig:
     for the rest of the run; sigma_max is computed only on the steps where it
     sets ck.  ``inner_iters`` caps NISTA's inner sweeps, which stop earlier
     at the forcing term ``INNER_FORCING``.  ``LbfgsHessian`` keeps its own
-    pairs, at most ``lbfgs_memory``.  The run stops early once
+    pairs, at most its default memory of 10.  The run stops early once
     ``stop_metric(oracle, m) <= stop_target``, checked at the start of each
     outer step; set both or neither.
     """
@@ -421,7 +423,6 @@ class OptConfig:
     c_fixed: float | None = None
     max_outer: int = 70
     inner_iters: int = 100
-    lbfgs_memory: int = 10
     hessian: str = "hvp"  # hvp | exact-dense | lbfgs | diagonal | identity
     stop_target: float | None = None
     stop_metric: Callable | None = None  # (oracle, m) -> float
@@ -434,8 +435,6 @@ class OptConfig:
             raise ConfigError(f"inner_iters must be at least 1, got {self.inner_iters!r}")
         if self.max_outer < 0:
             raise ConfigError(f"max_outer must be nonnegative, got {self.max_outer!r}")
-        if self.lbfgs_memory < 0:
-            raise ConfigError("lbfgs memory must be nonnegative")
         if self.hessian not in _HESSIAN_NEEDS:
             raise ConfigError(f"unknown hessian mode {self.hessian!r}")
         if self.c_fixed is not None and not (0.0 < self.c_fixed < math.inf):
@@ -548,7 +547,7 @@ def proximal_newton_solve(
         raise ConfigError(f"hessian mode {config.hessian!r} needs an oracle with {need}")
     lam = config.lam
     state = InversionState.initial(m0)
-    lbfgs_hess = LbfgsHessian(config.lbfgs_memory) if config.hessian == "lbfgs" else None
+    lbfgs_hess = LbfgsHessian() if config.hessian == "lbfgs" else None
     pen = getattr(denoiser, "penalty", None)
 
     def composite(mm, misfit=None):

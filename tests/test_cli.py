@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxfwi import cli, inversion, model
+from proxfwi import cli, inversion, model, optim
+from proxfwi.denoise import make_denoiser
 
 FREQS = "3,4"
 
@@ -123,6 +124,10 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"paths": 0}, "bad value for paths"),
         ({"warm_start": "true"}, "unknown key 'warm_start'"),
         ({"max_outer": -3}, "max_outer must be nonnegative"),
+        ({"denoiser": "tv2d:weight=2"}, "unknown denoiser parameter 'weight'"),
+        ({"denoiser": "nlm:h=0.05"}, "unknown denoiser parameter 'h'"),
+        ({"sources": "0:10"}, "sources and receivers must be given together"),
+        ({"receivers": "20:5;20:15"}, "sources and receivers must be given together"),
     ],
 )
 def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, keys, message):
@@ -148,6 +153,30 @@ def test_bad_flag_value_is_a_usage_error_naming_the_flag(argv, flag, capsys):
         cli.main(argv)
     assert exc.value.code == cli.EXIT_USAGE
     assert f"argument {flag}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--sources", "0:10"], ["--receivers", "20:5;20:15"]])
+def test_forward_half_geometry_exits_with_data_error(tmp_path, models, flags, capsys):
+    true, _, _ = models
+    argv = ["forward", "--model", str(true), "--freqs", FREQS, "--out", str(tmp_path / "d.dat")]
+    assert cli.main(argv + flags) == cli.EXIT_DATA
+    assert "sources and receivers must be given together" in capsys.readouterr().err
+
+
+def test_run_inversion_takes_explicit_sources_and_receivers(tmp_path, models, monkeypatch):
+    drive, seen = inversion.multiscale_drive, []
+
+    def recording(m0, observed, acq, *args, **kwargs):
+        seen.append((acq, observed))
+        return drive(m0, observed, acq, *args, **kwargs)
+
+    monkeypatch.setattr(inversion, "multiscale_drive", recording)
+    inversion.run_inversion(_run_config(tmp_path, models, max_outer=0, sources="0:10;0:4",
+                                        receivers="20:5;20:15;10:20"))
+    ((acq, observed),) = seen
+    assert acq.sources == ((0, 10), (0, 4))
+    assert acq.receivers == ((20, 5), (20, 15), (10, 20))
+    assert (observed.n_receivers, observed.n_sources) == (3, 2)
 
 
 @pytest.mark.parametrize("method", ["fwi", "irwri"])
@@ -193,6 +222,21 @@ def test_rosenbrock_command(tmp_path, capsys):
     assert "max_outer must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_outer", ["2", "200"])
+def test_rosenbrock_lbfgs_memory_is_the_library_default(max_outer, monkeypatch, capsys):
+    # the toy keeps the library's memory at any step count
+    built = []
+
+    class Recording(optim.LbfgsHessian):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(optim, "LbfgsHessian", Recording)
+    cli.main(["rosenbrock", "--hessian", "lbfgs", "--max-outer", max_outer])
+    assert [h.memory for h in built] == [10]
+
+
 @pytest.mark.parametrize("hessian", ["exact", "lbfgs", "identity"])
 def test_rosenbrock_nista_reaches_the_minimizer(hessian, capsys):
     # with its inner loop stopped by the forcing rule, NISTA still reaches the
@@ -217,3 +261,71 @@ def test_data_residual_stopping_takes_a_step(tmp_path, models, method):
     summary = inversion.run_inversion(cfg)
     assert summary.stop_target == pytest.approx(1.01 * summary.noise_norm, rel=1e-15)
     assert summary.batches[-1].n_outer >= 1
+
+
+# ---------------------------------------------------------------------------
+# denoise, metrics and preview
+
+
+@pytest.mark.parametrize(
+    "spec, scale, with_ref",
+    [("tv2d:iters=50", 30.0, False), ("l2sq", 0.5, True), ("nlm:search=2", 1e4, False)],
+)
+def test_denoise_command_matches_the_in_process_denoiser(tmp_path, models, spec, scale,
+                                                         with_ref):
+    true, init, _ = models
+    out = tmp_path / "den.grd"
+    argv = ["denoise", "--in", str(true), "--out", str(out), "--denoiser", spec,
+            "--scale", str(scale)] + (["--ref", str(init)] if with_ref else [])
+    assert cli.main(argv) == cli.EXIT_OK
+    grid = model.read_grid(true)
+    ref = model.read_grid(init).values if with_ref else grid.values
+    expected = make_denoiser(spec, ref=ref).apply(grid.values, scale)
+    assert not np.array_equal(expected, grid.values)
+    written = model.read_grid(out)
+    assert np.array_equal(written.values, expected)
+    assert (written.dz, written.dx, written.kind) == (grid.dz, grid.dx, grid.kind)
+    manifest = out.with_name(out.name + ".manifest")
+    _assert_manifest_hashes(manifest, [str(out)])
+    inputs = [true] + ([init] if with_ref else [])
+    entries = _manifest(manifest)
+    assert [k for k in entries if k.startswith("input:")] == [f"input:{p}" for p in inputs]
+    assert all(entries[f"input:{p}"] == _sha256(p) for p in inputs)
+
+
+def test_metrics_command_prints_rmse_and_snr(tmp_path, models, capsys):
+    true, init, noisy = models
+    assert cli.main(["metrics", "--est", str(init), "--true", str(true)]) == cli.EXIT_OK
+    expected = inversion.rmse(model.read_grid(init), model.read_grid(true))
+    assert capsys.readouterr().out == f"rmse_percent={expected:.10g}\n"
+    clean = tmp_path / "clean.dat"
+    assert cli.main(["forward", "--model", str(true), "--freqs", FREQS, "--out", str(clean)]) == 0
+    capsys.readouterr()
+    assert cli.main(["metrics", "--signal", str(clean), "--noisy", str(noisy)]) == cli.EXIT_OK
+    key, value = capsys.readouterr().out.strip().split("=")
+    assert key == "snr_db" and abs(float(value) - 20.0) <= 1e-9
+
+
+def test_metrics_command_without_inputs_exits_with_data_error(capsys):
+    assert cli.main(["metrics"]) == cli.EXIT_DATA
+    assert "metrics needs" in capsys.readouterr().err
+
+
+def test_preview_command_writes_a_full_range_pgm(tmp_path, models):
+    true, _, _ = models
+    out = tmp_path / "true.pgm"
+    assert cli.main(["preview", "--in", str(true), "--out", str(out)]) == cli.EXIT_OK
+    raw = out.read_bytes()
+    header = b"P5\n21 21\n255\n"
+    assert raw.startswith(header) and len(raw) == len(header) + 441
+    pixels = np.frombuffer(raw[len(header):], dtype=np.uint8)
+    assert pixels.min() == 0 and pixels.max() == 255
+    _assert_manifest_hashes(out.with_name(out.name + ".manifest"), [str(out)])
+
+
+def test_preview_command_rejects_an_empty_value_range(tmp_path, models, capsys):
+    true, _, _ = models
+    argv = ["preview", "--in", str(true), "--out", str(tmp_path / "p.pgm"),
+            "--vmin", "5", "--vmax", "5"]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "must be below vmax" in capsys.readouterr().err

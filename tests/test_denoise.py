@@ -314,6 +314,18 @@ def test_apply_l1_matches_prox():
     assert np.array_equal(d.apply(x, 0.37), denoise.prox_l1(x, 0.37))
 
 
+def test_apply_scale_is_the_only_strength():
+    # the prox scale is the weight of l1/l2sq/tv2d and sets nlm's bandwidth
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((7, 7))
+    ref = rng.standard_normal((7, 7))
+    assert np.array_equal(denoise.Denoiser("l2sq", ref=ref).apply(x, 0.3),
+                          denoise.prox_l2sq(x, 0.3, ref))
+    assert np.array_equal(denoise.Denoiser("tv2d").apply(x, 0.3), denoise.tv2d(x, 0.3))
+    assert np.array_equal(denoise.Denoiser("nlm").apply(x, 4.0),
+                          denoise.nlm(x, h=4.0 * denoise.NLM_BANDWIDTH))
+
+
 def test_apply_negative_scale_rejected():
     with pytest.raises(ValueError):
         denoise.Denoiser("l1").apply(np.ones(3), -1.0)
@@ -328,15 +340,17 @@ def test_penalty_values():
 
 
 def test_make_denoiser_parsing():
-    d = denoise.make_denoiser("tv2d:weight=2.5,iters=7")
-    assert d.kind == "tv2d" and d.weight == 2.5 and d.inner_iters == 7
-    d = denoise.make_denoiser("nlm:patch=2,search=4,h=0.05,sigma=0.1")
-    assert (d.patch_radius, d.search_radius, d.bandwidth, d.sigma) == (2, 4, 0.05, 0.1)
+    d = denoise.make_denoiser("tv2d:iters=7")
+    assert d.kind == "tv2d" and d.inner_iters == 7
+    d = denoise.make_denoiser("nlm:patch=2,search=4,sigma=0.1")
+    assert (d.patch_radius, d.search_radius, d.sigma) == (2, 4, 0.1)
     assert denoise.make_denoiser("none").kind == "identity"
     with pytest.raises(ConfigError):
         denoise.make_denoiser("wavelet")
-    with pytest.raises(ConfigError):
-        denoise.make_denoiser("l1:strength=2")
+    # lambda (the prox scale) is the one strength: no spec key repeats it
+    for spec in ("l1:strength=2", "tv2d:weight=2.5", "nlm:h=0.05"):
+        with pytest.raises(ConfigError, match="unknown denoiser parameter"):
+            denoise.make_denoiser(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,29 @@ def test_history_csv_export(tmp_path):
     ]
 
 
+def test_nista_with_a_penaltyless_denoiser_records_the_misfit_as_objective(tmp_path):
+    # nlm has no explicit functional: reg_value is NaN and the objective is the misfit
+    rng = np.random.default_rng(21)
+    target = rng.uniform(1.0, 2.0, (8, 8))
+    oracle = optim.CallbackOracle(
+        value=lambda m: 0.5 * float(np.sum((m - target) ** 2)),
+        gradient=lambda m: m - target,
+        hessian_diag=lambda m: np.ones_like(m),
+    )
+    config = optim.OptConfig(lam=0.5, hessian="diagonal", max_outer=3)
+    result = optim.proximal_newton_solve(oracle, Denoiser("nlm"), config, np.ones((8, 8)),
+                                         "nista")
+    assert result.n_outer >= 1
+    assert all(np.isnan(row.reg_value) and row.objective == row.misfit
+               for row in result.history)
+    path = tmp_path / "hist.csv"
+    optim.history_to_csv(result.history, path)
+    header, *lines = path.read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == result.n_outer
+    assert all(r["reg_value"] == "nan" and r["objective"] == r["misfit"] for r in rows)
+
+
 def test_nadmm_holds_ck_from_the_freeze_step_on(monkeypatch):
     n = optim.C_FREEZE_AFTER + 3
     result = _toy_solve(0.0, "nadmm", c_fixed=None, max_outer=n)
