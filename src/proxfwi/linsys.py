@@ -5,11 +5,12 @@ Desk-scale 2D systems factor in well under a second, so a direct sparse LU
 entry point to it.  Every matrix the package factors is complex and
 structurally symmetric: the complex-symmetric 5-point Helmholtz operator A
 and the Hermitian positive-definite WRI normal matrix A^H A + mu^2 P^T P.
-SuperLU therefore runs in symmetric mode: a multiple-minimum-degree ordering
-of A + A^T applied to rows and columns alike, and a diagonal pivot threshold
-of 0.01 (``DIAG_PIVOT_THRESH``) that keeps the diagonal as pivot, and with it
-the fill the symmetric ordering planned for, unless an entry below it is 100
-times larger.
+Each is permuted on rows and columns alike by the multiple-minimum-degree
+ordering of A + A^T, which :func:`_mmd_order` reads once per sparsity pattern
+and keeps for the last ``MMD_CACHE_SIZE`` patterns.  SuperLU factors it in
+that order in symmetric mode, with a diagonal pivot threshold of 0.01
+(``DIAG_PIVOT_THRESH``) that keeps the diagonal as pivot, and with it the
+fill the ordering planned for, unless an entry below it is 100 times larger.
 
 A factorization serves right-hand sides in two ways.  :meth:`Factorization.solve`
 runs full-length triangular solves, one per column, for callers that need
@@ -36,19 +37,19 @@ from .errors import FactorizationError
 # 0.1 more than tripled fill on unphysical (m < 0) models, 0.0 lost residual digits
 DIAG_PIVOT_THRESH = 0.01
 
-# one entry, (pattern, order): the frequencies of one modeling call and the
-# requests of one survey share an operator pattern, so they share an ordering
-_mmd_cache: tuple = (None, None)
+# MMD orders kept, by pattern: a WRI run's A and normal matrix keep one each
+MMD_CACHE_SIZE = 4
+_mmd_cache: dict = {}
 
 
 class Factorization:
     """Opaque LU handle tied to one matrix; reusable across right-hand sides.
 
-    ``order`` is the symmetric permutation the factor was computed in (None
-    for SuperLU's own), and ``n_last`` how many unknowns it eliminated last.
+    ``order`` is the symmetric permutation the factor was computed in, and
+    ``n_last`` how many unknowns at the end of ``order`` were eliminated last.
     """
 
-    def __init__(self, lu, n: int, order: np.ndarray | None = None, n_last: int = 0):
+    def __init__(self, lu, n: int, order: np.ndarray, n_last: int):
         self._lu = lu
         self.n = n
         self._order = order
@@ -60,8 +61,6 @@ class Factorization:
         if rhs.shape[0] != self.n:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, matrix dimension is {self.n}")
         rhs = rhs.astype(np.complex128, casting="safe", copy=False)
-        if self._order is None:
-            return self._lu.solve(rhs)
         x = np.empty_like(rhs)
         x[self._order] = self._lu.solve(rhs[self._order])
         return x
@@ -75,8 +74,6 @@ class Factorization:
         unknowns at zero, so two dense triangular solves on the trailing
         k x k blocks of L and U give x[last] exactly.
         """
-        if self._order is None:
-            raise ValueError("factorization was not computed with last=")
         rows = np.asarray(rows, dtype=np.int64)
         values = np.asarray(values, dtype=np.complex128)
         k, lead = self._n_last, self.n - self._n_last
@@ -103,10 +100,10 @@ class Factorization:
 def order_last(a, last) -> np.ndarray:
     """Symmetric ordering that puts ``last`` at the end, in the order given.
 
-    The other unknowns keep their relative place in SuperLU's own
-    multiple-minimum-degree order of the whole pattern.  On the 161^2
-    modeling grid that gave 22-27 % less fill than ordering the other
-    unknowns' pattern on its own.
+    The other unknowns keep their relative place in the cached
+    multiple-minimum-degree order of the whole pattern, so with ``last``
+    empty this is that order.  On the 161^2 modeling grid that gave 22-27 %
+    less fill than ordering the other unknowns' pattern on its own.
     """
     a = sp.csc_matrix(a)
     last = np.asarray(last, dtype=np.int64)
@@ -126,61 +123,59 @@ def _mmd_order(a: sp.csc_matrix) -> np.ndarray:
     pattern: ones, with each column's entry count plus one on the diagonal,
     so that it is strictly diagonally dominant and never meets a zero pivot.
     In symmetric mode SuperLU does not postorder the elimination tree, so
-    ``perm_c`` is the ordering itself.
+    ``perm_c`` is the ordering itself.  The ``MMD_CACHE_SIZE`` patterns
+    used last keep their order.
     """
-    global _mmd_cache
     key = (a.shape, a.indptr.tobytes(), a.indices.tobytes())
-    cached_key, cached = _mmd_cache
-    if key == cached_key:
-        return cached
-    pattern = sp.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
-    surrogate = (pattern + sp.diags(np.diff(a.indptr) + 1.0)).tocsc()
-    ilu = spla.spilu(
-        surrogate, drop_tol=0.5, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=DIAG_PIVOT_THRESH, options={"SymmetricMode": True},
-    )
-    order = np.argsort(ilu.perm_c)
-    order.flags.writeable = False
-    _mmd_cache = (key, order)
+    order = _mmd_cache.pop(key, None)
+    if order is None:
+        pattern = sp.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+        surrogate = (pattern + sp.diags(np.diff(a.indptr) + 1.0)).tocsc()
+        ilu = spla.spilu(
+            surrogate, drop_tol=0.5, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=DIAG_PIVOT_THRESH, options={"SymmetricMode": True},
+        )
+        order = np.argsort(ilu.perm_c)
+        order.flags.writeable = False
+    _mmd_cache[key] = order
+    if len(_mmd_cache) > MMD_CACHE_SIZE:
+        del _mmd_cache[next(iter(_mmd_cache))]
     return order
 
 
-def factorize(a, last=None) -> Factorization:
+def factorize(a, last=()) -> Factorization:
     """LU-factorize a square, structurally symmetric sparse matrix.
 
-    The factor is always complex128.  The columns are ordered by multiple
-    minimum degree on the pattern of A + A^T and SuperLU's symmetric mode
-    applies the same order to the rows, pivoting off the diagonal only when
-    it is below ``DIAG_PIVOT_THRESH`` (0.01) times its column's largest entry.
-    The matrix must be structurally symmetric for this to pay off, as the
+    The factor is always complex128.  Rows and columns are permuted alike by
+    the cached multiple-minimum-degree order of the pattern of A + A^T
+    (:func:`order_last`), and SuperLU factors the permuted matrix in that
+    order in symmetric mode, pivoting off the diagonal only when it is below
+    ``DIAG_PIVOT_THRESH`` (0.01) times its column's largest entry.  The
+    matrix must be structurally symmetric for this to pay off, as the
     Helmholtz operator and the WRI normal matrix are; on them it gives far
     less fill than SuperLU's default unsymmetric COLAMD ordering with full
     partial pivoting.
 
-    With ``last`` (distinct indices), those unknowns are eliminated after all
-    the others (:func:`order_last`), so that :meth:`Factorization.solve_last`
-    can answer point sources on them from the trailing block alone.  That
-    costs fill: on the 161^2 modeling grid with 321 sources and receivers
-    last, about 1.3 times the fill of the free ordering.
+    The unknowns ``last`` (distinct indices, none by default) are eliminated
+    after all the others, so that :meth:`Factorization.solve_last` can answer
+    point sources on them from the trailing block alone.  That costs fill: on
+    the 161^2 modeling grid with 321 sources and receivers last, about 1.3
+    times the fill of the free ordering.
     """
     a = sp.csc_matrix(a, dtype=np.complex128)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]}, expected square")
-    order = None
-    if last is not None:
-        order = order_last(a, last)
-        a = a[order][:, order].tocsc()
+    order = order_last(a, last)
     try:
         lu = spla.splu(
-            a,
-            permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+            a[order][:, order].tocsc(),
+            permc_spec="NATURAL",
             diag_pivot_thresh=DIAG_PIVOT_THRESH,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # SuperLU reports the offending pivot in its message
         raise FactorizationError(f"sparse LU failed: {exc}") from exc
-    n_last = 0 if last is None else len(last)
-    return Factorization(lu, a.shape[0], order, n_last)
+    return Factorization(lu, a.shape[0], order, len(last))
 
 
 class SpectralEstimate(NamedTuple):

@@ -9,7 +9,9 @@ by name, as an attribute, or in a ``from ... import``.  The solve layering is
 linsys <- wave <- everything else: only ``linsys`` names SuperLU (``splu``,
 ``spilu``), only ``wave`` names ``linsys.factorize`` outside ``linsys``, and
 only the two of them import ``scipy.sparse``.  Only ``wave`` pads the grid with ``np.pad``, apart
-from ``denoise``'s patch margin.
+from ``denoise``'s patch margin.  Every LU runs on the cached order: only
+``linsys._mmd_order`` names ``MMD_AT_PLUS_A``, and every ``splu`` call passes
+``permc_spec="NATURAL"``.
 """
 
 import ast
@@ -186,6 +188,57 @@ def test_owner_scanner_flags_only_calls_outside_the_owner():
 def test_only_linsys_factors_and_only_wave_pads_the_grid():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _owner_breaches(sources) == []
+
+
+MMD_OWNER = "_mmd_order"  # the one function that asks SuperLU for its ordering
+
+
+def _ordering_breaches(sources: dict[str, str]) -> list[str]:
+    """``module:line: what`` of each ``MMD_AT_PLUS_A`` named outside ``_mmd_order``
+    and each ``splu`` call that does not pass ``permc_spec="NATURAL"``."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owned = {id(node) for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name == MMD_OWNER
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and node.value == "MMD_AT_PLUS_A"
+                    and id(node) not in owned):
+                found.append((module, node.lineno, "MMD_AT_PLUS_A"))
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            spec = [k.value for k in node.keywords if k.arg == "permc_spec"]
+            if name == "splu" and not (len(spec) == 1 and isinstance(spec[0], ast.Constant)
+                                       and spec[0].value == "NATURAL"):
+                found.append((module, node.lineno, "splu without NATURAL"))
+    return [f"{module}:{line}: {what}" for module, line, what in sorted(found)]
+
+
+def test_ordering_scanner_flags_only_a_second_ordering_path():
+    sources = {
+        "linsys": (
+            "def _mmd_order(a):\n"
+            "    return spla.spilu(a, permc_spec='MMD_AT_PLUS_A').perm_c\n"
+            "def factorize(a, spec='MMD_AT_PLUS_A'):\n"
+            "    lu = spla.splu(a, permc_spec='NATURAL', options={'SymmetricMode': True})\n"
+            "    lu = spla.splu(a)\n"
+            "    lu = splu(a, permc_spec=spec)\n"
+            "    return spla.splu(a, permc_spec='COLAMD')\n"
+        ),
+        "denoise": "x = 'MMD_AT_PLUS_A' if ok else 'NATURAL'\n",
+    }
+    assert _ordering_breaches(sources) == [
+        "denoise:1: MMD_AT_PLUS_A", "linsys:3: MMD_AT_PLUS_A", "linsys:5: splu without NATURAL",
+        "linsys:6: splu without NATURAL", "linsys:7: splu without NATURAL",
+    ]
+
+
+def test_every_lu_runs_on_the_cached_order():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _ordering_breaches(sources) == []
 
 
 def test_benchmark_wrap_points_name_existing_attributes(monkeypatch):

@@ -90,21 +90,36 @@ def _helmholtz_41(m_interior, pml=10, h=25.0, v=2000.0, freq=5.0):
     return wave.assemble_padded(pad, h, h, 2 * np.pi * freq, pml, False, pml_velocity=v)
 
 
+def _wri_matrices(m, freq=5.0):
+    """The 41^2 system, its bottom-row receiver nodes, A and the WRI normal
+    matrix A^H A + mu^2 P^T P."""
+    system = _helmholtz_41(m, freq=freq)
+    rx = system.padded_indices([(40, ix) for ix in range(0, 41, 2)])
+    a = system.matrix.tocsc()
+    ah = a.conjugate().transpose().tocsc()
+    mu = 1e-3 * abs(a[rx[0], rx[0]])
+    penalty = sp.coo_matrix((np.full(rx.size, mu**2), (rx, rx)), shape=a.shape)
+    return system, rx, a, (ah @ a + penalty).tocsc()
+
+
+def _indefinite_m(rng):
+    # about 60 % of the cells have m < 0
+    return (1.0 / 2000.0**2) * rng.uniform(-3.0, 2.0, (41, 41))
+
+
+def _inclusion_m():
+    m = np.full((41, 41), 1.0 / 2000.0**2)
+    m[10:30, 15:25] = 1.0 / 2500.0**2
+    return m
+
+
 def _relative_residual(a, x, rhs):
     return np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs)
 
 
 def test_unphysical_helmholtz_and_normal_matrix_residual():
     rng = np.random.default_rng(5)
-    m0 = 1.0 / 2000.0**2
-    m = m0 * rng.uniform(-3.0, 2.0, (41, 41))  # about 60 % of the cells have m < 0
-    system = _helmholtz_41(m)
-    rx = system.padded_indices([(40, ix) for ix in range(0, 41, 2)])
-    a = system.matrix.tocsc()
-    ah = a.conjugate().transpose().tocsc()
-    mu = 1e-3 * abs(a[rx[0], rx[0]])
-    penalty = sp.coo_matrix((np.full(rx.size, mu**2), (rx, rx)), shape=a.shape)
-    normal = (ah @ a + penalty).tocsc()
+    system, rx, a, normal = _wri_matrices(_indefinite_m(rng))
     rhs = rng.standard_normal((system.n, 3)) + 1j * rng.standard_normal((system.n, 3))
     for matrix in (a, normal):
         x = linsys.factorize(matrix).solve(rhs)
@@ -153,17 +168,46 @@ def test_solve_last_rejects_bad_input():
     assert np.allclose(fact.solve_last([1], [1.0])[:, 0], ref, rtol=1e-12, atol=1e-15)
 
 
-def test_order_last_with_nothing_last_is_superlus_own_ordering():
-    m = np.full((41, 41), 1.0 / 2000.0**2)
-    m[10:30, 15:25] = 1.0 / 2500.0**2
-    a = _helmholtz_41(m).matrix
-    assert linsys.factorize(a, last=[])._lu.nnz == linsys.factorize(a)._lu.nnz
+def test_factorize_matches_superlus_own_mmd_factorization():
+    # the cached order with SuperLU in the given order is the factorization
+    # SuperLU makes when it orders the matrix itself
+    rng = np.random.default_rng(8)
+    normal = _wri_matrices(_indefinite_m(np.random.default_rng(5)))[3]
+    for matrix in (_helmholtz_41(_inclusion_m()).matrix, normal):
+        ref = spla.splu(
+            sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=linsys.DIAG_PIVOT_THRESH, options={"SymmetricMode": True},
+        )
+        fact = linsys.factorize(matrix)
+        assert fact._lu.nnz == ref.nnz
+        rhs = rng.standard_normal((fact.n, 3)) + 1j * rng.standard_normal((fact.n, 3))
+        x_ref = ref.solve(rhs)
+        assert np.linalg.norm(fact.solve(rhs) - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_mmd_order_is_read_once_per_pattern_and_the_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(linsys, "_mmd_cache", {})
+    spilu, calls = linsys.spla.spilu, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return spilu(*args, **kwargs)
+
+    monkeypatch.setattr(linsys.spla, "spilu", counted)
+    for freq in (3.0, 4.0, 5.0):  # a WRI run's two patterns, interleaved
+        _, _, a, normal = _wri_matrices(_inclusion_m(), freq=freq)
+        linsys.factorize(a)
+        linsys.factorize(normal)
+    assert len(calls) == 2
+    rng = np.random.default_rng(9)
+    for n in range(20, 22 + linsys.MMD_CACHE_SIZE):
+        linsys.factorize(_random_sparse(n, rng))
+        assert len(linsys._mmd_cache) <= linsys.MMD_CACHE_SIZE
+    assert len(calls) == 2 + linsys.MMD_CACHE_SIZE + 2
 
 
 def test_helmholtz_fill_below_colamd():
-    m = np.full((41, 41), 1.0 / 2000.0**2)
-    m[10:30, 15:25] = 1.0 / 2500.0**2
-    a = _helmholtz_41(m).matrix
+    a = _helmholtz_41(_inclusion_m()).matrix
     colamd = spla.splu(sp.csc_matrix(a)).nnz
     assert linsys.factorize(a)._lu.nnz < colamd
 
