@@ -212,6 +212,11 @@ def _number(low: float, strict: bool = False):
     return number
 
 
+def _seed(text: str) -> int:
+    """argparse type of a seed: an int at least 0, as ``np.random.default_rng`` takes."""
+    return inversion._in_range(int(text), 0)
+
+
 def _point_pair(text: str) -> np.ndarray:
     x, y = text.split(",")
     return np.array([float(x), float(y)])
@@ -256,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pml-cells", type=int, default=10)
     p.add_argument("--free-surface", action="store_true")
     p.add_argument("--snr-db", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n-sources", type=int, default=5)
     p.add_argument("--source-depth", type=int, default=0)
     p.add_argument("--receiver-spacing", type=int, default=2)

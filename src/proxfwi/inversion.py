@@ -31,6 +31,8 @@ from .model import (
 )
 from .optim import OptConfig, history_to_csv, proximal_newton_solve
 
+MU_RATIO = 1e-2  # default_penalty_mu's fraction of ||A||_2
+
 
 def rmse(m, m_true) -> float:
     """Relative model error in percent: 100 ||m - m*|| / ||m*||."""
@@ -250,15 +252,15 @@ class WriOracle(_OracleBase):
         return self.hessian_diag(m) * np.asarray(v, dtype=np.float64)
 
 
-def default_penalty_mu(background: ModelGrid, first_freq: float, ratio: float = 1e-2,
-                       pml_cells: int = 10, free_surface_top: bool = False) -> float:
-    """Heuristic mu: a fixed fraction of the wave-operator spectral norm.
+def default_penalty_mu(background: ModelGrid, first_freq: float, pml_cells: int = 10,
+                       free_surface_top: bool = False) -> float:
+    """Heuristic mu: ``MU_RATIO`` times the wave-operator spectral norm.
 
     The Dirichlet ring rows of A are decoupled identity rows, so
     ||A||_2 = max(1, ||A_off||_2) over the other rows.  On every benchmark grid
     ||A_off||_2 is at most its largest absolute row sum: 0.137 (161^2 at 12.5 m,
     4 Hz), 0.023 (81^2 at 25 m, 3 Hz), 0.0033 (41^2 at 50 m, 3 Hz).  There the
-    estimate is 1 and mu is ``ratio`` whatever the model (0.00999999999999993
+    estimate is 1 and mu is ``MU_RATIO`` whatever the model (0.00999999999999993
     at 81^2), not a measure of the model's operator.
     """
     slowness = as_slowness_squared(background)
@@ -268,7 +270,7 @@ def default_penalty_mu(background: ModelGrid, first_freq: float, ratio: float = 
         lambda v: a @ v, system.n, apply_adjoint=lambda v: a.conjugate().transpose() @ v,
         tol=1e-3, max_iter=200,
     )
-    return ratio * est.value
+    return MU_RATIO * est.value
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +418,10 @@ def parse_run_config(path) -> RunConfig:
       reduced-space residual ||P A(m)^-1 b - d|| <= 1.01 EPS, and auto takes
       EPS from the synthesized noise; model-error stops at ||v - v_true|| <=
       VAL (m/s), which a model with any cell m <= 0 never meets.
-    - snr_db (float | none | inf, none); seed (int, 0); f_peak (Hz > 0, 10);
-      pml_cells (int, 10); free_surface (bool, false; ``1 | true | yes | on`` is true).
+    - snr_db (float, not nan | none | inf, none); seed (int >= 0, 0): seeds the
+      noise and the sigma_max power iteration; f_peak (Hz > 0, 10);
+      pml_cells (int >= 5, 10): checked by wave.pad_collar; free_surface
+      (bool, false; ``1 | true | yes | on`` is true).
     - n_sources (int, 5), source_depth (int, 0), receiver_spacing (int, 2):
       the surface layout, replaced by sources and receivers (``iz:ix;iz:ix``),
       which go together (model.survey_geometry); out_dir (path, run_out).
@@ -454,13 +458,17 @@ def parse_run_config(path) -> RunConfig:
                 cfg.batches = tuple(_frequencies(part) for part in value.split("|"))
             elif key == "paths":
                 cfg.paths = _in_range(int(value), 1)
-            elif key in ("max_outer", "inner_iters", "seed", "pml_cells",
+            elif key == "seed":
+                cfg.seed = _in_range(int(value), 0)
+            elif key in ("max_outer", "inner_iters", "pml_cells",
                          "n_sources", "source_depth", "receiver_spacing"):
                 setattr(cfg, key, int(value))
             elif key in ("c_fixed", "f_peak"):
                 setattr(cfg, key, _in_range(float(value), 0.0, True))
             elif key == "snr_db":
                 cfg.snr_db = None if value.lower() in ("none", "inf") else float(value)
+                if cfg.snr_db is not None and math.isnan(cfg.snr_db):
+                    raise ValueError("snr_db must be a number, got nan")
             elif key == "free_surface":
                 cfg.free_surface = value.lower() in ("1", "true", "yes", "on")
             elif key == "sources":

@@ -17,8 +17,10 @@ identity.  ``_hessian_ops`` is the only place a Hessian mode is chosen: it
 builds the per-outer (apply, shifted solve, sigma_max) triple, and sigma_max
 is computed only when the driver calls it to set ck.  ``LbfgsHessian`` keeps
 its own curvature pairs, and ``nadmm_step`` takes ``solve_shifted``.  Both
-solvers accept their step through one ``_search_step``, which backtracks with
-``line_search`` and holds the iterate when no trial lowers the merit.
+solvers accept their step through ``line_search``, one Armijo backtracking
+rule with the constants ``SIGMA_LS`` (c1 = 1e-4), ``BETA_LS`` (rho = 1/2) and
+``MAX_TRIALS`` (25); it holds the iterate when no trial lowers the merit.  Each
+solver forms m + alpha * dm itself.
 
 ``proximal_newton_solve`` is the one outer driver.  It owns the outer index,
 the step scale ck, the history and the stopping decision; ``InversionState``
@@ -48,6 +50,11 @@ C_SAFETY = 0.9  # ck = C_SAFETY / sigma_max(H_k), just inside the inner loop's 1
 INNER_FORCING = 0.05
 C_FREEZE_AFTER = 3  # NADMM fixes ck from this outer step on, so the dual update sees one penalty
 STEP_FLOOR = 1e-14  # an accepted step this small relative to 1 + ||m|| is rounding noise
+# the Armijo rule of line_search (Nocedal & Wright 2006, sec. 3.1): sufficient-decrease
+# constant c1, backtracking factor rho and the most trials before the iterate is held
+SIGMA_LS = 1e-4
+BETA_LS = 0.5
+MAX_TRIALS = 25
 # every Hessian mode and the oracle method it reads; lbfgs and identity need none
 _HESSIAN_NEEDS = {"hvp": "hvp", "exact-dense": "hessian_dense", "diagonal": "hessian_diag",
                   "lbfgs": None, "identity": None}
@@ -59,44 +66,6 @@ def _dot(a, b) -> float:
 
 def _norm(a) -> float:
     return float(np.linalg.norm(np.ravel(a)))
-
-
-class CallbackOracle:
-    """Misfit oracle assembled from plain callables.
-
-    ``value(m)`` and ``gradient(m)`` are required; ``hvp(m, v)`` returns the
-    (approximate) Hessian applied to v, and ``hessian_diag`` /
-    ``hessian_dense`` are optional extras used by the corresponding Hessian
-    modes.
-    """
-
-    def __init__(self, value, gradient, hvp=None, hessian_diag=None, hessian_dense=None):
-        self._value = value
-        self._gradient = gradient
-        self._hvp = hvp
-        self._hessian_diag = hessian_diag
-        self._hessian_dense = hessian_dense
-
-    def value(self, m):
-        return float(self._value(m))
-
-    def gradient(self, m):
-        return np.asarray(self._gradient(m), dtype=np.float64)
-
-    def hvp(self, m, v):
-        if self._hvp is None:
-            raise ConfigError("oracle provides no Hessian-vector product")
-        return np.asarray(self._hvp(m, v), dtype=np.float64)
-
-    def hessian_diag(self, m):
-        if self._hessian_diag is None:
-            raise ConfigError("oracle provides no Hessian diagonal")
-        return np.asarray(self._hessian_diag(m), dtype=np.float64)
-
-    def hessian_dense(self, m):
-        if self._hessian_dense is None:
-            raise ConfigError("oracle provides no dense Hessian")
-        return np.asarray(self._hessian_dense(m), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +88,12 @@ class LbfgsHessian:
         self._y: list[np.ndarray] = []
         self._form = None  # (delta, U, M) of the current pairs, built on first use
         self._last = None  # (m, g) of the last observed outer iterate
-        self.skipped = 0
 
     def __len__(self):
         return len(self._s)
 
     def update(self, s, y):
         if not _dot(s, y) > _CURVATURE_FLOOR * max(_norm(s) * _norm(y), 1e-300):
-            self.skipped += 1
             return
         self._s.append(np.ravel(np.asarray(s, dtype=np.float64)).copy())
         self._y.append(np.ravel(np.asarray(y, dtype=np.float64)).copy())
@@ -210,58 +177,38 @@ class LineSearchResult(NamedTuple):
     trials: int
 
 
-def line_search(
-    f: Callable,
-    m,
-    dm,
-    sigma_ls: float = 1e-4,
-    beta_ls: float = 0.5,
-    max_trials: int = 25,
-    ck: float = 1.0,
-    f0: float | None = None,
-) -> LineSearchResult:
-    """Backtracking over alpha in {1, beta, beta^2, ...}.
+def line_search(merit: Callable, m, dm, f0: float, ck: float) -> LineSearchResult:
+    """Armijo backtracking on ``merit`` from f0 = merit(m): the step acceptance of
+    both solvers.
 
-    Accepts the largest alpha satisfying
-    f(m + alpha dm) <= f(m) - sigma_ls * alpha * ||dm||^2 / ck  (ties accept).
-    If no trial passes, the best-objective trial is returned flagged.
+    Tries alpha in {1, BETA_LS, BETA_LS^2, ...} for at most MAX_TRIALS trials and
+    accepts the first with merit(m + alpha dm) <= f0 - SIGMA_LS alpha ||dm||^2 / ck
+    (ties accept).  It never moves uphill: when no trial passes, the best trial
+    is returned flagged if it beats f0, and otherwise the iterate is held
+    (alpha 0, value f0) and the caller decides what to do about it.  A zero
+    direction is an accepted null step (alpha 1, value f0, 0 trials) that never
+    evaluates the merit; the outer loop's step floor then stops the run.
     """
     if _norm(dm) == 0.0:
-        raise ValueError("line search needs a nonzero direction")
-    if f0 is None:
-        f0 = float(f(m))
+        return LineSearchResult(1.0, f0, True, 0)
     if not math.isfinite(f0):
         raise NumericalError("line search started from a non-finite objective")
-    decrease = sigma_ls * _dot(dm, dm) / ck
+    decrease = SIGMA_LS * _dot(dm, dm) / ck
     alpha = 1.0
     best = (math.inf, 1.0)
-    for trial in range(1, max_trials + 1):
-        f_trial = float(f(m + alpha * np.asarray(dm)))
+    for trial in range(1, MAX_TRIALS + 1):
+        f_trial = float(merit(m + alpha * dm))
         if math.isfinite(f_trial):
             if f_trial <= f0 - alpha * decrease:
                 return LineSearchResult(alpha, f_trial, True, trial)
             if f_trial < best[0]:
                 best = (f_trial, alpha)
-        alpha *= beta_ls
+        alpha *= BETA_LS
     if math.isinf(best[0]):
         raise NumericalError("line search found no finite objective value")
-    return LineSearchResult(best[1], best[0], False, max_trials)
-
-
-def _search_step(merit, m, dm, f0: float, ck: float):
-    """Step acceptance shared by both solvers: (alpha, m_new, merit_new, accepted).
-
-    Backtracks on ``merit`` from f0 = merit(m) with the line-search defaults
-    and never moves uphill: when no trial beats f0 the iterate is held
-    (alpha 0) and the caller decides what to do about it.  A zero direction
-    is an accepted null step, which the outer loop's step floor then stops.
-    """
-    if _norm(dm) == 0.0:
-        return 1.0, m, f0, True
-    ls = line_search(merit, m, dm, ck=ck, f0=f0)
-    if ls.accepted or ls.value < f0:
-        return ls.alpha, m + ls.alpha * dm, ls.value, ls.accepted
-    return 0.0, m, f0, False
+    if best[0] < f0:
+        return LineSearchResult(best[1], best[0], False, MAX_TRIALS)
+    return LineSearchResult(0.0, f0, False, MAX_TRIALS)
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +216,22 @@ def _search_step(merit, m, dm, f0: float, ck: float):
 
 
 def nista_direction(
-    oracle,
     m_k,
+    grad,
+    h_apply: Callable,
     denoiser,
     lam: float,
     ck: float,
     n_inner: int,
-    h_apply: Callable | None = None,
-    grad=None,
-    forcing: float = 0.0,
+    forcing: float,
 ):
     """Search direction from the accelerated proximal-gradient inner loop.
 
-    Runs at most ``n_inner`` sweeps of: gradient step on the quadratic model
-    (one Hessian-vector product), prox of the shifted point, Nesterov
-    extrapolation with coefficient (l-1)/(l+2), starting from zero.  Sweep l's
+    The quadratic model at ``m_k`` has gradient ``grad`` and Hessian
+    ``h_apply`` (one of the operators built by ``_hessian_ops``).  Runs at most
+    ``n_inner`` sweeps of: gradient step on the model (one ``h_apply``), prox
+    of the shifted point at scale ck * lam, Nesterov extrapolation with
+    coefficient (l-1)/(l+2), starting from zero.  Sweep l's
     residual r_l = ||dm_l - dp_{l-1}|| is how far it moved from the point its
     gradient step started at; r_1 = ck ||G(m_k)||, the outer gradient mapping.
     With ``forcing`` > 0 the loop stops at the first l with
@@ -295,10 +243,6 @@ def nista_direction(
     if n_inner < 1:
         raise ValueError("need at least one inner iteration")
     m_k = np.asarray(m_k, dtype=np.float64)
-    if grad is None:
-        grad = oracle.gradient(m_k)
-    if h_apply is None:
-        h_apply = lambda v: oracle.hvp(m_k, v)
     dp, dm = np.zeros_like(m_k), np.zeros_like(m_k)
     scale = ck * lam
     for ell in range(1, n_inner + 1):
@@ -358,22 +302,22 @@ def nadmm_step(
     lam: float,
     ck: float,
     solve_shifted: Callable,
-    grad=None,
-    value: float | None = None,
+    grad,
+    value: float,
 ) -> Step:
     """One splitting step: damped Newton solve, line search, prox, dual update.
 
+    ``grad`` and ``value`` are the misfit's gradient and value at ``state.m``.
     Solves (ck*H + I) dm = -ck*grad + (p + q - m) with ``solve_shifted(c,
-    rhs)`` (one of the solvers built by ``_hessian_ops``), line-searches the
-    damped merit M(m) + ||m - (p+q)||^2 / (2 ck), then updates p by denoising
-    (m_new - q) and q by the running constraint mismatch.  ``state`` advances
-    in place; the returned ``Step`` carries the misfit at the new m.
+    rhs)`` (one of the solvers built by ``_hessian_ops``), accepts alpha dm by
+    ``line_search`` on the damped merit M(m) + ||m - (p+q)||^2 / (2 ck), then
+    updates p by denoising (m_new - q) and q by the running constraint
+    mismatch.  ``state`` advances in place; the returned ``Step`` carries the
+    misfit at the new m.
     """
     if ck <= 0.0:
         raise ValueError("step size ck must be positive")
     m, p, q = state.m, state.p, state.q
-    if grad is None:
-        grad = oracle.gradient(m)
     grad = np.asarray(grad, dtype=np.float64)
 
     prior = p + q
@@ -387,17 +331,18 @@ def nadmm_step(
         return oracle.value(mm) + _dot(diff, diff) / (2.0 * ck)
 
     diff0 = m - prior
-    f0 = (oracle.value(m) if value is None else value) + _dot(diff0, diff0) / (2.0 * ck)
-    alpha, m_new, merit_new, accepted = _search_step(damped, m, dm, f0, ck)
+    f0 = value + _dot(diff0, diff0) / (2.0 * ck)
+    ls = line_search(damped, m, dm, f0, ck)
+    m_new = m + ls.alpha * dm
     diff_new = m_new - prior
-    misfit_new = merit_new - _dot(diff_new, diff_new) / (2.0 * ck)
+    misfit_new = ls.value - _dot(diff_new, diff_new) / (2.0 * ck)
     p_new = denoiser.apply(m_new - q, ck * lam)
     q_new = q + p_new - m_new
     if not (np.all(np.isfinite(m_new)) and np.all(np.isfinite(p_new))):
         raise NumericalError("splitting update produced non-finite values")
 
     state.m, state.p, state.q = m_new, p_new, q_new
-    return Step(dm, alpha, accepted, misfit_new)
+    return Step(dm, ls.alpha, ls.accepted, misfit_new)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +407,7 @@ class SolveResult:
     n_outer: int
 
 
-def _cg_shifted(h_apply, c, rhs, tol=1e-12, max_iter=None):
+def _cg_shifted(h_apply, c, rhs, tol=1e-12):
     rhs = np.asarray(rhs, dtype=np.float64)
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -471,8 +416,7 @@ def _cg_shifted(h_apply, c, rhs, tol=1e-12, max_iter=None):
     rhs_norm = math.sqrt(rs)
     if rhs_norm == 0.0:
         return x
-    limit = max_iter if max_iter is not None else max(200, 2 * rhs.size)
-    for _ in range(limit):
+    for _ in range(max(200, 2 * rhs.size)):
         hp = c * np.asarray(h_apply(p)) + p
         alpha = rs / _dot(p, hp)
         x = x + alpha * p
@@ -588,19 +532,15 @@ def proximal_newton_solve(
 
         if method == "nista":
             dm, sweeps = nista_direction(
-                oracle, state.m, denoiser, lam, ck, config.inner_iters, h_apply=h_apply, grad=g,
-                forcing=INNER_FORCING,
+                state.m, g, h_apply, denoiser, lam, ck, config.inner_iters, forcing=INNER_FORCING
             )
             f0, _ = composite(state.m, misfit=val)
-            merit = lambda mm: composite(mm)[0]
-            alpha, state.m, obj, accepted = _search_step(merit, state.m, dm, f0, ck)
+            ls = line_search(lambda mm: composite(mm)[0], state.m, dm, f0, ck)
+            state.m, obj = state.m + ls.alpha * dm, ls.value
             _, reg = composite(state.m, misfit=obj)
-            step = Step(dm, alpha, accepted, obj - reg if math.isfinite(reg) else obj, sweeps)
+            step = Step(dm, ls.alpha, ls.accepted, obj - reg if math.isfinite(reg) else obj, sweeps)
         else:
-            step = nadmm_step(
-                oracle, state, denoiser, lam, ck,
-                solve_shifted=solve_shifted, grad=g, value=val,
-            )
+            step = nadmm_step(oracle, state, denoiser, lam, ck, solve_shifted, g, val)
             obj, reg = composite(state.m, misfit=step.misfit)
 
         step_norm = step.alpha * _norm(step.dm)

@@ -56,8 +56,12 @@ def pad_collar(values: np.ndarray, pml_cells: int, free_surface_top: bool):
 
     The collar repeats the edge values, ``pml_cells`` wide on the sides and
     the bottom, and on top unless there is a free surface.  Returns
-    ``(padded, interior)`` with ``padded[interior]`` equal to ``values``.
+    ``(padded, interior)`` with ``padded[interior]`` equal to ``values``.  Every
+    run path pads here before it assembles, so this is where a collar thinner
+    than 5 cells is a GeometryError.
     """
+    if pml_cells < 5:
+        raise GeometryError(f"need at least 5 absorbing cells, got {pml_cells}")
     top = _pad_top(pml_cells, free_surface_top)
     nz, nx = values.shape
     padded = np.pad(values, ((top, pml_cells), (pml_cells, pml_cells)), mode="edge")
@@ -148,7 +152,6 @@ def assemble(
     pml_cells: int = 10,
     free_surface_top: bool = False,
     pml_velocity: float | None = None,
-    reflection: float = PML_REFLECTION,
 ) -> HelmholtzSystem:
     """Assemble A(m) for a squared-slowness model, padding by edge replication.
 
@@ -160,12 +163,9 @@ def assemble(
         raise GeometryError("assemble expects a squared-slowness model")
     if omega <= 0.0:
         raise ValueError("angular frequency must be positive")
-    if pml_cells < 5:
-        raise GeometryError(f"need at least 5 absorbing cells, got {pml_cells}")
     padded, _ = pad_collar(model.values, pml_cells, free_surface_top)
     return assemble_padded(
-        padded, model.dz, model.dx, omega, pml_cells, free_surface_top,
-        pml_velocity=pml_velocity, reflection=reflection,
+        padded, model.dz, model.dx, omega, pml_cells, free_surface_top, pml_velocity=pml_velocity
     )
 
 
@@ -177,13 +177,13 @@ def assemble_padded(
     pml_cells: int,
     free_surface_top: bool,
     pml_velocity: float | None = None,
-    reflection: float = PML_REFLECTION,
 ) -> HelmholtzSystem:
     """Assemble from a squared-slowness field laid out as :func:`pad_collar` pads it.
 
     The inversion oracles use this entry point to keep the absorbing collar
     (both its model values and its damping profile) frozen at the background
-    while the interior varies.
+    while the interior varies.  The damping profile is tuned for a boundary
+    reflection coefficient of ``PML_REFLECTION``.
     """
     pad_top = _pad_top(pml_cells, free_surface_top)
     nzp, nxp = m_padded.shape
@@ -206,7 +206,7 @@ def assemble_padded(
             stacklevel=2,
         )
 
-    sigma_amp = -3.0 * np.log(reflection) * v_max / 2.0  # divided by width below
+    sigma_amp = -3.0 * np.log(PML_REFLECTION) * v_max / 2.0  # divided by width below
     sig_z = lambda c: _pml_sigma(
         c, pad_top, pml_cells, nzp, dz,
         sigma_amp / (pad_top * dz) if pad_top else 0.0,

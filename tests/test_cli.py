@@ -128,9 +128,17 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"denoiser": "nlm:h=0.05"}, "unknown denoiser parameter 'h'"),
         ({"sources": "0:10"}, "sources and receivers must be given together"),
         ({"receivers": "20:5;20:15"}, "sources and receivers must be given together"),
+        ({"seed": -1}, "bad value for seed"),
+        ({"seed": 1.5}, "bad value for seed"),
+        ({"snr_db": "nan"}, "bad value for snr_db"),
+        ({"data": "DATA", "method": "fwi", "pml_cells": 0}, "need at least 5 absorbing cells"),
+        ({"data": "DATA", "method": "fwi", "pml_cells": 3}, "need at least 5 absorbing cells"),
+        ({"data": "DATA", "method": "fwi", "pml_cells": -2}, "need at least 5 absorbing cells"),
     ],
 )
 def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, keys, message):
+    if keys.get("data") == "DATA":  # the recorded data file, so no forward run checks
+        keys = keys | {"data": models[2]}
     config = _write_config(tmp_path, models, **keys)
     assert cli.main(["invert", "--config", str(config)]) == cli.EXIT_DATA
     assert message in capsys.readouterr().err
@@ -146,6 +154,8 @@ def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, keys,
           "--sources", "1:a", "--receivers", "2:2"], "--sources"),
         (["denoise", "--in", "a.grd", "--out", "b.grd", "--scale", "-1"], "--scale"),
         (["rosenbrock", "--start", "1,abc"], "--start"),
+        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--seed", "-1",
+          "--snr-db", "20"], "--seed"),
     ],
 )
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(argv, flag, capsys):

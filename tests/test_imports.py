@@ -5,7 +5,9 @@ with ``ast`` and compares the names its imports bind with the names its code
 loads.  ``from __future__`` imports change the compiler, not the namespace,
 and are exempt.  A module-level private function, class or constant
 (``_name``; dunders are exempt) must be referenced somewhere in the package:
-by name, as an attribute, or in a ``from ... import``.  The solve layering is
+by name, as an attribute, or in a ``from ... import``.  A public one must be
+referenced in the package or the benchmark; tests do not count, so a name only
+a test reaches is dead code.  The solve layering is
 linsys <- wave <- everything else: only ``linsys`` names SuperLU (``splu``,
 ``spilu``), only ``wave`` names ``linsys.factorize`` outside ``linsys``, and
 only the two of them import ``scipy.sparse``.  Only ``wave`` pads the grid with ``np.pad``, apart
@@ -23,6 +25,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "proxfwi"
+BENCH = ROOT / "bench"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -55,7 +58,8 @@ def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _private_definitions(tree) -> list[str]:
+def _definitions(tree) -> list[str]:
+    """Module-level function, class and constant names, dunders exempt."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -63,14 +67,13 @@ def _private_definitions(tree) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in names if not n.startswith("__")]
 
 
-def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each private module-level definition no module references."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def _references(trees) -> set[str]:
+    """Names loaded, read as attributes, or imported with ``from ... import``."""
     referenced = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
@@ -78,12 +81,25 @@ def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+def _unreferenced_names(sources: dict[str, str], users: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level definition in ``sources`` that nothing
+    references: a private one in ``sources``, a public one in ``sources`` or ``users``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    inside = _references(trees.values())
+    anywhere = inside | _references(ast.parse(source) for source in users.values())
     return [
         f"{module}.{name}"
         for module, tree in trees.items()
-        for name in _private_definitions(tree)
-        if name not in referenced
+        for name in _definitions(tree)
+        if name not in (inside if name.startswith("_") else anywhere)
     ]
+
+
+def _private(names: list[str]) -> list[str]:
+    return [n for n in names if n.split(".", 1)[1].startswith("_")]
 
 
 def test_private_name_scanner_flags_only_dead_helpers():
@@ -106,12 +122,44 @@ def test_private_name_scanner_flags_only_dead_helpers():
         ),
         "b": "from .a import _imported\nfrom . import a\nvalue = a._by_attr()\n",
     }
-    assert _unreferenced_private_names(sources) == ["a._UNUSED", "a._dead", "a._Gone"]
+    assert _private(_unreferenced_names(sources, {})) == ["a._UNUSED", "a._dead", "a._Gone"]
 
 
 def test_package_has_no_unreferenced_private_names():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert _unreferenced_private_names(sources) == []
+    assert _private(_unreferenced_names(sources, {})) == []
+
+
+def test_name_scanner_flags_public_names_only_tests_reach():
+    sources = {
+        "a": (
+            "LIMIT = 2\n"
+            "def helper():\n"
+            "    return LIMIT\n"
+            "class Public:\n"
+            "    pass\n"
+            "def f(x):\n"
+            "    pass\n"
+            "def test_only():\n"
+            "    pass\n"
+            "def _bench_only():\n"
+            "    pass\n"
+        ),
+        "b": "from . import a\nvalue = a.helper()\n",
+    }
+    users = {"run": "from proxfwi.a import Public\nfrom proxfwi import a\na.f(a._bench_only)\n"}
+    assert _unreferenced_names(sources, users) == ["a.test_only", "a._bench_only", "b.value"]
+
+
+# argparse exits with EXIT_USAGE's code itself; the constant names it for tests
+UNREFERENCED_ALLOWED = {"cli.EXIT_USAGE"}
+
+
+def test_every_module_level_name_is_referenced_outside_the_tests():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    users = {path.stem: path.read_text() for path in sorted(BENCH.glob("*.py"))
+             if not path.name.startswith("test_")}
+    assert set(_unreferenced_names(sources, users)) == UNREFERENCED_ALLOWED
 
 
 SUPERLU = {"splu", "spilu"}

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ def _quadratic_oracle(q, b):
     """Oracle for 0.5 m^T Q m - b^T m."""
     q = np.asarray(q, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return optim.CallbackOracle(
+    return SimpleNamespace(
         value=lambda m: 0.5 * float(m @ q @ m) - float(b @ m),
         gradient=lambda m: q @ m - b,
         hvp=lambda m, v: q @ v,
@@ -76,7 +78,7 @@ def test_lbfgs_hessian_rebuilds_its_compact_form_after_each_update():
 def test_lbfgs_hessian_skips_bad_curvature():
     hess = optim.LbfgsHessian(memory=5)
     hess.update(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-    assert len(hess) == 0 and hess.skipped == 1
+    assert len(hess) == 0
     assert np.array_equal(hess.apply(np.array([2.0, 3.0])), np.array([2.0, 3.0]))
 
 
@@ -115,23 +117,25 @@ def test_identity_mode_solves_shifted_identity():
         assert np.array_equal(solve_shifted(c, r), r / (c + 1.0))
 
 
-def test_exact_dense_mode_needs_the_dense_hessian():
-    oracle = optim.CallbackOracle(
-        value=lambda m: float(m @ m), gradient=lambda m: 2.0 * m, hvp=lambda m, v: 2.0 * v
+@pytest.mark.parametrize("hessian", ["hvp", "exact-dense", "diagonal"])
+def test_hessian_mode_missing_from_oracle_is_a_config_error(hessian):
+    # the driver checks the oracle for the one method the mode reads before it calls
+    # the oracle at all; the oracle carries every other Hessian method
+    calls = []
+    methods = {"hvp": lambda m, v: v, "hessian_dense": lambda m: np.eye(m.size),
+               "hessian_diag": lambda m: np.ones_like(m)}
+    need = optim._HESSIAN_NEEDS[hessian]
+    del methods[need]
+    oracle = SimpleNamespace(
+        value=lambda m: calls.append("value") or 0.0,
+        gradient=lambda m: calls.append("gradient") or np.zeros_like(m),
+        **methods,
     )
-    with pytest.raises(ConfigError):
-        optim._hessian_ops("exact-dense", oracle, np.ones(2), None, 0)
-    config = optim.OptConfig(hessian="exact-dense", max_outer=3)
-    with pytest.raises(ConfigError):
-        optim.proximal_newton_solve(oracle, Denoiser("identity"), config, np.ones(2))
-
-
-def test_hessian_mode_missing_from_oracle_is_a_config_error():
-    config = optim.OptConfig(hessian="diagonal", max_outer=3)
-    with pytest.raises(ConfigError, match="hessian_diag"):
-        optim.proximal_newton_solve(
-            rosenbrock.RosenbrockOracle(), Denoiser("identity"), config, np.ones(2)
-        )
+    config = optim.OptConfig(hessian=hessian, max_outer=3)
+    for method in ("nista", "nadmm"):
+        with pytest.raises(ConfigError, match=f"needs an oracle with {need}$"):
+            optim.proximal_newton_solve(oracle, Denoiser("identity"), config, np.ones(2), method)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +148,20 @@ def test_line_search_accepts_newton_step_on_quadratic():
     oracle = _quadratic_oracle(q, b)
     m = np.array([1.0, 1.0])
     direction = -np.linalg.solve(q, oracle.gradient(m))
-    ls = optim.line_search(oracle.value, m, direction, ck=1.0)
-    assert ls.accepted and ls.alpha == 1.0
+    ls = optim.line_search(oracle.value, m, direction, oracle.value(m), 1.0)
+    assert ls.accepted and ls.alpha == 1.0 and ls.trials == 1
 
 
 def test_line_search_matches_hand_enumerated_ladder():
+    assert (optim.SIGMA_LS, optim.BETA_LS, optim.MAX_TRIALS) == (1e-4, 0.5, 25)
     f = lambda m: float(m[0] ** 2)
     m = np.array([1.0])
-    dm = np.array([-2.0])
-    sigma, beta, ck = 0.25, 0.5, 1.0
-    ls = optim.line_search(f, m, dm, sigma_ls=sigma, beta_ls=beta, ck=ck)
-    # enumerate the ladder by hand: f0=1, need f(1-2a) <= 1 - 0.25*a*4 = 1 - a
-    # a=1: f=1 > 0; a=0.5: f=0 <= 0.5 -> accept
-    assert ls.accepted and ls.alpha == 0.5 and ls.value == 0.0
+    dm = np.array([-4.0])
+    ls = optim.line_search(f, m, dm, 1.0, 0.5)
+    # by hand: f0 = 1, accept f(1 - 4a) <= 1 - 1e-4 * a * 16 / 0.5 = 1 - 3.2e-3 a
+    # a=1: f=9 > 0.9968; a=0.5: f=1 > 0.9984, a tie with f0 that the decrease
+    # term rejects; a=0.25: f=0 <= 0.9992 -> accept on the third trial
+    assert ls == (0.25, 0.0, True, 3)
 
 
 def test_line_search_postcondition():
@@ -166,25 +171,31 @@ def test_line_search_postcondition():
     oracle = _quadratic_oracle(q, rng.standard_normal(4))
     m = rng.standard_normal(4)
     dm = -oracle.gradient(m)
-    sigma, ck = 1e-4, 0.5
-    ls = optim.line_search(oracle.value, m, dm, sigma_ls=sigma, ck=ck)
-    assert ls.accepted
+    ck = 0.5
     f0 = oracle.value(m)
-    assert oracle.value(m + ls.alpha * dm) <= f0 - sigma * ls.alpha * float(dm @ dm) / ck
+    ls = optim.line_search(oracle.value, m, dm, f0, ck)
+    assert ls.accepted and 1 <= ls.trials <= optim.MAX_TRIALS
+    assert ls.alpha == optim.BETA_LS ** (ls.trials - 1)
+    assert ls.value == oracle.value(m + ls.alpha * dm)
+    assert ls.value <= f0 - optim.SIGMA_LS * ls.alpha * float(dm @ dm) / ck
+
+
+def test_line_search_zero_direction_is_an_accepted_null_step():
+    calls = []
+    merit = lambda m: calls.append(1) or 0.0
+    ls = optim.line_search(merit, np.array([1.0, 2.0]), np.zeros(2), 3.5, 1.0)
+    assert ls == (1.0, 3.5, True, 0) and calls == []
 
 
 def test_line_search_flags_ascent_direction():
+    # no trial of an ascent direction lowers the merit: the iterate is held
     f = lambda m: float(m[0] ** 2)
-    ls = optim.line_search(f, np.array([1.0]), np.array([5.0]), max_trials=8)
-    assert not ls.accepted
-
-
-def test_search_step_holds_iterate_on_ascent_direction():
-    f = lambda m: float(m[0] ** 2)
-    m = np.array([1.0])
-    alpha, m_new, merit_new, accepted = optim._search_step(f, m, np.array([5.0]), 1.0, 1.0)
-    assert (alpha, merit_new, accepted) == (0.0, 1.0, False)
-    assert m_new is m
+    ls = optim.line_search(f, np.array([1.0]), np.array([5.0]), 1.0, 1.0)
+    assert ls == (0.0, 1.0, False, optim.MAX_TRIALS)
+    # a search that lowers the merit but never meets the rule returns its best trial
+    # flagged: at ck = 1e-8 the rule asks for a decrease of 1e4 a, and a=1 reaches 0
+    ls = optim.line_search(f, np.array([1.0]), np.array([-1.0]), 1.0, 1e-8)
+    assert ls == (1.0, 0.0, False, optim.MAX_TRIALS)
 
 
 @pytest.mark.parametrize("hessian", ["identity", "exact-dense", "lbfgs"])
@@ -192,7 +203,7 @@ def test_search_step_holds_iterate_on_ascent_direction():
 def test_zero_direction_is_an_accepted_null_step_that_stops_the_run(method, hessian):
     # a constant objective under the identity denoiser leaves no direction:
     # NISTA at its first step, NADMM once p has caught up with m
-    oracle = optim.CallbackOracle(
+    oracle = SimpleNamespace(
         value=lambda m: 1.0, gradient=lambda m: np.zeros_like(m),
         hessian_dense=lambda m: np.zeros((m.size, m.size)),
     )
@@ -213,7 +224,9 @@ def test_zero_direction_is_an_accepted_null_step_that_stops_the_run(method, hess
 def test_nista_single_step_is_gradient_step():
     oracle = _quadratic_oracle(np.eye(2), np.zeros(2))
     m = np.array([3.0, -4.0])
-    dm, sweeps = optim.nista_direction(oracle, m, Denoiser("identity"), 0.0, 1.0, 1)
+    dm, sweeps = optim.nista_direction(
+        m, oracle.gradient(m), lambda v: v, Denoiser("identity"), 0.0, 1.0, 1, 0.0
+    )
     assert sweeps == 1
     assert np.allclose(dm, -oracle.gradient(m), atol=1e-15)
 
@@ -226,7 +239,9 @@ def test_nista_converges_to_newton_direction():
     m = rng.standard_normal(2)
     newton = -np.linalg.solve(q, oracle.gradient(m))
     ck = 0.9 / np.linalg.eigvalsh(q)[-1]
-    dm, _ = optim.nista_direction(oracle, m, Denoiser("identity"), 0.0, ck, 2000)
+    dm, _ = optim.nista_direction(
+        m, oracle.gradient(m), lambda v: q @ v, Denoiser("identity"), 0.0, ck, 2000, 0.0
+    )
     assert np.linalg.norm(dm - newton) < 1e-6
 
 
@@ -238,7 +253,8 @@ def test_nista_subproblem_matches_grid_search():
     hess = oracle.hessian_dense(m)
     grad = oracle.gradient(m)
     ck = 0.9 / np.linalg.eigvalsh(hess)[-1]
-    dm, _ = optim.nista_direction(oracle, m, Denoiser("l1"), lam, ck, 100)
+    h_apply = lambda v: oracle.hvp(m, v)
+    dm, _ = optim.nista_direction(m, grad, h_apply, Denoiser("l1"), lam, ck, 100, 0.0)
 
     # exhaustive refining search over the subproblem objective
     def model(d):
@@ -261,26 +277,22 @@ def test_nista_subproblem_matches_grid_search():
     assert np.linalg.norm(dm - best) <= max(5e-3, 3 * step.max())
     assert model(dm) <= model(best) + 1e-4
     # with a large inner budget the sweep nails the subproblem argmin
-    dm_long, _ = optim.nista_direction(oracle, m, Denoiser("l1"), lam, ck, 5000)
+    dm_long, _ = optim.nista_direction(m, grad, h_apply, Denoiser("l1"), lam, ck, 5000, 0.0)
     assert np.linalg.norm(dm_long - [0.25, 0.0]) < 1e-5
 
 
 def test_nista_uses_exactly_n_hvp_evaluations():
     calls = []
-    base = rosenbrock.RosenbrockOracle()
+    oracle = rosenbrock.RosenbrockOracle()
+    m = np.zeros(2)
 
-    class Counting:
-        def value(self, m):
-            return base.value(m)
+    def h_apply(v):
+        calls.append(1)
+        return oracle.hvp(m, v)
 
-        def gradient(self, m):
-            return base.gradient(m)
-
-        def hvp(self, m, v):
-            calls.append(1)
-            return base.hvp(m, v)
-
-    _, sweeps = optim.nista_direction(Counting(), np.zeros(2), Denoiser("l1"), 1.0, 1e-3, 37)
+    _, sweeps = optim.nista_direction(
+        m, oracle.gradient(m), h_apply, Denoiser("l1"), 1.0, 1e-3, 37, 0.0
+    )
     assert len(calls) == sweeps == 37
 
 
@@ -294,11 +306,9 @@ def test_nista_zero_gradient_runs_every_sweep_only_without_forcing(forcing, swee
         calls.append(1)
         return q @ v
 
-    oracle = _quadratic_oracle(q, b)
     m = np.linalg.solve(q, b)
     dm, ran = optim.nista_direction(
-        oracle, m, Denoiser("identity"), 0.0, 0.2, 9, h_apply=h_apply, grad=np.zeros(2),
-        forcing=forcing,
+        m, np.zeros(2), h_apply, Denoiser("identity"), 0.0, 0.2, 9, forcing
     )
     assert len(calls) == ran == sweeps
     assert np.array_equal(dm, np.zeros(2))
@@ -319,7 +329,7 @@ def test_nista_forcing_stops_at_the_first_small_residual():
 
     def run(n_inner, forcing=0.0):
         return optim.nista_direction(
-            oracle, m, Denoiser("identity"), 0.0, ck, n_inner, h_apply=h_apply, forcing=forcing
+            m, oracle.gradient(m), h_apply, Denoiser("identity"), 0.0, ck, n_inner, forcing
         )
 
     run(n)
@@ -356,11 +366,8 @@ def test_nista_extrapolation_coefficients_exact():
         return np.zeros_like(v)
 
     g = np.array([1.0, -2.0])
-    oracle = _quadratic_oracle(np.zeros((2, 2)), np.zeros(2))
     n = 7
-    optim.nista_direction(
-        oracle, np.zeros(2), Denoiser("identity"), 0.0, 1.0, n, h_apply=h_apply, grad=g
-    )
+    optim.nista_direction(np.zeros(2), g, h_apply, Denoiser("identity"), 0.0, 1.0, n, 0.0)
     # simulate the recurrence with coefficients (l-1)/(l+2), l starting at 1
     dp, dm = np.zeros(2), np.zeros(2)
     expected = []
@@ -374,16 +381,12 @@ def test_nista_extrapolation_coefficients_exact():
 
 def test_nadmm_step_scalar_arithmetic():
     # H = 2, c = 0.5, grad = 4, prior - m = 0  ->  dm = (1+1)^-1 (-2) = -1
-    oracle = optim.CallbackOracle(
-        value=lambda m: float(m[0] ** 2 + 4.0 * m[0]),
-        gradient=lambda m: np.array([2.0 * m[0] + 4.0]),
-    )
+    oracle = SimpleNamespace(value=lambda m: float(m[0] ** 2 + 4.0 * m[0]))
     state = optim.InversionState.initial(np.array([0.0]))
     state.p = state.m.copy()  # prior = p + q = m
-    grad = np.array([4.0])
     step = optim.nadmm_step(
         oracle, state, Denoiser("identity"), 0.0, 0.5,
-        lambda c, rhs: rhs / (2.0 * c + 1.0), grad=grad,
+        lambda c, rhs: rhs / (2.0 * c + 1.0), np.array([4.0]), 0.0,
     )
     assert np.allclose(step.dm, [-1.0], atol=1e-14)
 
@@ -400,7 +403,8 @@ def test_nadmm_identity_prox_reduction():
         grad = oracle.gradient(m_k)
         hess = oracle.hessian_dense(m_k)
         _, solve_shifted, _ = optim._hessian_ops("exact-dense", oracle, m_k, None, 0)
-        step = optim.nadmm_step(oracle, state, Denoiser("identity"), 0.0, ck, solve_shifted)
+        step = optim.nadmm_step(oracle, state, Denoiser("identity"), 0.0, ck, solve_shifted,
+                                grad, oracle.value(m_k))
         assert np.array_equal(state.q, np.zeros(2))
         assert np.array_equal(state.p, state.m)
         if np.all(np.linalg.eigvalsh(hess) > 0):
@@ -455,7 +459,7 @@ def test_scaling_invariance_of_argmin():
     # scaling the misfit and the weight together leaves the minimizer fixed
     scale = 7.5
     base = rosenbrock.RosenbrockOracle()
-    scaled = optim.CallbackOracle(
+    scaled = SimpleNamespace(
         value=lambda m: scale * base.value(m),
         gradient=lambda m: scale * base.gradient(m),
         hvp=lambda m, v: scale * base.hvp(m, v),
@@ -499,7 +503,7 @@ def test_nista_with_a_penaltyless_denoiser_records_the_misfit_as_objective(tmp_p
     # nlm has no explicit functional: reg_value is NaN and the objective is the misfit
     rng = np.random.default_rng(21)
     target = rng.uniform(1.0, 2.0, (8, 8))
-    oracle = optim.CallbackOracle(
+    oracle = SimpleNamespace(
         value=lambda m: 0.5 * float(np.sum((m - target) ** 2)),
         gradient=lambda m: m - target,
         hessian_diag=lambda m: np.ones_like(m),

@@ -48,6 +48,9 @@ def test_ricker_rejects_nonpositive():
 def test_assemble_rejects_thin_collar():
     with pytest.raises(GeometryError):
         wave.assemble(_slowness(11, 25.0), 2 * np.pi * 5.0, pml_cells=0)
+    for pml_cells in (-2, 0, 4):  # pad_collar, which every run path pads through, checks
+        with pytest.raises(GeometryError, match=f"got {pml_cells}$"):
+            wave.pad_collar(np.ones((11, 11)), pml_cells, False)
 
 
 def test_assemble_rejects_velocity_kind():
@@ -241,7 +244,7 @@ def test_condensed_forward_factors_through_linsys_once_per_frequency(monkeypatch
     assert calls == [True, True, True]
 
 
-def _greens_error(n, h, pml, reflection=wave.PML_REFLECTION):
+def _greens_error(n, h, pml):
     """Max amplitude and phase error against the analytic line-source field."""
     v, f = 2000.0, 10.0
     grid = model.as_slowness_squared(
@@ -250,7 +253,7 @@ def _greens_error(n, h, pml, reflection=wave.PML_REFLECTION):
     mid = n // 2
     offsets = np.arange(15, 31) * (10.0 / h)  # fixed physical range 150..300 m
     rxs = [(mid, mid + int(round(d))) for d in offsets]
-    system = wave.assemble(grid, 2 * np.pi * f, pml ,reflection=reflection)
+    system = wave.assemble(grid, 2 * np.pi * f, pml)
     b = system.point_sources([(mid, mid)], wave.ricker_amplitude(f, f))
     field = linsys.factorize(system.matrix).solve(b)
     u = field[system.padded_indices(rxs), 0]
@@ -267,11 +270,12 @@ def test_forward_matches_analytic_greens_function():
     assert phase_err < 0.05
 
 
-def test_second_order_grid_convergence():
+def test_second_order_grid_convergence(monkeypatch):
     # stronger absorption keeps boundary reflections below the discretization
     # error so the ratio isolates the stencil order
-    coarse_amp, _ = _greens_error(101, 10.0, 20, reflection=1e-7)
-    fine_amp, _ = _greens_error(201, 5.0, 40, reflection=1e-7)
+    monkeypatch.setattr(wave, "PML_REFLECTION", 1e-7)
+    coarse_amp, _ = _greens_error(101, 10.0, 20)
+    fine_amp, _ = _greens_error(201, 5.0, 40)
     ratio = coarse_amp / fine_amp
     assert 2.5 <= ratio <= 6.5  # ~4x for a second-order stencil
 
