@@ -198,6 +198,15 @@ def test_line_search_flags_ascent_direction():
     assert ls == (1.0, 0.0, False, optim.MAX_TRIALS)
 
 
+def test_search_step_holds_iterate_on_ascent_direction():
+    # the held step is alpha 0 at value f0, so the solvers' m + alpha dm update is m
+    f = lambda m: float(m[0] ** 2)
+    m, dm = np.array([1.0]), np.array([5.0])
+    ls = optim.line_search(f, m, dm, 1.0, 1.0)
+    assert (ls.alpha, ls.value, ls.accepted) == (0.0, 1.0, False)
+    assert np.array_equal(m + ls.alpha * dm, m)
+
+
 @pytest.mark.parametrize("hessian", ["identity", "exact-dense", "lbfgs"])
 @pytest.mark.parametrize("method", ["nista", "nadmm"])
 def test_zero_direction_is_an_accepted_null_step_that_stops_the_run(method, hessian):
