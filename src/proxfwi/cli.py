@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-peak", type=_number(0.0, strict=True), default=10.0)
     p.add_argument("--pml-cells", type=int, default=10)
     p.add_argument("--free-surface", action="store_true")
-    p.add_argument("--snr-db", type=float, default=None)
+    p.add_argument("--snr-db", type=inversion._snr_db, default=None)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n-sources", type=int, default=5)
     p.add_argument("--source-depth", type=int, default=0)

@@ -3,8 +3,11 @@
 Both oracles parameterize the model by squared slowness on the interior grid,
 which keeps the wave operator affine in the unknowns: adjoint gradients need
 only diagonal correlation terms, and the penalty-formulation Hessian is
-exactly diagonal.  The absorbing collar is frozen at the background model so
-interior derivatives are clean.
+exactly diagonal.  Each oracle solves through one :class:`wave.Survey` over
+its background, the one home of the survey decisions: the absorbing collar
+and its damping profile are frozen there, so interior derivatives are clean,
+and ``run_inversion`` takes the speed of that profile from it when it
+synthesizes data.
 """
 
 from __future__ import annotations
@@ -70,53 +73,27 @@ def snr_db(signal, noise) -> float:
 
 
 class _OracleBase:
-    """Geometry plumbing shared by both oracles: the padded layout and the
-    point-source solve come from ``wave``, with the collar frozen at the background."""
+    """What both oracles share: the observed data and the :class:`wave.Survey`
+    they solve through, with its collar frozen at the background."""
 
     def __init__(self, acq, observed, background, f_peak, pml_cells, free_surface_top):
-        background = as_slowness_squared(background)
-        acq.validate_for(background.nz, background.nx, min_iz=1 if free_surface_top else 0)
+        self.survey = wave.Survey(background, acq, f_peak, pml_cells, free_surface_top)
         if observed.frequencies != acq.frequencies:
             raise GeometryError("observed data frequencies do not match the acquisition")
         if observed.n_receivers != acq.n_receivers or observed.n_sources != acq.n_sources:
             raise GeometryError("observed data shape does not match the acquisition")
-        self.acq = acq
         self.observed = observed
-        self.f_peak = float(f_peak)
-        self.pml_cells = int(pml_cells)
-        self.free_surface_top = bool(free_surface_top)
-        self.nz, self.nx = background.nz, background.nx
-        self.dz, self.dx = background.dz, background.dx
-        self._collar, self._interior = wave.pad_collar(
-            background.values, self.pml_cells, self.free_surface_top
-        )
-        # damping profile frozen at the background speed so A stays affine in m
-        self._pml_velocity = 1.0 / math.sqrt(float(np.min(self._collar)))
-
-    def _assemble(self, m: np.ndarray, freq: float) -> wave.HelmholtzSystem:
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (self.nz, self.nx):
-            raise GeometryError(f"model shape {m.shape} != ({self.nz}, {self.nx})")
-        padded = self._collar.copy()
-        padded[self._interior] = m
-        return wave.assemble_padded(
-            padded, self.dz, self.dx, 2.0 * np.pi * freq,
-            self.pml_cells, self.free_surface_top, pml_velocity=self._pml_velocity,
-        )
 
     def _forward(self, m: np.ndarray, i: int) -> dict:
         """Reduced-space solve at frequency i: the fields u = A(m)^-1 b and P u - d."""
-        f = self.acq.frequencies[i]
-        system = self._assemble(m, f)
-        fact, u = system.solve_sources(self.acq.sources, wave.ricker_amplitude(f, self.f_peak))
-        rx = system.padded_indices(self.acq.receivers)
-        resid = u[rx, :] - self.observed.blocks[i]
-        return {"system": system, "fact": fact, "u": u, "rx": rx, "resid": resid}
+        system, fact, u = self.survey.solve_sources(m, i)
+        resid = u[self.survey.rx, :] - self.observed.blocks[i]
+        return {"omega": system.omega, "fact": fact, "u": u, "resid": resid}
 
     def data_residual_norm(self, m) -> float:
         """Reduced-space data residual ||P A(m)^-1 b - d||; one LU of A(m) per frequency."""
         return math.sqrt(sum(float(np.sum(np.abs(self._forward(m, i)["resid"]) ** 2))
-                             for i in range(len(self.acq.frequencies))))
+                             for i in range(len(self.observed.blocks))))
 
 
 class FwiOracle(_OracleBase):
@@ -139,7 +116,7 @@ class FwiOracle(_OracleBase):
         key = m.tobytes()
         if key == self._cache_key:
             return self._cache
-        per_freq = [self._forward(m, i) for i in range(len(self.acq.frequencies))]
+        per_freq = [self._forward(m, i) for i in range(len(self.observed.blocks))]
         misfit = 0.0
         for entry in per_freq:
             misfit += 0.5 * float(np.sum(np.abs(entry["resid"]) ** 2))
@@ -150,52 +127,43 @@ class FwiOracle(_OracleBase):
     def value(self, m) -> float:
         return self._prepare(m)["misfit"]
 
-    def simulate(self, m) -> list:
-        """Predicted receiver data blocks P A(m)^-1 b, one per frequency."""
-        cache = self._prepare(m)
-        return [
-            entry["resid"] + self.observed.blocks[i]
-            for i, entry in enumerate(cache["per_freq"])
-        ]
-
     def data_residual_norm(self, m) -> float:
         """The reduced-space data residual, read from the cached solve."""
         return math.sqrt(2.0 * self.value(m))
 
     def _back_correlate(self, entry, r) -> np.ndarray:
-        """-omega^2 sum_s Re(u_s * A^-1 P^T conj(r_s)) on the padded grid."""
-        system, u = entry["system"], entry["u"]
+        """-omega^2 sum_s Re(u_s * A^-1 P^T conj(r_s)) on the interior."""
+        u = entry["u"]
         adj_src = np.zeros_like(u)
-        adj_src[entry["rx"], :] = np.conj(r)
+        adj_src[self.survey.rx, :] = np.conj(r)
         w = entry["fact"].solve(adj_src)
-        return -(system.omega**2) * np.sum((u * w).real, axis=1).reshape(system.nzp, system.nxp)
+        return (-(entry["omega"] ** 2) * np.sum((u * w).real, axis=1))[self.survey.interior_rows]
 
     def gradient(self, m) -> np.ndarray:
-        grad_pad = np.zeros_like(self._collar)
+        grad = np.zeros(self.survey.interior_rows.shape)
         for entry in self._prepare(m)["per_freq"]:
-            grad_pad += self._back_correlate(entry, entry["resid"])
-        return grad_pad[self._interior].copy()
+            grad += self._back_correlate(entry, entry["resid"])
+        return grad
 
     def hvp(self, m, v) -> np.ndarray:
         """Gauss-Newton product J^T J v via forward-linearized and adjoint solves."""
         cache = self._prepare(m)
         v = np.asarray(v, dtype=np.float64)
-        v_pad = np.zeros_like(self._collar)
-        v_pad[self._interior] = v.reshape(self.nz, self.nx)
-        vp = v_pad.ravel()
-        out_pad = np.zeros_like(self._collar)
+        vp = np.zeros(self.survey.collar.size)  # v on the interior, zero on the collar
+        vp[self.survey.interior_rows] = v.reshape(self.survey.interior_rows.shape)
+        out = np.zeros(self.survey.interior_rows.shape)
         for entry in cache["per_freq"]:
-            u, omega2 = entry["u"], entry["system"].omega ** 2
+            u, omega2 = entry["u"], entry["omega"] ** 2
             du = entry["fact"].solve(-omega2 * (vp[:, None] * u))
-            out_pad += self._back_correlate(entry, du[entry["rx"], :])
-        return out_pad[self._interior].copy().reshape(v.shape)
+            out += self._back_correlate(entry, du[self.survey.rx, :])
+        return out.reshape(v.shape)
 
 
 class WriOracle(_OracleBase):
     """Penalty-formulation misfit 0.5 sum ||b - A(m) u||^2 at frozen data-assimilated fields u.
 
     ``update_wavefields`` (run by ``begin_outer``) solves for u at m_ref = m with
-    ``HelmholtzSystem.solve_penalty`` and freezes, with the (frequency, source) columns
+    ``wave.Survey.solve_penalty`` and freezes, with the (frequency, source) columns
     stacked last, m_ref, the interior fields W = omega^2 u of shape (nz, nx, n_freq * n_src),
     the interior residual E = b - A(m_ref) u, its energy outside the interior, and
     sum |W|^2.  Inside, A(m) - A(m_ref) = omega^2 diag(m - m_ref), so b - A(m) u is
@@ -213,17 +181,16 @@ class WriOracle(_OracleBase):
     def update_wavefields(self, m):
         """Solve for the penalty fields of every source and frequency at m and freeze them."""
         weighted, resid, outside_sq = [], [], 0.0
-        for f, data in zip(self.acq.frequencies, self.observed.blocks):
-            system = self._assemble(m, f)
-            u, e = system.solve_penalty(self.acq.sources, wave.ricker_amplitude(f, self.f_peak),
-                                        self.acq.receivers, data, self.mu)
-            interior = system.interior_indices().ravel()
+        interior = self.survey.interior_rows.ravel()
+        for i, data in enumerate(self.observed.blocks):
+            system, u, e = self.survey.solve_penalty(m, i, data, self.mu)
             outside_sq += float(np.sum(np.abs(e) ** 2)) - float(np.sum(np.abs(e[interior]) ** 2))
             weighted.append(system.omega**2 * u[interior])
             resid.append(e[interior])
+        shape = self.survey.interior_rows.shape + (-1,)
         self._m_ref = np.array(m, dtype=np.float64)
-        self._w = np.hstack(weighted).reshape(self.nz, self.nx, -1)
-        self._e = np.hstack(resid).reshape(self.nz, self.nx, -1)
+        self._w = np.hstack(weighted).reshape(shape)
+        self._e = np.hstack(resid).reshape(shape)
         self._outside_sq = outside_sq
         self._hdiag = np.sum(np.abs(self._w) ** 2, axis=2)
         return self
@@ -309,7 +276,9 @@ def multiscale_drive(
 
     ``plan`` is a list of paths, each a list of batches, each a list of
     frequencies drawn from the acquisition.  Returns the final interior model
-    (squared slowness) and one BatchResult per batch run.
+    (squared slowness) and one BatchResult per batch run.  ``lam`` is never
+    read (``config.lam`` sets the strength); it stays only because the
+    benchmark passes the arguments by position.
     """
     if method not in ("fwi", "irwri"):
         raise ConfigError(f"unknown inversion method {method!r}")
@@ -389,6 +358,14 @@ def _frequencies(text: str) -> tuple:
     return tuple(_in_range(float(v), 0.0, True) for v in text.split(",") if v.strip())
 
 
+def _snr_db(text: str) -> float | None:
+    """An SNR in dB, a number or +inf; ``none`` and ``inf`` read as None (no noise)."""
+    value = None if text.strip().lower() in ("none", "inf") else float(text)
+    if value is not None and not value > -math.inf:
+        raise ValueError(f"{value!r} is not a number of dB or +inf")
+    return value
+
+
 def _parse_points(text: str) -> tuple:
     pairs = [item.split(":") for item in text.split(";") if item.strip()]
     return tuple((int(iz), int(ix)) for iz, ix in pairs)
@@ -401,8 +378,8 @@ def parse_run_config(path) -> RunConfig:
     or a value of the wrong type or out of range (a bounded number must also be
     finite), is a ConfigError naming the key.  Keys, as ``name (type, default): syntax``:
 
-    - model_init (path, required), model_true (path), data (path): without
-      data, the data is synthesized from model_true.
+    - model_init (path, required), model_true (path, on model_init's grid),
+      data (path): without data, the data is synthesized from model_true.
     - method (fwi | irwri, irwri); algorithm (nista | nadmm, nadmm);
       hessian (hvp | exact-dense | lbfgs | diagonal | identity, diagonal for
       irwri and lbfgs for fwi); denoiser (make_denoiser spec, identity);
@@ -418,9 +395,9 @@ def parse_run_config(path) -> RunConfig:
       reduced-space residual ||P A(m)^-1 b - d|| <= 1.01 EPS, and auto takes
       EPS from the synthesized noise; model-error stops at ||v - v_true|| <=
       VAL (m/s), which a model with any cell m <= 0 never meets.
-    - snr_db (float, not nan | none | inf, none); seed (int >= 0, 0): seeds the
-      noise and the sigma_max power iteration; f_peak (Hz > 0, 10);
-      pml_cells (int >= 5, 10): checked by wave.pad_collar; free_surface
+    - snr_db (float, not nan or -inf | none | inf, none); seed (int >= 0, 0):
+      seeds the noise and the sigma_max power iteration; f_peak (Hz > 0, 10);
+      pml_cells (int >= 5, 10): checked by wave.Survey; free_surface
       (bool, false; ``1 | true | yes | on`` is true).
     - n_sources (int, 5), source_depth (int, 0), receiver_spacing (int, 2):
       the surface layout, replaced by sources and receivers (``iz:ix;iz:ix``),
@@ -466,9 +443,7 @@ def parse_run_config(path) -> RunConfig:
             elif key in ("c_fixed", "f_peak"):
                 setattr(cfg, key, _in_range(float(value), 0.0, True))
             elif key == "snr_db":
-                cfg.snr_db = None if value.lower() in ("none", "inf") else float(value)
-                if cfg.snr_db is not None and math.isnan(cfg.snr_db):
-                    raise ValueError("snr_db must be a number, got nan")
+                cfg.snr_db = _snr_db(value)
             elif key == "free_surface":
                 cfg.free_surface = value.lower() in ("1", "true", "yes", "on")
             elif key == "sources":
@@ -505,13 +480,19 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
     """
     init = read_grid(cfg.model_init)
     true = read_grid(cfg.model_true) if cfg.model_true else None
+
+    def layout(g):  # str() of a float round-trips, so equal text means an equal grid
+        return f"{g.nz}x{g.nx} at dz={g.dz}, dx={g.dx}"
+
+    if true is not None and layout(true) != layout(init):
+        raise GeometryError(f"model_true is {layout(true)} but model_init is {layout(init)}")
     denoiser = make_denoiser(
         cfg.denoiser, ref=as_slowness_squared(init).values, dz=init.dz, dx=init.dx
     )
 
     acq = survey_geometry(init.nz, init.nx, cfg.frequencies, cfg.sources, cfg.receivers,
                           cfg.n_sources, cfg.source_depth, cfg.receiver_spacing)
-    acq.validate_for(init.nz, init.nx, min_iz=1 if cfg.free_surface else 0)
+    survey = wave.Survey(init, acq, cfg.f_peak, cfg.pml_cells, cfg.free_surface)
 
     noise_norm = None
     if cfg.data:
@@ -521,11 +502,9 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
     else:
         if true is None:
             raise ConfigError("either data or model_true must be provided")
-        # match the oracles' frozen damping profile so synthetic data is
-        # generated under the same discrete operator conventions
-        pml_vel = float(np.max(as_velocity(init).values))
+        # the oracles' damping profile, so the data and the oracles share one operator
         clean = wave.forward(true, acq, cfg.f_peak, cfg.pml_cells, cfg.free_surface,
-                             pml_velocity=pml_vel)
+                             pml_velocity=survey.pml_velocity)
         observed = wave.add_noise(clean, cfg.snr_db, cfg.seed)
         if cfg.snr_db is not None and not np.isinf(cfg.snr_db):
             noise_norm = math.sqrt(

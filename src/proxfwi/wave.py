@@ -7,13 +7,19 @@ quadratic damping profile) is folded into symmetric edge coefficients, so A
 is complex-symmetric by construction; the outermost padded ring and, with a
 free surface, the top row are homogeneous Dirichlet.
 
-The module owns the padded-grid layout (:func:`pad_collar`, the index maps of
-:class:`HelmholtzSystem`) and all three solves through :func:`linsys.factorize`:
-``solve_sources`` (modeling, FWI), ``solve_penalty`` (WRI) and condensed modeling.
+:class:`Survey` is the one home of every survey decision: the padded layout
+with its collar frozen at a background model, the speed the damping profile
+is tuned for, the free-surface check on the top row, each frequency's
+omega and Ricker amplitude, and the padded source, receiver and interior
+index maps.  Modeling (:func:`forward`) and both inversion oracles solve
+through it, and it runs all three solves through :func:`linsys.factorize`:
+point-source blocks (modeling, FWI), the penalty normal equations (WRI) and
+condensed modeling.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -70,15 +76,9 @@ def pad_collar(values: np.ndarray, pml_cells: int, free_surface_top: bool):
 
 @dataclass
 class HelmholtzSystem:
-    """Assembled operator for one frequency and its padded-grid layout."""
+    """Assembled operator for one frequency on a padded grid of nzp x nxp nodes."""
 
     omega: float
-    nz: int
-    nx: int
-    dz: float
-    dx: float
-    pml_cells: int
-    pad_top: int
     nzp: int
     nxp: int
     matrix: sp.csr_matrix
@@ -86,48 +86,6 @@ class HelmholtzSystem:
     @property
     def n(self) -> int:
         return self.nzp * self.nxp
-
-    def padded_indices(self, points) -> np.ndarray:
-        """Padded linear indices of a sequence of interior (iz, ix) nodes, in order."""
-        iz, ix = np.asarray(points, dtype=np.int64).reshape(-1, 2).T
-        outside = (iz < 0) | (iz >= self.nz) | (ix < 0) | (ix >= self.nx)
-        if np.any(outside):
-            k = int(np.argmax(outside))
-            raise GeometryError(
-                f"interior index ({iz[k]}, {ix[k]}) outside {self.nz}x{self.nx}"
-            )
-        return (iz + self.pad_top) * self.nxp + (ix + self.pml_cells)
-
-    def interior_indices(self) -> np.ndarray:
-        """Padded linear indices of all interior nodes, shaped (nz, nx)."""
-        rows = np.arange(self.nz) + self.pad_top
-        cols = np.arange(self.nx) + self.pml_cells
-        return rows[:, None] * self.nxp + cols[None, :]
-
-    def point_sources(self, sources, amplitude: complex) -> np.ndarray:
-        """Column block of nearest-node point sources scaled by 1/(dz*dx)."""
-        b = np.zeros((self.n, len(sources)), dtype=np.complex128)
-        rows = self.padded_indices(sources)
-        b[rows, np.arange(rows.size)] = amplitude / (self.dz * self.dx)
-        return b
-
-    def solve_sources(self, sources, amplitude: complex):
-        """Factor A and solve for a block of point sources: (factorization, wavefields)."""
-        fact = linsys.factorize(self.matrix)
-        return fact, fact.solve(self.point_sources(sources, amplitude))
-
-    def solve_penalty(self, sources, amplitude: complex, receivers, data, mu: float):
-        """Fields u minimizing ||A u - b||^2 + mu^2 ||P u - d||^2 for a block of point
-        sources, by one LU of A^H A + mu^2 P^T P, and their residual: (u, b - A u)."""
-        rx = self.padded_indices(receivers)
-        a = self.matrix.tocsc()
-        ah = a.conjugate().transpose().tocsc()
-        penalty = sp.coo_matrix((np.full(rx.size, mu**2), (rx, rx)), shape=(self.n, self.n))
-        b = self.point_sources(sources, amplitude)
-        rhs = ah @ b
-        rhs[rx, :] += mu**2 * data
-        u = linsys.factorize((ah @ a + penalty).tocsc()).solve(rhs)
-        return u, b - a @ u
 
 
 def _pml_sigma(coord: np.ndarray, pad_lo: int, pad_hi: int, n_total: int, h: float,
@@ -180,7 +138,7 @@ def assemble_padded(
 ) -> HelmholtzSystem:
     """Assemble from a squared-slowness field laid out as :func:`pad_collar` pads it.
 
-    The inversion oracles use this entry point to keep the absorbing collar
+    :class:`Survey` assembles through this entry point to keep the absorbing collar
     (both its model values and its damping profile) frozen at the background
     while the interior varies.  The damping profile is tuned for a boundary
     reflection coefficient of ``PML_REFLECTION``.
@@ -263,49 +221,105 @@ def assemble_padded(
         shape=(n, n),
     ).tocsr()
     matrix.sort_indices()
-    return HelmholtzSystem(
-        omega=omega, nz=nz, nx=nx, dz=dz, dx=dx, pml_cells=pml_cells,
-        pad_top=pad_top, nzp=nzp, nxp=nxp, matrix=matrix,
-    )
+    return HelmholtzSystem(omega=omega, nzp=nzp, nxp=nxp, matrix=matrix)
 
 
-def forward(
-    model: ModelGrid,
-    acq: AcquisitionGeometry,
-    f_peak: float = 10.0,
-    pml_cells: int = 10,
-    free_surface_top: bool = False,
-    pml_velocity: float | None = None,
-) -> FreqData:
-    """Simulate receiver data: assemble and factor once per frequency and
-    sample the wavefield of every source at the receivers.
+class Survey:
+    """An acquisition on the padded grid, with the collar frozen at a background.
 
-    With fewer than ``CONDENSE_MIN_SOURCES`` sources, all sources are solved
-    as one block of full wavefields (:meth:`HelmholtzSystem.solve_sources`).
-    With more, the source and receiver nodes are eliminated last and the data
-    are read from the trailing block of the factors
-    (:meth:`linsys.Factorization.solve_last`), which skips the one full-length
-    triangular solve per source that otherwise leads.
+    Every solve takes an interior squared-slowness model ``m``, set inside the
+    frozen collar, and an index ``i`` into ``acq.frequencies``.  The damping
+    profile is tuned for ``pml_velocity`` if given, else for the background's
+    top speed, for every m, so A is exactly affine in m.  Under a free surface
+    no source or receiver may sit on the Dirichlet top row.
     """
+
+    def __init__(self, background: ModelGrid, acq: AcquisitionGeometry, f_peak: float = 10.0,
+                 pml_cells: int = 10, free_surface_top: bool = False,
+                 pml_velocity: float | None = None):
+        background = as_slowness_squared(background)
+        acq.validate_for(background.nz, background.nx, min_iz=1 if free_surface_top else 0)
+        self.acq = acq
+        self.dz, self.dx = background.dz, background.dx
+        self.pml_cells, self.free_surface_top = int(pml_cells), bool(free_surface_top)
+        self.collar, self.interior = pad_collar(background.values, self.pml_cells,
+                                                self.free_surface_top)
+        top_speed = 1.0 / math.sqrt(float(np.min(self.collar)))
+        self.pml_velocity = top_speed if pml_velocity is None else float(pml_velocity)
+        self.omegas = tuple(2.0 * np.pi * f for f in acq.frequencies)
+        self.amplitudes = tuple(ricker_amplitude(f, float(f_peak)) for f in acq.frequencies)
+        # padded linear index of each interior node, shaped like the background
+        self.interior_rows = np.arange(self.collar.size).reshape(self.collar.shape)[self.interior]
+        self.src = self._rows(acq.sources)
+        self.rx = self._rows(acq.receivers)
+
+    def _rows(self, points) -> np.ndarray:
+        iz, ix = np.asarray(points, dtype=np.int64).reshape(-1, 2).T
+        return self.interior_rows[iz, ix]
+
+    def system(self, m, i: int) -> HelmholtzSystem:
+        """A(m) at frequency i, assembled with ``m`` inside the frozen collar."""
+        m = np.asarray(m, dtype=np.float64)
+        if m.shape != self.interior_rows.shape:
+            raise GeometryError(f"model shape {m.shape} != {self.interior_rows.shape}")
+        padded = self.collar.copy()
+        padded[self.interior] = m
+        return assemble_padded(padded, self.dz, self.dx, self.omegas[i], self.pml_cells,
+                               self.free_surface_top, pml_velocity=self.pml_velocity)
+
+    def point_sources(self, i: int) -> np.ndarray:
+        """Column block b of nearest-node point sources at frequency i, scaled by 1/(dz*dx)."""
+        b = np.zeros((self.collar.size, self.src.size), dtype=np.complex128)
+        b[self.src, np.arange(self.src.size)] = self.amplitudes[i] / (self.dz * self.dx)
+        return b
+
+    def solve_sources(self, m, i: int):
+        """Factor A(m) at frequency i and solve for every source: (system, factorization, u)."""
+        system = self.system(m, i)
+        fact = linsys.factorize(system.matrix)
+        return system, fact, fact.solve(self.point_sources(i))
+
+    def solve_penalty(self, m, i: int, data: np.ndarray, mu: float):
+        """Fields u minimizing ||A u - b||^2 + mu^2 ||P u - d||^2 at frequency i for
+        every source, by one LU of A^H A + mu^2 P^T P: (system, u, b - A u)."""
+        system = self.system(m, i)
+        a = system.matrix.tocsc()
+        ah = a.conjugate().transpose().tocsc()
+        penalty = sp.coo_matrix((np.full(self.rx.size, mu**2), (self.rx, self.rx)), shape=a.shape)
+        b = self.point_sources(i)
+        rhs = ah @ b
+        rhs[self.rx, :] += mu**2 * data
+        u = linsys.factorize((ah @ a + penalty).tocsc()).solve(rhs)
+        return system, u, b - a @ u
+
+    def data(self, m) -> FreqData:
+        """Receiver data P A(m)^-1 b, one factorization per frequency.
+
+        Below ``CONDENSE_MIN_SOURCES`` sources this is :meth:`solve_sources`.
+        From there on the source and receiver nodes are eliminated last and
+        the data read from the factors' trailing block
+        (:meth:`linsys.Factorization.solve_last`), with no full-length solve.
+        """
+        blocks = []
+        for i, amplitude in enumerate(self.amplitudes):
+            if self.src.size >= CONDENSE_MIN_SOURCES:
+                system = self.system(m, i)
+                last, at = np.unique(np.concatenate([self.rx, self.src]), return_inverse=True)
+                values = np.full(self.src.size, amplitude / (self.dz * self.dx))
+                fact = linsys.factorize(system.matrix, last=last)
+                blocks.append(fact.solve_last(at[self.rx.size:], values)[at[:self.rx.size], :])
+            else:
+                blocks.append(self.solve_sources(m, i)[2][self.rx, :])
+        return FreqData(self.acq.frequencies, tuple(blocks))
+
+
+def forward(model: ModelGrid, acq: AcquisitionGeometry, f_peak: float = 10.0,
+            pml_cells: int = 10, free_surface_top: bool = False,
+            pml_velocity: float | None = None) -> FreqData:
+    """Receiver data of ``model``: :meth:`Survey.data` with the model as background."""
     slowness = as_slowness_squared(model)
-    acq.validate_for(model.nz, model.nx, min_iz=1 if free_surface_top else 0)
-    condensed = len(acq.sources) >= CONDENSE_MIN_SOURCES
-    blocks = []
-    for f in acq.frequencies:
-        system = assemble(slowness, 2.0 * np.pi * f, pml_cells, free_surface_top,
-                          pml_velocity=pml_velocity)
-        amplitude = ricker_amplitude(f, f_peak)
-        rx = system.padded_indices(acq.receivers)
-        if condensed:
-            src = system.padded_indices(acq.sources)
-            last, at = np.unique(np.concatenate([rx, src]), return_inverse=True)
-            values = np.full(src.size, amplitude / (system.dz * system.dx))
-            u_last = linsys.factorize(system.matrix, last=last).solve_last(at[rx.size:], values)
-            blocks.append(u_last[at[:rx.size], :])
-        else:
-            _, u = system.solve_sources(acq.sources, amplitude)
-            blocks.append(u[rx, :])
-    return FreqData(tuple(acq.frequencies), tuple(blocks))
+    survey = Survey(slowness, acq, f_peak, pml_cells, free_surface_top, pml_velocity)
+    return survey.data(slowness.values)
 
 
 def add_noise(data: FreqData, snr_db: float | None, seed: int = 0) -> FreqData:
@@ -313,10 +327,13 @@ def add_noise(data: FreqData, snr_db: float | None, seed: int = 0) -> FreqData:
 
     SNR is 20*log10(signal RMS / noise RMS) over all entries of all blocks;
     the drawn noise is rescaled after the fact so the realized value matches.
-    ``snr_db=None`` (or +inf) returns the data unchanged.
+    ``snr_db=None`` or +inf returns the data unchanged; NaN and -inf, which
+    name no noise level, are a ValueError.
     """
-    if snr_db is None or np.isinf(snr_db):
+    if snr_db is None or snr_db == math.inf:
         return FreqData(data.frequencies, tuple(b.copy() for b in data.blocks))
+    if not math.isfinite(snr_db):
+        raise ValueError(f"SNR must be a number of dB or +inf, got {snr_db!r}")
     signal_norm = data.norm()
     if signal_norm == 0.0:
         raise ValueError("cannot scale noise against all-zero data")

@@ -134,6 +134,7 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"data": "DATA", "method": "fwi", "pml_cells": 0}, "need at least 5 absorbing cells"),
         ({"data": "DATA", "method": "fwi", "pml_cells": 3}, "need at least 5 absorbing cells"),
         ({"data": "DATA", "method": "fwi", "pml_cells": -2}, "need at least 5 absorbing cells"),
+        ({"snr_db": "-inf"}, "bad value for snr_db"),
     ],
 )
 def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, keys, message):
@@ -156,6 +157,10 @@ def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, keys,
         (["rosenbrock", "--start", "1,abc"], "--start"),
         (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--seed", "-1",
           "--snr-db", "20"], "--seed"),
+        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--snr-db", "nan"],
+         "--snr-db"),
+        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--snr-db=-inf"],
+         "--snr-db"),
     ],
 )
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(argv, flag, capsys):
@@ -187,6 +192,46 @@ def test_run_inversion_takes_explicit_sources_and_receivers(tmp_path, models, mo
     assert acq.sources == ((0, 10), (0, 4))
     assert acq.receivers == ((20, 5), (20, 15), (10, 20))
     assert (observed.n_receivers, observed.n_sources) == (3, 2)
+
+
+def test_invert_rejects_a_true_model_on_another_grid(tmp_path, models, capsys):
+    true = tmp_path / "true25.grd"
+    assert cli.main(["model-gen", "--shape", "square", "--nz", "25", "--nx", "25",
+                     "--out", str(true)]) == 0
+    capsys.readouterr()
+    config = _write_config(tmp_path, models, model_true=true, method="fwi", max_outer=0)
+    assert cli.main(["invert", "--config", str(config)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "model_true is 25x25" in err and "model_init is 21x21" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synthetic_data_and_the_oracles_share_one_pml_profile(tmp_path, monkeypatch):
+    # the initial model's interior is faster than its edges, so its top speed
+    # is no edge speed; the true model adds an inclusion and keeps those edges
+    values = np.full((21, 21), 2000.0)
+    values[1:-1, 1:-1] = 2300.0
+    init = model.ModelGrid.from_values(values, 25.0, 25.0)
+    inclusion = values.copy()
+    inclusion[8:13, 8:13] = 2600.0
+    true = init.with_values(inclusion)
+    for name, grid in (("init.grd", init), ("true.grd", true)):
+        model.write_grid(grid, tmp_path / name)
+    drive, seen = inversion.multiscale_drive, []
+
+    def recording(m0, observed, acq, *args, **kwargs):
+        seen.append((acq, observed))
+        return drive(m0, observed, acq, *args, **kwargs)
+
+    monkeypatch.setattr(inversion, "multiscale_drive", recording)
+    cfg = inversion.parse_run_config(_write_config(
+        tmp_path, (tmp_path / "true.grd", tmp_path / "init.grd", None), method="fwi",
+        max_outer=0, snr_db="none"))
+    inversion.run_inversion(cfg)
+    ((acq, observed),) = seen
+    oracle = inversion.FwiOracle(acq, observed, init, cfg.f_peak, cfg.pml_cells)
+    data_sq = sum(float(np.sum(np.abs(b) ** 2)) for b in observed.blocks)
+    assert oracle.value(model.as_slowness_squared(true).values) <= 1e-20 * data_sq
 
 
 @pytest.mark.parametrize("method", ["fwi", "irwri"])

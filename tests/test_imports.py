@@ -3,17 +3,19 @@
 No linter ships with the package's dependencies, so this parses each module
 with ``ast`` and compares the names its imports bind with the names its code
 loads.  ``from __future__`` imports change the compiler, not the namespace,
-and are exempt.  A module-level private function, class or constant
-(``_name``; dunders are exempt) must be referenced somewhere in the package:
-by name, as an attribute, or in a ``from ... import``.  A public one must be
-referenced in the package or the benchmark; tests do not count, so a name only
-a test reaches is dead code.  The solve layering is
+and are exempt.  A module-level private function, class or constant, or a
+private method of a module-level class (``_name``; dunders are exempt), must
+be referenced somewhere in the package: by name, as an attribute, in a
+``from ... import``, or as a string constant such as ``getattr``'s.  A public
+one must be referenced in the package or the benchmark; tests do not count, so
+a name only a test reaches is dead code.  The solve layering is
 linsys <- wave <- everything else: only ``linsys`` names SuperLU (``splu``,
 ``spilu``), only ``wave`` names ``linsys.factorize`` outside ``linsys``, and
 only the two of them import ``scipy.sparse``.  Only ``wave`` pads the grid with ``np.pad``, apart
-from ``denoise``'s patch margin.  Every LU runs on the cached order: only
-``linsys._mmd_order`` names ``MMD_AT_PLUS_A``, and every ``splu`` call passes
-``permc_spec="NATURAL"``.
+from ``denoise``'s patch margin, and only ``wave`` names the steps its
+``Survey`` owns: ``pad_collar``, ``assemble_padded`` and ``ricker_amplitude``.
+Every LU runs on the cached order: only ``linsys._mmd_order`` names
+``MMD_AT_PLUS_A``, and every ``splu`` call passes ``permc_spec="NATURAL"``.
 """
 
 import ast
@@ -59,19 +61,29 @@ def test_module_has_no_unused_imports(path):
 
 
 def _definitions(tree) -> list[str]:
-    """Module-level function, class and constant names, dunders exempt."""
+    """Module-level function, class and constant names, and the methods of
+    module-level classes as ``Class.method``; dunders exempt."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if not n.startswith("__")]
+    return [n for n in names if not _short(n).startswith("__")]
+
+
+def _short(name: str) -> str:
+    """The last dotted part: a method's own name."""
+    return name.rsplit(".", 1)[-1]
 
 
 def _references(trees) -> set[str]:
-    """Names loaded, read as attributes, or imported with ``from ... import``."""
+    """Names loaded, read as attributes, imported with ``from ... import``, or
+    spelled as a string constant (``getattr(obj, "name")``)."""
     referenced = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -81,12 +93,16 @@ def _references(trees) -> set[str]:
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.isidentifier()):
+                referenced.add(node.value)
     return referenced
 
 
 def _unreferenced_names(sources: dict[str, str], users: dict[str, str]) -> list[str]:
-    """``module.name`` of each module-level definition in ``sources`` that nothing
-    references: a private one in ``sources``, a public one in ``sources`` or ``users``."""
+    """``module.name`` of each module-level definition or method in ``sources``
+    that nothing references by its own name: a private one in ``sources``, a
+    public one in ``sources`` or ``users``."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     inside = _references(trees.values())
     anywhere = inside | _references(ast.parse(source) for source in users.values())
@@ -94,12 +110,12 @@ def _unreferenced_names(sources: dict[str, str], users: dict[str, str]) -> list[
         f"{module}.{name}"
         for module, tree in trees.items()
         for name in _definitions(tree)
-        if name not in (inside if name.startswith("_") else anywhere)
+        if _short(name) not in (inside if _short(name).startswith("_") else anywhere)
     ]
 
 
 def _private(names: list[str]) -> list[str]:
-    return [n for n in names if n.split(".", 1)[1].startswith("_")]
+    return [n for n in names if _short(n).startswith("_")]
 
 
 def test_private_name_scanner_flags_only_dead_helpers():
@@ -151,6 +167,35 @@ def test_name_scanner_flags_public_names_only_tests_reach():
     assert _unreferenced_names(sources, users) == ["a.test_only", "a._bench_only", "b.value"]
 
 
+def test_name_scanner_flags_methods_only_tests_reach():
+    sources = {
+        "a": (
+            "class Oracle:\n"
+            "    def __init__(self):\n"
+            "        self.cache = None\n"
+            "    def value(self, m):\n"
+            "        return self._solve(m)\n"
+            "    def _solve(self, m):\n"
+            "        return m\n"
+            "    def _stale(self):\n"
+            "        pass\n"
+            "    def penalty(self, m):\n"
+            "        return m\n"
+            "    def simulate(self, m):\n"
+            "        return m\n"
+            "    @property\n"
+            "    def n(self):\n"
+            "        return 1\n"
+            "def drive(oracle, denoiser):\n"
+            "    return oracle.value(0) + getattr(denoiser, 'penalty')(0)\n"
+        ),
+    }
+    users = {"run": "from proxfwi.a import Oracle, drive\nsize = drive(Oracle(), None)\n"
+                    "n = Oracle().n\n"}
+    assert _unreferenced_names(sources, users) == ["a.Oracle._stale", "a.Oracle.simulate"]
+    assert _private(_unreferenced_names(sources, users)) == ["a.Oracle._stale"]
+
+
 # argparse exits with EXIT_USAGE's code itself; the constant names it for tests
 UNREFERENCED_ALLOWED = {"cli.EXIT_USAGE"}
 
@@ -166,6 +211,8 @@ SUPERLU = {"splu", "spilu"}
 SUPERLU_OWNER = "linsys"
 SOLVE_OWNERS = {"linsys", "wave"}  # import scipy.sparse and name factorize
 PAD_OWNERS = {"wave", "denoise"}  # denoise pads nlm's patch margin, not the grid
+SURVEY_OWNER = "wave"
+SURVEY_STEPS = {"pad_collar", "assemble_padded", "ricker_amplitude"}  # wave.Survey's own steps
 
 
 def _sparse_imports(node) -> list[str]:
@@ -180,8 +227,8 @@ def _sparse_imports(node) -> list[str]:
 
 
 def _owner_breaches(sources: dict[str, str]) -> list[str]:
-    """``module:line: name`` of each SuperLU or ``factorize`` reference,
-    ``scipy.sparse`` import or ``np.pad`` call outside its owner."""
+    """``module:line: name`` of each SuperLU, ``factorize`` or survey-step
+    reference, ``scipy.sparse`` import or ``np.pad`` call outside its owner."""
     found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
@@ -198,6 +245,8 @@ def _owner_breaches(sources: dict[str, str]) -> list[str]:
                 found += [(module, node.lineno, n) for n in names if n in SUPERLU]
             if module not in SOLVE_OWNERS:
                 found += [(module, node.lineno, n) for n in names if n == "factorize"]
+            if module != SURVEY_OWNER:
+                found += [(module, node.lineno, n) for n in names if n in SURVEY_STEPS]
             if (module not in PAD_OWNERS and isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute) and node.func.attr == "pad"
                     and isinstance(node.func.value, ast.Name)
@@ -230,6 +279,27 @@ def test_owner_scanner_flags_only_calls_outside_the_owner():
         "inversion:1: scipy.sparse.linalg.spilu", "inversion:1: spilu", "inversion:2: splu",
         "inversion:3: np.pad", "inversion:5: scipy.sparse", "inversion:6: scipy.sparse",
         "inversion:7: factorize", "inversion:8: factorize",
+    ]
+
+
+def test_owner_scanner_flags_survey_steps_outside_wave():
+    sources = {
+        "wave": (
+            "padded, inner = pad_collar(v, 10, False)\n"
+            "system = assemble_padded(padded, 25.0, 25.0, w, 10, False)\n"
+            "amplitude = ricker_amplitude(f, 10.0)\n"
+        ),
+        "inversion": (
+            "system = wave.assemble_padded(padded, 25.0, 25.0, w, 10, False)\n"
+            "from .wave import ricker_amplitude\n"
+            "survey = wave.Survey(background, acq)\n"
+            "system = wave.assemble(m, w)\n"
+            "collar, inner = wave.pad_collar(v, 5, False)\n"
+        ),
+    }
+    assert _owner_breaches(sources) == [
+        "inversion:1: assemble_padded", "inversion:2: ricker_amplitude",
+        "inversion:5: pad_collar",
     ]
 
 

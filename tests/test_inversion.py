@@ -156,7 +156,7 @@ def test_fwi_hvp_matches_materialized_jacobian():
     step = 1e-4 * np.linalg.norm(m)
 
     def stacked_data(mm):
-        return np.concatenate([blk.ravel() for blk in oracle.simulate(mm)])
+        return np.concatenate([blk.ravel() for blk in oracle.survey.data(mm).blocks])
 
     n_cells = m.size
     n_data = stacked_data(m).size
@@ -185,19 +185,16 @@ def _wri(acq, observed, background, mu=3e-4):
 def _penalty_fields(oracle, m):
     """(system, b, u, b - A u) per frequency: the fields ``update_wavefields(m)`` freezes."""
     out = []
-    for f, d in zip(oracle.acq.frequencies, oracle.observed.blocks):
-        system = oracle._assemble(m, f)
-        amplitude = wave.ricker_amplitude(f, oracle.f_peak)
-        u, e = system.solve_penalty(oracle.acq.sources, amplitude, oracle.acq.receivers, d,
-                                    oracle.mu)
-        out.append((system, system.point_sources(oracle.acq.sources, amplitude), u, e))
+    for i, d in enumerate(oracle.observed.blocks):
+        system, u, e = oracle.survey.solve_penalty(m, i, d, oracle.mu)
+        out.append((system, oracle.survey.point_sources(i), u, e))
     return out
 
 
 def _penalty_fit(oracle, m):
     """||P u - d|| over all frequencies of the penalty fields u solved at m."""
-    fits = [np.sum(np.abs(u[system.padded_indices(oracle.acq.receivers), :] - d) ** 2)
-            for (system, _, u, _), d in zip(_penalty_fields(oracle, m), oracle.observed.blocks)]
+    fits = [np.sum(np.abs(u[oracle.survey.rx, :] - d) ** 2)
+            for (_, _, u, _), d in zip(_penalty_fields(oracle, m), oracle.observed.blocks)]
     return np.sqrt(sum(fits))
 
 
@@ -221,7 +218,7 @@ def test_wri_normal_equation_residual():
     oracle = _wri(acq, observed, background)
     m = model.as_slowness_squared(background).values
     for (system, b, u, _), d in zip(_penalty_fields(oracle, m), observed.blocks):
-        a, rx, mu2 = system.matrix, system.padded_indices(acq.receivers), oracle.mu**2
+        a, rx, mu2 = system.matrix, oracle.survey.rx, oracle.mu**2
         rhs = a.conjugate().transpose() @ b
         rhs[rx, :] += mu2 * d
         resid = rhs - a.conjugate().transpose() @ (a @ u)
@@ -236,7 +233,7 @@ def test_wri_hessian_diag_formula():
     oracle.update_wavefields(m)
     expected = np.zeros_like(m)
     for system, _, u, _ in _penalty_fields(oracle, m):
-        u_int = u[system.interior_indices(), :]
+        u_int = u[oracle.survey.interior_rows, :]
         expected += system.omega**4 * np.sum(np.abs(u_int) ** 2, axis=2)
     hdiag = oracle.hessian_diag(m)
     assert np.allclose(hdiag, expected, rtol=1e-14)
@@ -339,7 +336,7 @@ def test_wri_fields_match_dense_least_squares():
     mu = 3e-4
     system, b, u, _ = _wri_fields(grid, acq, observed, mu)
     p = np.zeros((len(acq.receivers), system.n))
-    p[np.arange(len(acq.receivers)), system.padded_indices(acq.receivers)] = 1.0
+    p[np.arange(len(acq.receivers)), wave.Survey(grid, acq, pml_cells=5).rx] = 1.0
     stacked = np.vstack([system.matrix.toarray(), mu * p])
     for s in range(acq.n_sources):
         rhs = np.concatenate([b[:, s], mu * observed.blocks[0][:, s]])
@@ -352,7 +349,7 @@ def test_wri_fields_are_stationary():
     grid, acq, observed = _random_data_problem()
     mu = 1e-3
     system, b, fields, e = _wri_fields(grid, acq, observed, mu)
-    a, rx = system.matrix, system.padded_indices(acq.receivers)
+    a, rx = system.matrix, wave.Survey(grid, acq, pml_cells=5).rx
     assert np.linalg.norm(e - (b - a @ fields)) <= 1e-12 * np.linalg.norm(b)
     for s in range(acq.n_sources):
         u = fields[:, s]
@@ -417,7 +414,7 @@ def test_wri_value_after_zeroing_fields():
     oracle.update_wavefields(m)
     ((system, b, _, _),) = _penalty_fields(oracle, m)
     oracle._w[:] = 0.0
-    oracle._e[:] = b[system.interior_indices(), :]
+    oracle._e[:] = b[oracle.survey.interior_rows, :]
     oracle._outside_sq = 0.0  # point sources live strictly in the interior
     b_sq = float(np.sum(np.abs(b) ** 2))
     assert oracle.value(m) == pytest.approx(0.5 * b_sq, rel=1e-12)
@@ -437,15 +434,13 @@ def test_wri_value_matches_an_independent_assembly_at_a_new_model():
     padded = collar.copy()
     padded[interior] = m1
     pml_velocity = 1.0 / np.sqrt(np.min(collar))
+    survey = wave.Survey(background, acq, 10.0, 5)
     expected = 0.0
-    for f, d in zip(acq.frequencies, observed.blocks):
-        omega, amplitude = 2.0 * np.pi * f, wave.ricker_amplitude(f, 10.0)
-        at_ref = wave.assemble_padded(collar, background.dz, background.dx, omega, 5, False,
-                                      pml_velocity=pml_velocity)
-        u, _ = at_ref.solve_penalty(acq.sources, amplitude, acq.receivers, d, oracle.mu)
-        a1 = wave.assemble_padded(padded, background.dz, background.dx, omega, 5, False,
-                                  pml_velocity=pml_velocity).matrix
-        b = at_ref.point_sources(acq.sources, amplitude)
+    for i, (f, d) in enumerate(zip(acq.frequencies, observed.blocks)):
+        _, u, _ = survey.solve_penalty(m_ref, i, d, oracle.mu)
+        a1 = wave.assemble_padded(padded, background.dz, background.dx, 2.0 * np.pi * f, 5,
+                                  False, pml_velocity=pml_velocity).matrix
+        b = survey.point_sources(i)
         expected += 0.5 * float(np.sum(np.abs(b - a1 @ u) ** 2))
     assert not np.array_equal(m1, m_ref)
     assert oracle.value(m1) == pytest.approx(expected, rel=1e-10)

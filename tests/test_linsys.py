@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from proxfwi import linsys, wave
+from proxfwi import linsys, model, wave
 from proxfwi.errors import FactorizationError
 
 
@@ -83,18 +83,25 @@ def test_dimension_mismatch():
 # factorization contract on the package's own matrices
 
 
+def _survey_41(pml=10, h=25.0, v=2000.0, freq=5.0):
+    """Survey of a homogeneous 41^2 background with the PML tuned for v: three
+    top-row sources and every other bottom-row node as a receiver."""
+    background = model.ModelGrid.from_values(np.full((41, 41), v), h, h)
+    acq = model.AcquisitionGeometry(((0, 5), (0, 20), (0, 35)),
+                                    tuple((40, ix) for ix in range(0, 41, 2)), (freq,))
+    return wave.Survey(background, acq, pml_cells=pml, pml_velocity=v)
+
+
 def _helmholtz_41(m_interior, pml=10, h=25.0, v=2000.0, freq=5.0):
     """PML Helmholtz system on a 41^2 interior with a homogeneous collar."""
-    pad = np.full((41 + 2 * pml, 41 + 2 * pml), 1.0 / v**2)
-    pad[pml:-pml, pml:-pml] = m_interior
-    return wave.assemble_padded(pad, h, h, 2 * np.pi * freq, pml, False, pml_velocity=v)
+    return _survey_41(pml, h, v, freq).system(m_interior, 0)
 
 
 def _wri_matrices(m, freq=5.0):
     """The 41^2 system, its bottom-row receiver nodes, A and the WRI normal
     matrix A^H A + mu^2 P^T P."""
     system = _helmholtz_41(m, freq=freq)
-    rx = system.padded_indices([(40, ix) for ix in range(0, 41, 2)])
+    rx = _survey_41(freq=freq).rx
     a = system.matrix.tocsc()
     ah = a.conjugate().transpose().tocsc()
     mu = 1e-3 * abs(a[rx[0], rx[0]])
@@ -126,7 +133,7 @@ def test_unphysical_helmholtz_and_normal_matrix_residual():
         assert _relative_residual(matrix, x, rhs) <= 1e-10
 
     # the same indefinite A with the receivers and three source nodes last
-    src = system.padded_indices([(0, 5), (0, 20), (0, 35)])
+    src = _survey_41().src
     last = np.concatenate([rx, src])
     rows = np.arange(rx.size, last.size)
     values = np.array([1.0, -2.0j, 0.5 + 0.5j])

@@ -16,6 +16,12 @@ def _slowness(n, h, v=2000.0):
     return model.as_slowness_squared(_homogeneous(n, h, v))
 
 
+def _survey(grid, pml_cells, free_surface_top=False, freq=12.0, points=((1, 1),)):
+    """Survey of ``grid`` with a source and a receiver on each of ``points``."""
+    acq = model.AcquisitionGeometry(points, points, (freq,))
+    return wave.Survey(grid, acq, pml_cells=pml_cells, free_surface_top=free_surface_top)
+
+
 # ---------------------------------------------------------------------------
 # source spectrum
 
@@ -62,8 +68,10 @@ def test_interior_stencil_row():
     h = 10.0
     grid = _slowness(21, h)
     omega = 2 * np.pi * 10.0
-    system = wave.assemble(grid, omega, pml_cells=6)
-    row = int(system.padded_indices([(10, 10)])[0])  # deep interior, far from the collar
+    points = ((10, 10), (0, 0), (20, 3), (10, 10))
+    survey = _survey(grid, 6, freq=10.0, points=points)
+    system = survey.system(grid.values, 0)
+    row = int(survey.rx[0])  # deep interior, far from the collar
     a = system.matrix
     entries = {
         int(col): a[row, col] for col in a.indices[a.indptr[row] : a.indptr[row + 1]]
@@ -75,16 +83,14 @@ def test_interior_stencil_row():
         assert entries[col] == pytest.approx(1.0 / h**2, rel=1e-14)
     assert len(entries) == 5
 
-    points = [(10, 10), (0, 0), (20, 3), (10, 10)]
-    rows = system.padded_indices(points)
-    assert rows.tolist() == [system.interior_indices()[iz, ix] for iz, ix in points]
-    assert rows[0] == row and rows[1] == system.pml_cells * (system.nxp + 1)
-    assert system.padded_indices([]).shape == (0,)
+    rows = survey.rx
+    assert rows.tolist() == [survey.interior_rows[iz, ix] for iz, ix in points]
+    assert rows[0] == row and rows[1] == survey.pml_cells * (system.nxp + 1)
     for bad in [(21, 0), (0, -1)]:
         with pytest.raises(GeometryError):
-            system.padded_indices([bad])
+            _survey(grid, 6, points=(bad,))
         with pytest.raises(GeometryError):
-            system.padded_indices([(10, 10), bad])
+            _survey(grid, 6, points=((10, 10), bad))
 
 
 def test_matrix_exactly_complex_symmetric():
@@ -109,7 +115,7 @@ def test_assembly_affine_in_model_on_interior():
         s1 = wave.assemble(m1, omega, pml_cells=5, pml_velocity=2000.0)
         s2 = wave.assemble(m2, omega, pml_cells=5, pml_velocity=2000.0)
     diff = (s1.matrix - s2.matrix).toarray()
-    interior = s1.interior_indices().ravel()
+    interior = _survey(m1, 5).interior_rows.ravel()
     expected = omega**2 * (m1.values - m2.values).ravel()
     # tolerance limited by cancellation: diagonal entries are ~1e4x larger
     # than their differences
@@ -144,16 +150,16 @@ def test_system_layout_matches_pad_collar(free_surface):
     grid = _slowness(11, 10.0)
     system = wave.assemble(grid, 2 * np.pi * 12.0, pml_cells=5, free_surface_top=free_surface)
     padded, interior = wave.pad_collar(grid.values, 5, free_surface)
-    assert system.pad_top == (0 if free_surface else 5) == interior[0].start
+    assert system.nzp - 11 - 5 == (0 if free_surface else 5) == interior[0].start
     assert (system.nzp, system.nxp) == padded.shape
     lin = np.arange(system.n).reshape(system.nzp, system.nxp)
-    assert np.array_equal(system.interior_indices(), lin[interior])
+    assert np.array_equal(_survey(grid, 5, free_surface).interior_rows, lin[interior])
 
 
 def test_free_surface_top_row_is_dirichlet():
     grid = _slowness(11, 10.0)
     system = wave.assemble(grid, 2 * np.pi * 12.0, pml_cells=5, free_surface_top=True)
-    assert system.pad_top == 0
+    assert system.nzp == 11 + 5  # no collar rows above the surface
     row = 0 * system.nxp + system.nxp // 2  # surface row
     a = system.matrix
     cols = a.indices[a.indptr[row] : a.indptr[row + 1]]
@@ -168,7 +174,7 @@ def test_free_surface_top_row_is_dirichlet():
 def test_zero_amplitude_source_gives_zero_field():
     grid = _slowness(11, 10.0)
     system = wave.assemble(grid, 2 * np.pi * 12.0, pml_cells=5)
-    b = system.point_sources([(5, 5)], 0.0)
+    b = 0.0 * _survey(grid, 5, points=((5, 5),)).point_sources(0)
     assert np.all(linsys.factorize(system.matrix).solve(b) == 0.0)
 
 
@@ -203,11 +209,12 @@ def _survey_41(n_sources, freqs=(6.0, 9.0)):
 
 def _plain_blocks(grid, acq, pml_cells=10):
     """Reference data: one full-length solve per source, sampled at the receivers."""
+    survey = wave.Survey(grid, acq, pml_cells=pml_cells)
     blocks = []
-    for f in acq.frequencies:
+    for i, f in enumerate(acq.frequencies):
         system = wave.assemble(model.as_slowness_squared(grid), 2 * np.pi * f, pml_cells)
-        b = system.point_sources(acq.sources, wave.ricker_amplitude(f, 10.0))
-        blocks.append(linsys.factorize(system.matrix).solve(b)[system.padded_indices(acq.receivers)])
+        b = survey.point_sources(i)
+        blocks.append(linsys.factorize(system.matrix).solve(b)[survey.rx])
     return blocks
 
 
@@ -253,10 +260,10 @@ def _greens_error(n, h, pml):
     mid = n // 2
     offsets = np.arange(15, 31) * (10.0 / h)  # fixed physical range 150..300 m
     rxs = [(mid, mid + int(round(d))) for d in offsets]
+    survey = wave.Survey(grid, model.AcquisitionGeometry(((mid, mid),), rxs, (f,)), f, pml)
     system = wave.assemble(grid, 2 * np.pi * f, pml)
-    b = system.point_sources([(mid, mid)], wave.ricker_amplitude(f, f))
-    field = linsys.factorize(system.matrix).solve(b)
-    u = field[system.padded_indices(rxs), 0]
+    field = linsys.factorize(system.matrix).solve(survey.point_sources(0))
+    u = field[survey.rx, 0]
     k = 2 * np.pi * f / v
     r = np.array([(rx[1] - mid) * h for rx in rxs])
     reference = -0.25j * hankel1(0, k * r)
@@ -296,6 +303,12 @@ def test_noise_disabled_flag():
     data = _toy_data()
     assert wave.add_noise(data, None) == data
     assert wave.add_noise(data, np.inf) == data
+
+
+@pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+def test_noise_rejects_nan_and_negative_infinity(snr_db):
+    with pytest.raises(ValueError, match="SNR must be a number"):
+        wave.add_noise(_toy_data(), snr_db)
 
 
 def test_noise_zero_db_equal_rms():
