@@ -92,8 +92,8 @@ class _OracleBase:
 
     def data_residual_norm(self, m) -> float:
         """Reduced-space data residual ||P A(m)^-1 b - d||; one LU of A(m) per frequency."""
-        return math.sqrt(sum(float(np.sum(np.abs(self._forward(m, i)["resid"]) ** 2))
-                             for i in range(len(self.observed.blocks))))
+        return math.sqrt(sum(self.survey.each(
+            lambda i: float(np.sum(np.abs(self._forward(m, i)["resid"]) ** 2)))))
 
 
 class FwiOracle(_OracleBase):
@@ -116,6 +116,7 @@ class FwiOracle(_OracleBase):
         key = m.tobytes()
         if key == self._cache_key:
             return self._cache
+        # the factors outlive this call, so they are made on this thread (see wave.Survey.each)
         per_freq = [self._forward(m, i) for i in range(len(self.observed.blocks))]
         misfit = 0.0
         for entry in per_freq:
@@ -140,9 +141,11 @@ class FwiOracle(_OracleBase):
         return (-(entry["omega"] ** 2) * np.sum((u * w).real, axis=1))[self.survey.interior_rows]
 
     def gradient(self, m) -> np.ndarray:
+        per_freq = self._prepare(m)["per_freq"]
+        terms = self.survey.each(lambda i: self._back_correlate(per_freq[i], per_freq[i]["resid"]))
         grad = np.zeros(self.survey.interior_rows.shape)
-        for entry in self._prepare(m)["per_freq"]:
-            grad += self._back_correlate(entry, entry["resid"])
+        for term in terms:
+            grad += term
         return grad
 
     def hvp(self, m, v) -> np.ndarray:
@@ -151,11 +154,15 @@ class FwiOracle(_OracleBase):
         v = np.asarray(v, dtype=np.float64)
         vp = np.zeros(self.survey.collar.size)  # v on the interior, zero on the collar
         vp[self.survey.interior_rows] = v.reshape(self.survey.interior_rows.shape)
+
+        def product(i):
+            entry = cache["per_freq"][i]
+            du = entry["fact"].solve(-entry["omega"] ** 2 * (vp[:, None] * entry["u"]))
+            return self._back_correlate(entry, du[self.survey.rx, :])
+
         out = np.zeros(self.survey.interior_rows.shape)
-        for entry in cache["per_freq"]:
-            u, omega2 = entry["u"], entry["omega"] ** 2
-            du = entry["fact"].solve(-omega2 * (vp[:, None] * u))
-            out += self._back_correlate(entry, du[self.survey.rx, :])
+        for term in self.survey.each(product):
+            out += term
         return out.reshape(v.shape)
 
 
@@ -180,13 +187,17 @@ class WriOracle(_OracleBase):
 
     def update_wavefields(self, m):
         """Solve for the penalty fields of every source and frequency at m and freeze them."""
-        weighted, resid, outside_sq = [], [], 0.0
         interior = self.survey.interior_rows.ravel()
-        for i, data in enumerate(self.observed.blocks):
-            system, u, e = self.survey.solve_penalty(m, i, data, self.mu)
-            outside_sq += float(np.sum(np.abs(e) ** 2)) - float(np.sum(np.abs(e[interior]) ** 2))
-            weighted.append(system.omega**2 * u[interior])
-            resid.append(e[interior])
+
+        def fields(i):
+            system, u, e = self.survey.solve_penalty(m, i, self.observed.blocks[i], self.mu)
+            outside = float(np.sum(np.abs(e) ** 2)) - float(np.sum(np.abs(e[interior]) ** 2))
+            return system.omega**2 * u[interior], e[interior], outside
+
+        weighted, resid, outside = zip(*self.survey.each(fields))
+        outside_sq = 0.0
+        for value in outside:
+            outside_sq += value
         shape = self.survey.interior_rows.shape + (-1,)
         self._m_ref = np.array(m, dtype=np.float64)
         self._w = np.hstack(weighted).reshape(shape)

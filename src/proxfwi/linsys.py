@@ -12,6 +12,13 @@ that order in symmetric mode, with a diagonal pivot threshold of 0.01
 (``DIAG_PIVOT_THRESH``) that keeps the diagonal as pivot, and with it the
 fill the ordering planned for, unless an entry below it is 100 times larger.
 
+:func:`factorize` is safe to call from several threads at once, as a
+survey's frequencies do: SuperLU releases the GIL while it factors, and the
+order cache is locked, so each pattern is still ordered once.  SuperLU gives
+a factor's memory back only on the thread that made it, so a
+:class:`Factorization` made on a worker thread must be dropped there, or it
+is never freed; any thread may solve with it.
+
 A factorization serves right-hand sides in two ways.  :meth:`Factorization.solve`
 runs full-length triangular solves, one per column, for callers that need
 whole wavefields.  When only a few unknowns are wanted, as when many-source
@@ -24,6 +31,7 @@ small dense trailing block of L and U, with no full-length solve.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,6 +48,7 @@ DIAG_PIVOT_THRESH = 0.01
 # MMD orders kept, by pattern: a WRI run's A and normal matrix keep one each
 MMD_CACHE_SIZE = 4
 _mmd_cache: dict = {}
+_mmd_lock = threading.Lock()  # held over lookup, ordering and insertion
 
 
 class Factorization:
@@ -124,22 +133,24 @@ def _mmd_order(a: sp.csc_matrix) -> np.ndarray:
     so that it is strictly diagonally dominant and never meets a zero pivot.
     In symmetric mode SuperLU does not postorder the elimination tree, so
     ``perm_c`` is the ordering itself.  The ``MMD_CACHE_SIZE`` patterns
-    used last keep their order.
+    used last keep their order; the cache is locked, so concurrent callers
+    with one pattern order it once.
     """
     key = (a.shape, a.indptr.tobytes(), a.indices.tobytes())
-    order = _mmd_cache.pop(key, None)
-    if order is None:
-        pattern = sp.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
-        surrogate = (pattern + sp.diags(np.diff(a.indptr) + 1.0)).tocsc()
-        ilu = spla.spilu(
-            surrogate, drop_tol=0.5, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=DIAG_PIVOT_THRESH, options={"SymmetricMode": True},
-        )
-        order = np.argsort(ilu.perm_c)
-        order.flags.writeable = False
-    _mmd_cache[key] = order
-    if len(_mmd_cache) > MMD_CACHE_SIZE:
-        del _mmd_cache[next(iter(_mmd_cache))]
+    with _mmd_lock:
+        order = _mmd_cache.pop(key, None)
+        if order is None:
+            pattern = sp.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+            surrogate = (pattern + sp.diags(np.diff(a.indptr) + 1.0)).tocsc()
+            ilu = spla.spilu(
+                surrogate, drop_tol=0.5, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=DIAG_PIVOT_THRESH, options={"SymmetricMode": True},
+            )
+            order = np.argsort(ilu.perm_c)
+            order.flags.writeable = False
+        _mmd_cache[key] = order
+        if len(_mmd_cache) > MMD_CACHE_SIZE:
+            del _mmd_cache[next(iter(_mmd_cache))]
     return order
 
 

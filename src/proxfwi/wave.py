@@ -15,12 +15,24 @@ index maps.  Modeling (:func:`forward`) and both inversion oracles solve
 through it, and it runs all three solves through :func:`linsys.factorize`:
 point-source blocks (modeling, FWI), the penalty normal equations (WRI) and
 condensed modeling.
+
+A survey's frequencies are independent factorizations, and :meth:`Survey.each`
+runs them concurrently, one thread per usable CPU up to one per frequency,
+while the calling thread only waits.  SuperLU releases the GIL while it
+factors, so the LUs overlap; each frequency's results come back in
+frequency order, and callers add them in that order, so a run gives the same
+numbers whatever the number of CPUs.  It is the one place in the package
+that starts threads.  A factor must be dropped on the thread that made it,
+so the FWI oracle, which keeps its factors between calls, makes them on the
+calling thread and only solves with them here.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,19 +236,29 @@ def assemble_padded(
     return HelmholtzSystem(omega=omega, nzp=nzp, nxp=nxp, matrix=matrix)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the platform keeps one."""
+    if hasattr(os, "sched_getaffinity"):  # Linux and most Unix; not macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class Survey:
     """An acquisition on the padded grid, with the collar frozen at a background.
 
     Every solve takes an interior squared-slowness model ``m``, set inside the
     frozen collar, and an index ``i`` into ``acq.frequencies``.  The damping
     profile is tuned for ``pml_velocity`` if given, else for the background's
-    top speed, for every m, so A is exactly affine in m.  Under a free surface
-    no source or receiver may sit on the Dirichlet top row.
+    top speed, for every m, so A is exactly affine in m; an explicit
+    ``pml_velocity`` must be positive and finite.  Under a free surface no
+    source or receiver may sit on the Dirichlet top row.
     """
 
     def __init__(self, background: ModelGrid, acq: AcquisitionGeometry, f_peak: float = 10.0,
                  pml_cells: int = 10, free_surface_top: bool = False,
                  pml_velocity: float | None = None):
+        if pml_velocity is not None and not 0.0 < float(pml_velocity) < math.inf:
+            raise ValueError(f"pml_velocity must be positive and finite, got {pml_velocity!r}")
         background = as_slowness_squared(background)
         acq.validate_for(background.nz, background.nx, min_iz=1 if free_surface_top else 0)
         self.acq = acq
@@ -256,6 +278,24 @@ class Survey:
     def _rows(self, points) -> np.ndarray:
         iz, ix = np.asarray(points, dtype=np.int64).reshape(-1, 2).T
         return self.interior_rows[iz, ix]
+
+    def each(self, fn) -> list:
+        """``[fn(i) for i in frequency indices]``, run concurrently in a thread pool.
+
+        One worker per CPU this process may run on, up to one per frequency,
+        so with one CPU the frequencies run one at a time.  The results keep
+        frequency order, the first exception raised is re-raised here, and
+        every worker has exited when this returns.
+
+        ``fn`` must not return a factorization: SuperLU gives a factor's
+        memory back only on the thread that made it (scipy records each
+        allocation per thread), so a factor that outlives ``fn`` and is
+        dropped elsewhere is never freed.  Factors that a caller keeps are
+        made on the calling thread; their solves may run here.
+        """
+        n = len(self.omegas)
+        with ThreadPoolExecutor(max_workers=min(n, _usable_cpus())) as pool:
+            return list(pool.map(fn, range(n)))
 
     def system(self, m, i: int) -> HelmholtzSystem:
         """A(m) at frequency i, assembled with ``m`` inside the frozen collar."""
@@ -300,17 +340,16 @@ class Survey:
         the data read from the factors' trailing block
         (:meth:`linsys.Factorization.solve_last`), with no full-length solve.
         """
-        blocks = []
-        for i, amplitude in enumerate(self.amplitudes):
-            if self.src.size >= CONDENSE_MIN_SOURCES:
-                system = self.system(m, i)
-                last, at = np.unique(np.concatenate([self.rx, self.src]), return_inverse=True)
-                values = np.full(self.src.size, amplitude / (self.dz * self.dx))
-                fact = linsys.factorize(system.matrix, last=last)
-                blocks.append(fact.solve_last(at[self.rx.size:], values)[at[:self.rx.size], :])
-            else:
-                blocks.append(self.solve_sources(m, i)[2][self.rx, :])
-        return FreqData(self.acq.frequencies, tuple(blocks))
+        def block(i):
+            if self.src.size < CONDENSE_MIN_SOURCES:
+                return self.solve_sources(m, i)[2][self.rx, :]
+            system = self.system(m, i)
+            last, at = np.unique(np.concatenate([self.rx, self.src]), return_inverse=True)
+            values = np.full(self.src.size, self.amplitudes[i] / (self.dz * self.dx))
+            fact = linsys.factorize(system.matrix, last=last)
+            return fact.solve_last(at[self.rx.size:], values)[at[:self.rx.size], :]
+
+        return FreqData(self.acq.frequencies, tuple(self.each(block)))
 
 
 def forward(model: ModelGrid, acq: AcquisitionGeometry, f_peak: float = 10.0,

@@ -16,6 +16,10 @@ from ``denoise``'s patch margin, and only ``wave`` names the steps its
 ``Survey`` owns: ``pad_collar``, ``assemble_padded`` and ``ricker_amplitude``.
 Every LU runs on the cached order: only ``linsys._mmd_order`` names
 ``MMD_AT_PLUS_A``, and every ``splu`` call passes ``permc_spec="NATURAL"``.
+Only ``wave``, whose ``Survey.each`` runs a survey's frequencies in a thread
+pool, names ``ThreadPoolExecutor``, ``Thread``, ``concurrent`` or
+``threading``, except that ``linsys`` names ``threading.Lock`` for its order
+cache.
 """
 
 import ast
@@ -213,6 +217,17 @@ SOLVE_OWNERS = {"linsys", "wave"}  # import scipy.sparse and name factorize
 PAD_OWNERS = {"wave", "denoise"}  # denoise pads nlm's patch margin, not the grid
 SURVEY_OWNER = "wave"
 SURVEY_STEPS = {"pad_collar", "assemble_padded", "ricker_amplitude"}  # wave.Survey's own steps
+THREAD_OWNER = "wave"  # Survey.each, the one place that starts threads
+THREAD_NAMES = {"ThreadPoolExecutor", "Thread"}
+LOCK_OWNER, LOCK_NAMES = "linsys", {"threading", "threading.Lock"}  # the order cache's lock
+
+
+def _thread_breach(module: str, name: str) -> bool:
+    """Whether ``module`` may not name ``name``: a thread pool, a thread or the
+    modules that make them, outside ``wave``; ``linsys`` may name its lock."""
+    if module == THREAD_OWNER or (module == LOCK_OWNER and name in LOCK_NAMES):
+        return False
+    return name in THREAD_NAMES or name.split(".")[0] in ("concurrent", "threading")
 
 
 def _sparse_imports(node) -> list[str]:
@@ -227,20 +242,26 @@ def _sparse_imports(node) -> list[str]:
 
 
 def _owner_breaches(sources: dict[str, str]) -> list[str]:
-    """``module:line: name`` of each SuperLU, ``factorize`` or survey-step
-    reference, ``scipy.sparse`` import or ``np.pad`` call outside its owner."""
+    """``module:line: name`` of each SuperLU, ``factorize``, survey-step or
+    thread reference, ``scipy.sparse`` import or ``np.pad`` call outside its owner."""
     found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if module not in SOLVE_OWNERS:
                 found += [(module, node.lineno, n) for n in _sparse_imports(node)]
-            names = []
+            names, dotted = [], []  # dotted: with the module it is read from
             if isinstance(node, ast.Name):
                 names = [node.id]
             elif isinstance(node, ast.Attribute):
                 names = [node.attr]
+                if isinstance(node.value, ast.Name):
+                    dotted = [f"{node.value.id}.{node.attr}"]
             elif isinstance(node, ast.ImportFrom):
                 names = [alias.name for alias in node.names]
+                dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                dotted = [alias.name for alias in node.names]
+            found += [(module, node.lineno, n) for n in names + dotted if _thread_breach(module, n)]
             if module != SUPERLU_OWNER:
                 found += [(module, node.lineno, n) for n in names if n in SUPERLU]
             if module not in SOLVE_OWNERS:
@@ -300,6 +321,31 @@ def test_owner_scanner_flags_survey_steps_outside_wave():
     assert _owner_breaches(sources) == [
         "inversion:1: assemble_padded", "inversion:2: ricker_amplitude",
         "inversion:5: pad_collar",
+    ]
+
+
+def test_owner_scanner_flags_threads_outside_wave():
+    sources = {
+        "wave": (
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "pool = ThreadPoolExecutor(max_workers=2)\n"
+        ),
+        "linsys": (
+            "import threading\n"
+            "_lock = threading.Lock()\n"
+            "worker = threading.Thread(target=f)\n"
+        ),
+        "inversion": (
+            "import concurrent.futures\n"
+            "pool = concurrent.futures.ThreadPoolExecutor(2)\n"
+            "from threading import Lock\n"
+            "values = survey.each(solve)\n"
+        ),
+    }
+    assert _owner_breaches(sources) == [
+        "inversion:1: concurrent.futures", "inversion:2: ThreadPoolExecutor",
+        "inversion:2: concurrent", "inversion:2: concurrent.futures",
+        "inversion:3: threading.Lock", "linsys:3: Thread", "linsys:3: threading.Thread",
     ]
 
 

@@ -1,4 +1,8 @@
+import gc
+import os
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -386,6 +390,96 @@ def test_non_finite_model_raises(method, bad):
             _fwi(acq, observed, background).value(m)
         else:
             _wri(acq, observed, background).update_wavefields(m)
+
+
+# ---------------------------------------------------------------------------
+# the survey's frequencies in a thread pool
+
+
+def _cpus(monkeypatch, n):
+    """Let ``Survey.each`` see ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_survey_runs_one_worker_per_cpu_up_to_one_per_frequency(monkeypatch):
+    _, background, acq, _ = _tiny_problem(freqs=(5.0, 6.0, 9.0))
+    survey = wave.Survey(background, acq, pml_cells=5)
+    start = threading.active_count()
+    _cpus(monkeypatch, 8)
+    barrier = threading.Barrier(3, timeout=30.0)  # passes only if all three run at once
+
+    def meet(i):
+        barrier.wait()
+        return i, threading.get_ident()
+
+    order, idents = zip(*survey.each(meet))
+    assert order == (0, 1, 2) and len(set(idents)) == 3
+    assert threading.get_ident() not in idents
+    _cpus(monkeypatch, 1)
+    order, idents = zip(*survey.each(lambda i: (i, threading.get_ident())))
+    assert order == (0, 1, 2) and len(set(idents)) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS: count the machine's CPUs
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    order, idents = zip(*survey.each(lambda i: (i, threading.get_ident())))
+    assert order == (0, 1, 2) and len(set(idents)) == 1
+    assert threading.active_count() == start
+
+
+def test_oracles_are_bit_identical_with_one_and_three_workers(monkeypatch):
+    _, background, acq, observed = _tiny_problem(freqs=(5.0, 6.0, 9.0))
+    m = model.as_slowness_squared(background).values
+    v = np.random.default_rng(4).standard_normal(m.shape)
+    start = threading.active_count()
+
+    def outputs(n_cpus):
+        _cpus(monkeypatch, n_cpus)
+        fwi, wri = _fwi(acq, observed, background), _wri(acq, observed, background)
+        wri.update_wavefields(m)
+        out = [*fwi.survey.data(m).blocks, fwi.value(m), fwi.gradient(m), fwi.hvp(m, v),
+               wri._w, wri._e, wri._outside_sq, wri.data_residual_norm(m)]
+        assert threading.active_count() == start
+        return [np.asarray(x).tobytes() for x in out]
+
+    assert outputs(1) == outputs(3)
+
+
+def test_every_factor_is_dropped_on_the_thread_that_made_it(monkeypatch):
+    # SuperLU frees a factor only on its own thread, so any other drop leaks it
+    _, background, acq, observed = _tiny_problem(freqs=(5.0, 6.0, 9.0))
+    m = model.as_slowness_squared(background).values
+    _cpus(monkeypatch, 3)
+    factorize, made, same = linsys.factorize, [], []
+
+    def tracked(a, last=()):
+        fact = factorize(a, last=last)
+        made.append(threading.get_ident())
+        weakref.finalize(fact, lambda ident: same.append(threading.get_ident() == ident),
+                         made[-1])
+        return fact
+
+    monkeypatch.setattr(linsys, "factorize", tracked)
+    fwi, wri = _fwi(acq, observed, background), _wri(acq, observed, background)
+    fwi.survey.data(m)
+    fwi.hvp(m, fwi.gradient(m))
+    fwi.value(0.9 * m)  # drops the factors of m
+    wri.update_wavefields(m)
+    wri.data_residual_norm(m)
+    del fwi, wri
+    gc.collect()
+    assert len(same) == len(made) == 5 * 3 and all(same)
+
+
+def test_a_nan_model_raises_from_the_worker_threads(monkeypatch):
+    _, background, acq, observed = _tiny_problem(freqs=(5.0, 6.0, 9.0))
+    m = model.as_slowness_squared(background).values.copy()
+    m[5, 5] = np.nan
+    start = threading.active_count()
+    _cpus(monkeypatch, 3)
+    wri = _wri(acq, observed, background)
+    for call in (wri.survey.data, wri.update_wavefields, wri.data_residual_norm):
+        with pytest.raises(NumericalError, match=r"\(5, 5\)"):
+            call(m)
+        assert threading.active_count() == start
 
 
 def test_wri_field_update_decreases_joint_objective():

@@ -1,3 +1,7 @@
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -211,6 +215,41 @@ def test_mmd_order_is_read_once_per_pattern_and_the_cache_is_bounded(monkeypatch
         linsys.factorize(_random_sparse(n, rng))
         assert len(linsys._mmd_cache) <= linsys.MMD_CACHE_SIZE
     assert len(calls) == 2 + linsys.MMD_CACHE_SIZE + 2
+
+
+def test_mmd_order_cache_is_safe_for_concurrent_callers(monkeypatch):
+    rng = np.random.default_rng(5)
+    patterns = [sp.csc_matrix(_random_sparse(n, rng))
+                for n in range(30, 32 + linsys.MMD_CACHE_SIZE)]  # two more than the cache
+    monkeypatch.setattr(linsys, "_mmd_cache", {})
+    serial = [linsys._mmd_order(a) for a in patterns]
+    spilu, calls = linsys.spla.spilu, []
+
+    def slow(*args, **kwargs):  # a slow ordering lets the other threads reach the cache
+        calls.append(1)
+        time.sleep(0.002)
+        return spilu(*args, **kwargs)
+
+    monkeypatch.setattr(linsys.spla, "spilu", slow)
+
+    def sweep(k, count):
+        """Order the first ``count`` patterns three times, starting at pattern k."""
+        picks = [(k + j) % count for j in range(3 * count)]
+        return [(p, linsys._mmd_order(patterns[p])) for p in picks]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the cache's critical steps too
+    try:
+        for count in (len(patterns), linsys.MMD_CACHE_SIZE):
+            monkeypatch.setattr(linsys, "_mmd_cache", {})
+            calls.clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                swept = list(pool.map(sweep, range(8), [count] * 8, timeout=60.0))
+            assert all(np.array_equal(order, serial[p]) for run in swept for p, order in run)
+            assert len(linsys._mmd_cache) <= linsys.MMD_CACHE_SIZE
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == linsys.MMD_CACHE_SIZE  # patterns that fit are ordered once
 
 
 def test_helmholtz_fill_below_colamd():

@@ -194,6 +194,19 @@ def test_reciprocity(heterogeneous):
     assert abs(d_ab - d_ba) <= 1e-8 * abs(d_ab)
 
 
+@pytest.mark.parametrize("pml_velocity", [-2000.0, 0.0, np.nan, np.inf])
+def test_forward_rejects_a_nonpositive_or_non_finite_pml_velocity(pml_velocity, monkeypatch):
+    # 0 would switch the absorbing profile off, and NaN or inf used to fail
+    # inside SuperLU; the survey names the argument before any factorization
+    def no_factorization(a, last=()):
+        raise AssertionError("factorized before the PML speed was checked")
+
+    monkeypatch.setattr(linsys, "factorize", no_factorization)
+    acq = model.AcquisitionGeometry(((10, 10),), ((10, 12),), (3.0,))
+    with pytest.raises(ValueError, match="pml_velocity"):
+        wave.forward(_homogeneous(21, 25.0), acq, pml_velocity=pml_velocity)
+
+
 # ---------------------------------------------------------------------------
 # condensed many-source modeling
 
