@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rosenbrock", help="solve the analytic 2D toy problem")
     p.add_argument("--lambda", dest="lam", type=float, default=1.5)
-    p.add_argument("--method", choices=("nista", "nadmm"), default="nadmm")
+    p.add_argument("--method", choices=optim.SOLVERS, default="nadmm")
     p.add_argument("--hessian", choices=("exact", "lbfgs", "identity"), default="exact")
     p.add_argument("--start", type=_point_pair, default="-1.2,1.0")
     p.add_argument("--max-outer", type=int, default=200)

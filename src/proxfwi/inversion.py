@@ -28,13 +28,15 @@ from .model import (
     ModelGrid,
     as_slowness_squared,
     as_velocity,
+    read_freq_data,
     read_grid,
     survey_geometry,
     write_grid,
 )
-from .optim import OptConfig, history_to_csv, proximal_newton_solve
+from .optim import SOLVERS, OptConfig, _check_hessian, history_to_csv, proximal_newton_solve
 
 MU_RATIO = 1e-2  # default_penalty_mu's fraction of ||A||_2
+FORMULATIONS = ("fwi", "irwri")  # multiscale_drive's misfits: reduced-space and penalty
 
 
 def rmse(m, m_true) -> float:
@@ -86,9 +88,9 @@ class _OracleBase:
 
     def _forward(self, m: np.ndarray, i: int) -> dict:
         """Reduced-space solve at frequency i: the fields u = A(m)^-1 b and P u - d."""
-        system, fact, u = self.survey.solve_sources(m, i)
+        fact, u = self.survey.solve_sources(m, i)
         resid = u[self.survey.rx, :] - self.observed.blocks[i]
-        return {"omega": system.omega, "fact": fact, "u": u, "resid": resid}
+        return {"omega": self.survey.omegas[i], "fact": fact, "u": u, "resid": resid}
 
     def data_residual_norm(self, m) -> float:
         """Reduced-space data residual ||P A(m)^-1 b - d||; one LU of A(m) per frequency."""
@@ -190,9 +192,9 @@ class WriOracle(_OracleBase):
         interior = self.survey.interior_rows.ravel()
 
         def fields(i):
-            system, u, e = self.survey.solve_penalty(m, i, self.observed.blocks[i], self.mu)
+            u, e = self.survey.solve_penalty(m, i, self.observed.blocks[i], self.mu)
             outside = float(np.sum(np.abs(e) ** 2)) - float(np.sum(np.abs(e[interior]) ** 2))
-            return system.omega**2 * u[interior], e[interior], outside
+            return self.survey.omegas[i] ** 2 * u[interior], e[interior], outside
 
         weighted, resid, outside = zip(*self.survey.each(fields))
         outside_sq = 0.0
@@ -242,10 +244,9 @@ def default_penalty_mu(background: ModelGrid, first_freq: float, pml_cells: int 
     at 81^2), not a measure of the model's operator.
     """
     slowness = as_slowness_squared(background)
-    system = wave.assemble(slowness, 2.0 * np.pi * first_freq, pml_cells, free_surface_top)
-    a = system.matrix
+    a = wave.assemble(slowness, 2.0 * np.pi * first_freq, pml_cells, free_surface_top)
     est = linsys.spectral_norm(
-        lambda v: a @ v, system.n, apply_adjoint=lambda v: a.conjugate().transpose() @ v,
+        lambda v: a @ v, a.shape[0], apply_adjoint=lambda v: a.conjugate().transpose() @ v,
         tol=1e-3, max_iter=200,
     )
     return MU_RATIO * est.value
@@ -259,8 +260,6 @@ def default_penalty_mu(background: ModelGrid, first_freq: float, pml_cells: int 
 class BatchResult:
     path_index: int
     batch_index: int
-    frequencies: tuple
-    m_start: np.ndarray
     m_final: np.ndarray
     history: list
     status: str
@@ -291,7 +290,7 @@ def multiscale_drive(
     read (``config.lam`` sets the strength); it stays only because the
     benchmark passes the arguments by position.
     """
-    if method not in ("fwi", "irwri"):
+    if method not in FORMULATIONS:
         raise ConfigError(f"unknown inversion method {method!r}")
     if method == "irwri" and not (mu is not None and 0.0 < mu < math.inf):
         raise ConfigError(f"penalty method needs a positive mu, got {mu!r}")
@@ -312,13 +311,10 @@ def multiscale_drive(
                 oracle = WriOracle(
                     sub_acq, sub_obs, background, mu, f_peak, pml_cells, free_surface_top
                 )
-            m_start = m.copy()
             result = proximal_newton_solve(oracle, denoiser, config, m, algorithm)
             m = result.m
-            results.append(
-                BatchResult(pi, bi, batch, m_start, m.copy(), result.history,
-                            result.status, result.n_outer)
-            )
+            results.append(BatchResult(pi, bi, m.copy(), result.history, result.status,
+                                       result.n_outer))
     return m, results
 
 
@@ -331,8 +327,8 @@ class RunConfig:
     model_init: str = ""
     model_true: str = ""
     data: str = ""
-    method: str = "irwri"  # fwi | irwri
-    algorithm: str = "nadmm"  # nista | nadmm
+    method: str = "irwri"  # one of FORMULATIONS
+    algorithm: str = "nadmm"  # one of optim.SOLVERS
     hessian: str = ""  # default chosen per method
     denoiser: str = "identity"
     lam: float = 0.0
@@ -343,7 +339,7 @@ class RunConfig:
     max_outer: int = 70
     inner_iters: int = 100
     c_fixed: float | None = None  # None: C_SAFETY / sigma_max(H) each step
-    stopping: str = "max-iter"  # max-iter | data-residual[:EPS|auto] | model-error:VAL
+    stopping: tuple = ("max-iter", None)  # (rule, target); target None is auto or none
     snr_db: float | None = None
     seed: int = 0
     f_peak: float = 10.0
@@ -357,10 +353,23 @@ class RunConfig:
     out_dir: str = "run_out"
 
 
+STOPPING_RULES = ("max-iter", "data-residual", "model-error")
+# run-file keys that set the OptConfig field of the same name (lambda sets lam), with its type
+_OPT_KEYS = {"lambda": float, "max_outer": int, "inner_iters": int, "c_fixed": float,
+             "hessian": str}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")  # free_surface's words
+
+
 def _in_range(value, low: float, strict: bool = False):
     """``value`` if it is finite and at least ``low`` (above it if ``strict``), else ValueError."""
     if not (math.isfinite(value) and (value > low if strict else value >= low)):
         raise ValueError(f"{value!r} is not finite and {'above' if strict else 'at least'} {low:g}")
+    return value
+
+
+def _choice(value: str, choices: tuple) -> str:
+    if value not in choices:
+        raise ValueError(f"{value!r} is not one of {' | '.join(choices)}")
     return value
 
 
@@ -377,26 +386,51 @@ def _snr_db(text: str) -> float | None:
     return value
 
 
+def _stopping(text: str) -> tuple:
+    """``(rule, target)``: max-iter and data-residual's auto have target None."""
+    rule, sep, target = text.partition(":")
+    _choice(rule, STOPPING_RULES)
+    if rule == "max-iter" and sep:
+        raise ValueError("max-iter takes no target")
+    if rule == "max-iter" or (rule == "data-residual" and target in ("", "auto")):
+        return rule, None
+    return rule, _in_range(float(target), 0.0)
+
+
+def _opt_value(field: str, value):
+    """``value`` if ``OptConfig`` takes it for ``field``, else ValueError with its reason."""
+    try:
+        OptConfig(**{field: value}).validate()
+    except ConfigError as exc:
+        raise ValueError(str(exc)) from None
+    return value
+
+
 def _parse_points(text: str) -> tuple:
     pairs = [item.split(":") for item in text.split(";") if item.strip()]
     return tuple((int(iz), int(ix)) for iz, ix in pairs)
 
 
 def parse_run_config(path) -> RunConfig:
-    """Read a ``key = value`` run file into a RunConfig.
+    """Read a ``key = value`` run file into a RunConfig, checking every key.
 
-    ``#`` starts a comment, ``-`` in a key reads as ``_``, and an unknown key,
-    or a value of the wrong type or out of range (a bounded number must also be
-    finite), is a ConfigError naming the key.  Keys, as ``name (type, default): syntax``:
+    ``#`` starts a comment and ``-`` in a key reads as ``_``.  An unknown key, or
+    a value of the wrong type, out of range (a bounded number must also be
+    finite), outside its choices or at odds with another key, is a ConfigError
+    naming the key and its line, at parse time; ``OptConfig.validate`` checks
+    the keys it shares.  Only what needs the model grids (pml_cells, the
+    geometry, the denoiser) waits for ``run_inversion``, which checks it
+    before any modeling.  Keys, as ``name (type, default): syntax``:
 
     - model_init (path, required), model_true (path, on model_init's grid),
       data (path): without data, the data is synthesized from model_true.
     - method (fwi | irwri, irwri); algorithm (nista | nadmm, nadmm);
-      hessian (hvp | exact-dense | lbfgs | diagonal | identity, diagonal for
-      irwri and lbfgs for fwi); denoiser (make_denoiser spec, identity);
+      hessian (hvp | lbfgs | identity, or diagonal for irwri only; diagonal
+      for irwri and lbfgs for fwi); denoiser (make_denoiser spec, identity);
       lambda (float >= 0, 0); mu (float > 0 | auto, auto): the WRI penalty weight.
     - frequencies (Hz > 0, required): ``3,4.5``; batches (Hz > 0, one batch
-      of all): ``3,4 | 5,6``; paths (int >= 1, 1): passes over the batches.
+      of all): ``3,4 | 5,6``, each some frequencies in order; paths (int >= 1,
+      1): passes over the batches.
     - max_outer (int >= 0, 70); inner_iters (int >= 1, 100): the cap on
       NISTA's inner sweeps, which stop earlier at optim.INNER_FORCING.
     - c_fixed (float > 0, unset): the step scale ck of every outer step;
@@ -404,12 +438,12 @@ def parse_run_config(path) -> RunConfig:
     - stopping (max-iter): ``max-iter | data-residual[:EPS|auto] |
       model-error:VAL`` with EPS, VAL >= 0.  data-residual stops at a
       reduced-space residual ||P A(m)^-1 b - d|| <= 1.01 EPS, and auto takes
-      EPS from the synthesized noise; model-error stops at ||v - v_true|| <=
-      VAL (m/s), which a model with any cell m <= 0 never meets.
+      EPS from the noise synthesized at a finite snr_db; model-error stops at
+      ||v - v_true|| <= VAL (m/s), which a model with any cell m <= 0 never meets.
     - snr_db (float, not nan or -inf | none | inf, none); seed (int >= 0, 0):
       seeds the noise and the sigma_max power iteration; f_peak (Hz > 0, 10);
       pml_cells (int >= 5, 10): checked by wave.Survey; free_surface
-      (bool, false; ``1 | true | yes | on`` is true).
+      (``1 | true | yes | on`` or ``0 | false | no | off`` in any case, false).
     - n_sources (int, 5), source_depth (int, 0), receiver_spacing (int, 2):
       the surface layout, replaced by sources and receivers (``iz:ix;iz:ix``),
       which go together (model.survey_geometry); out_dir (path, run_out).
@@ -419,6 +453,7 @@ def parse_run_config(path) -> RunConfig:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    where = {}  # the line that set each key
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -427,19 +462,21 @@ def parse_run_config(path) -> RunConfig:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = key.strip().replace("-", "_"), value.strip()
+        where[key] = lineno
         try:
-            if key in ("model_init", "model_true", "data", "method", "algorithm",
-                       "hessian", "denoiser", "out_dir"):
+            if key in ("model_init", "model_true", "data", "denoiser", "out_dir"):
                 setattr(cfg, key, value)
+            elif key == "method":
+                cfg.method = _choice(value, FORMULATIONS)
+            elif key == "algorithm":
+                cfg.algorithm = _choice(value, SOLVERS)
+            elif key in _OPT_KEYS:
+                field = "lam" if key == "lambda" else key
+                setattr(cfg, field, _opt_value(field, _OPT_KEYS[key](value)))
             elif key == "mu":
                 cfg.mu = value if value == "auto" else _in_range(float(value), 0.0, True)
             elif key == "stopping":
-                rule, _, target = value.partition(":")
-                if rule == "model-error" or target not in ("", "auto"):
-                    _in_range(float(target), 0.0)
-                cfg.stopping = value
-            elif key == "lambda":
-                cfg.lam = float(value)
+                cfg.stopping = _stopping(value)
             elif key == "frequencies":
                 cfg.frequencies = _frequencies(value)
             elif key == "batches":
@@ -448,37 +485,52 @@ def parse_run_config(path) -> RunConfig:
                 cfg.paths = _in_range(int(value), 1)
             elif key == "seed":
                 cfg.seed = _in_range(int(value), 0)
-            elif key in ("max_outer", "inner_iters", "pml_cells",
-                         "n_sources", "source_depth", "receiver_spacing"):
+            elif key in ("pml_cells", "n_sources", "source_depth", "receiver_spacing"):
                 setattr(cfg, key, int(value))
-            elif key in ("c_fixed", "f_peak"):
-                setattr(cfg, key, _in_range(float(value), 0.0, True))
+            elif key == "f_peak":
+                cfg.f_peak = _in_range(float(value), 0.0, True)
             elif key == "snr_db":
                 cfg.snr_db = _snr_db(value)
             elif key == "free_surface":
-                cfg.free_surface = value.lower() in ("1", "true", "yes", "on")
-            elif key == "sources":
-                cfg.sources = _parse_points(value)
-            elif key == "receivers":
-                cfg.receivers = _parse_points(value)
+                cfg.free_surface = _choice(value.lower(), _TRUE + _FALSE) in _TRUE
+            elif key in ("sources", "receivers"):
+                setattr(cfg, key, _parse_points(value))
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+
+    def bad(key, reason):
+        return ConfigError(f"{path}:{where[key]}: bad value for {key}: {reason}")
+
     if not cfg.model_init:
         raise ConfigError(f"{path}: model_init is required")
     if not cfg.frequencies:
         raise ConfigError(f"{path}: frequencies are required")
+    if not (cfg.data or cfg.model_true):
+        raise ConfigError(f"{path}: either data or model_true is required")
+    if cfg.hessian:
+        try:
+            _check_hessian(cfg.hessian, FwiOracle if cfg.method == "fwi" else WriOracle)
+        except ConfigError as exc:
+            raise bad("hessian", f"{exc} (method {cfg.method})") from None
+    for batch in cfg.batches:
+        if not batch or batch != tuple(f for f in cfg.frequencies if f in batch):
+            raise bad("batches", f"{batch} is not some of the frequencies {cfg.frequencies} "
+                                 "in their order")
+    rule, target = cfg.stopping
+    if rule == "model-error" and not cfg.model_true:
+        raise bad("stopping", "model-error needs model_true")
+    if (rule == "data-residual" and target is None
+            and (cfg.data or cfg.snr_db in (None, math.inf))):
+        raise bad("stopping", "data-residual:auto needs data synthesized at a finite snr_db")
     return cfg
 
 
 @dataclass
 class RunSummary:
-    m_final: ModelGrid
     batches: list
     final_rmse: float | None
-    noise_norm: float | None
-    stop_target: float | None
 
 
 def run_inversion(cfg: RunConfig) -> RunSummary:
@@ -507,66 +559,31 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
 
     noise_norm = None
     if cfg.data:
-        from .model import read_freq_data
-
         observed = read_freq_data(cfg.data)
     else:
-        if true is None:
-            raise ConfigError("either data or model_true must be provided")
         # the oracles' damping profile, so the data and the oracles share one operator
         clean = wave.forward(true, acq, cfg.f_peak, cfg.pml_cells, cfg.free_surface,
                              pml_velocity=survey.pml_velocity)
         observed = wave.add_noise(clean, cfg.snr_db, cfg.seed)
-        if cfg.snr_db is not None and not np.isinf(cfg.snr_db):
-            noise_norm = math.sqrt(
-                sum(np.sum(np.abs(n - c) ** 2)
-                    for n, c in zip(observed.blocks, clean.blocks))
-            )
+        if cfg.snr_db not in (None, math.inf):
+            noise = tuple(n - c for n, c in zip(observed.blocks, clean.blocks))
+            noise_norm = FreqData(clean.frequencies, noise).norm()
 
     hessian = cfg.hessian or ("diagonal" if cfg.method == "irwri" else "lbfgs")
-    rule, _, target = cfg.stopping.partition(":")
+    rule, target = cfg.stopping
     stop_target, stop_metric = None, None
     if rule == "data-residual":
-        if target in ("", "auto"):
-            if noise_norm is None:
-                raise ConfigError("data-residual:auto stopping needs synthesized noisy data")
-            target = noise_norm
-        stop_target = 1.01 * float(target)
-
-        def stop_metric(oracle, m):
-            return oracle.data_residual_norm(m)
-
+        stop_target = 1.01 * (noise_norm if target is None else target)
+        stop_metric = lambda oracle, m: oracle.data_residual_norm(m)
     elif rule == "model-error":
-        if true is None:
-            raise ConfigError("model-error stopping needs model_true")
-        stop_target = float(target)
-        true_vel = as_velocity(true).values
-
-        def stop_metric(oracle, m):
-            return velocity_error(m, true_vel)
-
-    elif cfg.stopping != "max-iter":
-        raise ConfigError(f"unknown stopping rule {cfg.stopping!r}")
-
-    mu = None
-    if cfg.method == "irwri":
-        mu = (
-            default_penalty_mu(init, cfg.frequencies[0], pml_cells=cfg.pml_cells,
-                               free_surface_top=cfg.free_surface)
-            if cfg.mu == "auto"
-            else float(cfg.mu)
-        )
-
-    config = OptConfig(
-        lam=cfg.lam,
-        c_fixed=cfg.c_fixed,
-        max_outer=cfg.max_outer,
-        inner_iters=cfg.inner_iters,
-        hessian=hessian,
-        stop_target=stop_target,
-        stop_metric=stop_metric,
-        seed=cfg.seed,
-    )
+        stop_target, true_vel = target, as_velocity(true).values
+        stop_metric = lambda oracle, m: velocity_error(m, true_vel)
+    mu = cfg.mu if cfg.method == "irwri" else None
+    if mu == "auto":
+        mu = default_penalty_mu(init, cfg.frequencies[0], cfg.pml_cells, cfg.free_surface)
+    config = OptConfig(lam=cfg.lam, c_fixed=cfg.c_fixed, max_outer=cfg.max_outer,
+                       inner_iters=cfg.inner_iters, hessian=hessian, stop_target=stop_target,
+                       stop_metric=stop_metric, seed=cfg.seed)
 
     batches = cfg.batches if cfg.batches else (cfg.frequencies,)
     plan = [list(batches)] * cfg.paths
@@ -601,4 +618,4 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
             f"batches={len(batch_results)}\n"
             f"status={batch_results[-1].status}\n"
         )
-    return RunSummary(grids["final"], batch_results, final_rmse, noise_norm, stop_target)
+    return RunSummary(batch_results, final_rmse)

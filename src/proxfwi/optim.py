@@ -6,9 +6,9 @@ direction solvers are provided: an accelerated proximal-gradient inner loop
 driven purely by Hessian-vector products (``nista_direction``) and an
 operator-splitting step that combines a damped Newton solve, a prox/denoise
 step, and a dual update (``nadmm_step``).  NISTA's inner loop is an inexact
-proximal Newton solve (Lee, Sun & Saunders 2014): the driver stops it once a
-sweep moves at most ``INNER_FORCING`` times as far as the first sweep did,
-and ``inner_iters`` caps it.
+proximal Newton solve (Lee, Sun & Saunders 2014): it stops once a sweep
+moves at most the constant ``INNER_FORCING`` times as far as the first sweep
+did, and ``inner_iters`` caps it.
 
 The Hessian can be the oracle's exact/Gauss-Newton operator (``hvp``), its
 dense matrix for toy sizes (``hessian_dense``), a limited-memory quasi-Newton
@@ -16,11 +16,12 @@ approximation built from outer gradient pairs, the oracle's diagonal, or the
 identity.  ``_hessian_ops`` is the only place a Hessian mode is chosen: it
 builds the per-outer (apply, shifted solve, sigma_max) triple, and sigma_max
 is computed only when the driver calls it to set ck.  ``LbfgsHessian`` keeps
-its own curvature pairs, and ``nadmm_step`` takes ``solve_shifted``.  Both
-solvers accept their step through ``line_search``, one Armijo backtracking
-rule with the constants ``SIGMA_LS`` (c1 = 1e-4), ``BETA_LS`` (rho = 1/2) and
-``MAX_TRIALS`` (25); it holds the iterate when no trial lowers the merit.  Each
-solver forms m + alpha * dm itself.
+its own curvature pairs, at most the constant ``LBFGS_MEMORY`` of them, and
+``nadmm_step`` takes ``solve_shifted``.  Both solvers accept their step
+through ``line_search``, one Armijo backtracking rule with the constants
+``SIGMA_LS`` (c1 = 1e-4), ``BETA_LS`` (rho = 1/2) and ``MAX_TRIALS`` (25); it
+holds the iterate when no trial lowers the merit.  Each solver forms
+m + alpha * dm itself.
 
 ``proximal_newton_solve`` is the one outer driver.  It owns the outer index,
 the step scale ck, the history and the stopping decision; ``InversionState``
@@ -48,6 +49,8 @@ C_SAFETY = 0.9  # ck = C_SAFETY / sigma_max(H_k), just inside the inner loop's 1
 # NISTA's forcing term: its inner loop stops once a sweep's prox-gradient residual is
 # at most this share of the first sweep's (Eisenstat & Walker 1996)
 INNER_FORCING = 0.05
+LBFGS_MEMORY = 10  # the most curvature pairs LbfgsHessian keeps; the oldest goes first
+CG_TOL = 1e-12  # hvp mode's shifted solve stops at this residual relative to the rhs
 C_FREEZE_AFTER = 3  # NADMM fixes ck from this outer step on, so the dual update sees one penalty
 STEP_FLOOR = 1e-14  # an accepted step this small relative to 1 + ||m|| is rounding noise
 # the Armijo rule of line_search (Nocedal & Wright 2006, sec. 3.1): sufficient-decrease
@@ -58,6 +61,7 @@ MAX_TRIALS = 25
 # every Hessian mode and the oracle method it reads; lbfgs and identity need none
 _HESSIAN_NEEDS = {"hvp": "hvp", "exact-dense": "hessian_dense", "diagonal": "hessian_diag",
                   "lbfgs": None, "identity": None}
+SOLVERS = ("nista", "nadmm")  # proximal_newton_solve's direction solvers
 
 
 def _dot(a, b) -> float:
@@ -75,15 +79,12 @@ def _norm(a) -> float:
 class LbfgsHessian:
     """Compact-form limited-memory BFGS Hessian (the direct operator B).
 
-    Forms up to ``memory`` curvature pairs from the outer iterates it observes
+    Forms up to ``LBFGS_MEMORY`` curvature pairs from the outer iterates it observes
     and supports applying B and solving (c*B + I) x = rhs exactly via a low-rank
     update formula, which is what the splitting step needs.
     """
 
-    def __init__(self, memory: int = 10):
-        if memory < 0:
-            raise ConfigError("lbfgs memory must be nonnegative")
-        self.memory = memory
+    def __init__(self):
         self._s: list[np.ndarray] = []
         self._y: list[np.ndarray] = []
         self._form = None  # (delta, U, M) of the current pairs, built on first use
@@ -97,7 +98,7 @@ class LbfgsHessian:
             return
         self._s.append(np.ravel(np.asarray(s, dtype=np.float64)).copy())
         self._y.append(np.ravel(np.asarray(y, dtype=np.float64)).copy())
-        if len(self._s) > self.memory:
+        if len(self._s) > LBFGS_MEMORY:
             self._s.pop(0)
             self._y.pop(0)
         self._form = None
@@ -152,13 +153,13 @@ class LbfgsHessian:
         return out.reshape(v.shape)
 
     def solve_shifted(self, c: float, rhs) -> np.ndarray:
-        """Exact solve of (c*B + I) x = rhs via the low-rank structure."""
+        """Exact solve of (c*B + I) x = rhs, c > 0, via the low-rank structure."""
         rhs = np.asarray(rhs, dtype=np.float64)
         flat = np.ravel(rhs)
         delta = self._delta()
         a = c * delta + 1.0
-        if not self._s or c == 0.0:
-            return (rhs / a).copy() if c != 0.0 else rhs.copy()
+        if not self._s:
+            return rhs / a
         _, u, mid = self._compact()
         # (a I - U (c M^-1) U^T)^-1 = I/a + U (M/c - U^T U / a)^-1 U^T / a^2
         inner = mid / c - (u.T @ u) / a
@@ -223,7 +224,6 @@ def nista_direction(
     lam: float,
     ck: float,
     n_inner: int,
-    forcing: float,
 ):
     """Search direction from the accelerated proximal-gradient inner loop.
 
@@ -234,8 +234,7 @@ def nista_direction(
     coefficient (l-1)/(l+2), starting from zero.  Sweep l's
     residual r_l = ||dm_l - dp_{l-1}|| is how far it moved from the point its
     gradient step started at; r_1 = ck ||G(m_k)||, the outer gradient mapping.
-    With ``forcing`` > 0 the loop stops at the first l with
-    r_l <= forcing * r_1; with 0 it runs all ``n_inner`` sweeps.  Returns
+    The loop stops at the first l with r_l <= INNER_FORCING * r_1.  Returns
     (dm, sweeps run).
     """
     if ck <= 0.0:
@@ -250,12 +249,11 @@ def nista_direction(
         dm_new = denoiser.apply(m_k + dm_half, scale) - m_k
         if not np.all(np.isfinite(dm_new)):
             raise NumericalError(f"inner iterate diverged at sweep {ell} (ck={ck:g})")
-        if forcing > 0.0:
-            residual = _norm(dm_new - dp)
-            if ell == 1:
-                first = residual
-            if residual <= forcing * first:
-                return dm_new, ell
+        residual = _norm(dm_new - dp)
+        if ell == 1:
+            first = residual
+        if residual <= INNER_FORCING * first:
+            return dm_new, ell
         dp = dm_new + ((ell - 1.0) / (ell + 2.0)) * (dm_new - dm)
         dm = dm_new
     return dm, n_inner
@@ -358,8 +356,8 @@ class OptConfig:
     and NADMM keeps the ck of its outer step C_FREEZE_AFTER (counting from 1)
     for the rest of the run; sigma_max is computed only on the steps where it
     sets ck.  ``inner_iters`` caps NISTA's inner sweeps, which stop earlier
-    at the forcing term ``INNER_FORCING``.  ``LbfgsHessian`` keeps its own
-    pairs, at most its default memory of 10.  The run stops early once
+    at the constant forcing term ``INNER_FORCING``.  ``LbfgsHessian`` keeps its
+    own pairs, at most the constant ``LBFGS_MEMORY``.  The run stops early once
     ``stop_metric(oracle, m) <= stop_target``, checked at the start of each
     outer step; set both or neither.
     """
@@ -407,7 +405,7 @@ class SolveResult:
     n_outer: int
 
 
-def _cg_shifted(h_apply, c, rhs, tol=1e-12):
+def _cg_shifted(h_apply, c, rhs):
     rhs = np.asarray(rhs, dtype=np.float64)
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -422,11 +420,18 @@ def _cg_shifted(h_apply, c, rhs, tol=1e-12):
         x = x + alpha * p
         r = r - alpha * hp
         rs_new = _dot(r, r)
-        if math.sqrt(rs_new) <= tol * rhs_norm:
+        if math.sqrt(rs_new) <= CG_TOL * rhs_norm:
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
     return x
+
+
+def _check_hessian(mode: str, oracle):
+    """ConfigError unless ``oracle`` (an instance or its class) has the method ``mode`` reads."""
+    need = _HESSIAN_NEEDS[mode]
+    if need is not None and not hasattr(oracle, need):
+        raise ConfigError(f"hessian mode {mode!r} needs an oracle with {need}")
 
 
 def _hessian_ops(mode, oracle, m, lbfgs_hess, seed):
@@ -483,12 +488,10 @@ def proximal_newton_solve(
     level.  History rows carry (objective, misfit, reg, alpha, step, ck,
     inner sweeps).
     """
-    if method not in ("nista", "nadmm"):
+    if method not in SOLVERS:
         raise ConfigError(f"unknown method {method!r}")
     config.validate()
-    need = _HESSIAN_NEEDS[config.hessian]
-    if need is not None and not hasattr(oracle, need):
-        raise ConfigError(f"hessian mode {config.hessian!r} needs an oracle with {need}")
+    _check_hessian(config.hessian, oracle)
     lam = config.lam
     state = InversionState.initial(m0)
     lbfgs_hess = LbfgsHessian() if config.hessian == "lbfgs" else None
@@ -531,9 +534,7 @@ def proximal_newton_solve(
             raise NumericalError(f"invalid step size ck={ck!r} at outer {k}")
 
         if method == "nista":
-            dm, sweeps = nista_direction(
-                state.m, g, h_apply, denoiser, lam, ck, config.inner_iters, forcing=INNER_FORCING
-            )
+            dm, sweeps = nista_direction(state.m, g, h_apply, denoiser, lam, ck, config.inner_iters)
             f0, _ = composite(state.m, misfit=val)
             ls = line_search(lambda mm: composite(mm)[0], state.m, dm, f0, ck)
             state.m, obj = state.m + ls.alpha * dm, ls.value

@@ -14,7 +14,9 @@ omega and Ricker amplitude, and the padded source, receiver and interior
 index maps.  Modeling (:func:`forward`) and both inversion oracles solve
 through it, and it runs all three solves through :func:`linsys.factorize`:
 point-source blocks (modeling, FWI), the penalty normal equations (WRI) and
-condensed modeling.
+condensed modeling.  Its operators are plain CSR matrices and its fields
+plain arrays, one column per source; a frequency is its index ``i``, and
+``Survey.omegas[i]`` its omega.
 
 A survey's frequencies are independent factorizations, and :meth:`Survey.each`
 runs them concurrently, one thread per usable CPU up to one per frequency,
@@ -33,7 +35,6 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,20 +87,6 @@ def pad_collar(values: np.ndarray, pml_cells: int, free_surface_top: bool):
     return padded, np.s_[top : top + nz, pml_cells : pml_cells + nx]
 
 
-@dataclass
-class HelmholtzSystem:
-    """Assembled operator for one frequency on a padded grid of nzp x nxp nodes."""
-
-    omega: float
-    nzp: int
-    nxp: int
-    matrix: sp.csr_matrix
-
-    @property
-    def n(self) -> int:
-        return self.nzp * self.nxp
-
-
 def _pml_sigma(coord: np.ndarray, pad_lo: int, pad_hi: int, n_total: int, h: float,
                sigma_lo: float, sigma_hi: float) -> np.ndarray:
     """Quadratic damping profile along one axis at (possibly half) coordinates."""
@@ -121,22 +108,18 @@ def assemble(
     omega: float,
     pml_cells: int = 10,
     free_surface_top: bool = False,
-    pml_velocity: float | None = None,
-) -> HelmholtzSystem:
-    """Assemble A(m) for a squared-slowness model, padding by edge replication.
+) -> sp.csr_matrix:
+    """A(m) for a squared-slowness model, padded by edge replication, as a CSR matrix.
 
-    ``pml_velocity`` fixes the speed the damping profile is tuned for
-    (default: the model maximum); passing it explicitly keeps A exactly
-    affine in m across assemblies, which the inversion gradients rely on.
+    The damping profile is tuned for the model's top speed; :class:`Survey`
+    freezes that speed instead, to keep A exactly affine in m across assemblies.
     """
     if model.kind != KIND_SLOWNESS_SQ:
         raise GeometryError("assemble expects a squared-slowness model")
     if omega <= 0.0:
         raise ValueError("angular frequency must be positive")
     padded, _ = pad_collar(model.values, pml_cells, free_surface_top)
-    return assemble_padded(
-        padded, model.dz, model.dx, omega, pml_cells, free_surface_top, pml_velocity=pml_velocity
-    )
+    return assemble_padded(padded, model.dz, model.dx, omega, pml_cells, free_surface_top)
 
 
 def assemble_padded(
@@ -147,8 +130,8 @@ def assemble_padded(
     pml_cells: int,
     free_surface_top: bool,
     pml_velocity: float | None = None,
-) -> HelmholtzSystem:
-    """Assemble from a squared-slowness field laid out as :func:`pad_collar` pads it.
+) -> sp.csr_matrix:
+    """A(m) from a squared-slowness field laid out as :func:`pad_collar` pads it.
 
     :class:`Survey` assembles through this entry point to keep the absorbing collar
     (both its model values and its damping profile) frozen at the background
@@ -233,7 +216,7 @@ def assemble_padded(
         shape=(n, n),
     ).tocsr()
     matrix.sort_indices()
-    return HelmholtzSystem(omega=omega, nzp=nzp, nxp=nxp, matrix=matrix)
+    return matrix
 
 
 def _usable_cpus() -> int:
@@ -297,7 +280,7 @@ class Survey:
         with ThreadPoolExecutor(max_workers=min(n, _usable_cpus())) as pool:
             return list(pool.map(fn, range(n)))
 
-    def system(self, m, i: int) -> HelmholtzSystem:
+    def system(self, m, i: int) -> sp.csr_matrix:
         """A(m) at frequency i, assembled with ``m`` inside the frozen collar."""
         m = np.asarray(m, dtype=np.float64)
         if m.shape != self.interior_rows.shape:
@@ -314,23 +297,22 @@ class Survey:
         return b
 
     def solve_sources(self, m, i: int):
-        """Factor A(m) at frequency i and solve for every source: (system, factorization, u)."""
-        system = self.system(m, i)
-        fact = linsys.factorize(system.matrix)
-        return system, fact, fact.solve(self.point_sources(i))
+        """Factor A(m) at frequency i and solve for every source: (factorization, u),
+        with u an array of one column per source."""
+        fact = linsys.factorize(self.system(m, i))
+        return fact, fact.solve(self.point_sources(i))
 
     def solve_penalty(self, m, i: int, data: np.ndarray, mu: float):
         """Fields u minimizing ||A u - b||^2 + mu^2 ||P u - d||^2 at frequency i for
-        every source, by one LU of A^H A + mu^2 P^T P: (system, u, b - A u)."""
-        system = self.system(m, i)
-        a = system.matrix.tocsc()
+        every source, by one LU of A^H A + mu^2 P^T P: the arrays (u, b - A u)."""
+        a = self.system(m, i).tocsc()
         ah = a.conjugate().transpose().tocsc()
         penalty = sp.coo_matrix((np.full(self.rx.size, mu**2), (self.rx, self.rx)), shape=a.shape)
         b = self.point_sources(i)
         rhs = ah @ b
         rhs[self.rx, :] += mu**2 * data
         u = linsys.factorize((ah @ a + penalty).tocsc()).solve(rhs)
-        return system, u, b - a @ u
+        return u, b - a @ u
 
     def data(self, m) -> FreqData:
         """Receiver data P A(m)^-1 b, one factorization per frequency.
@@ -342,11 +324,10 @@ class Survey:
         """
         def block(i):
             if self.src.size < CONDENSE_MIN_SOURCES:
-                return self.solve_sources(m, i)[2][self.rx, :]
-            system = self.system(m, i)
+                return self.solve_sources(m, i)[1][self.rx, :]
             last, at = np.unique(np.concatenate([self.rx, self.src]), return_inverse=True)
             values = np.full(self.src.size, self.amplitudes[i] / (self.dz * self.dx))
-            fact = linsys.factorize(system.matrix, last=last)
+            fact = linsys.factorize(self.system(m, i), last=last)
             return fact.solve_last(at[self.rx.size:], values)[at[:self.rx.size], :]
 
         return FreqData(self.acq.frequencies, tuple(self.each(block)))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxfwi import cli, inversion, model, optim
+from proxfwi import cli, inversion, model, optim, wave
 from proxfwi.denoise import make_denoiser
 
 FREQS = "3,4"
@@ -53,6 +53,18 @@ def _write_config(tmp_path, models, name="run.cfg", **keys):
 
 def _run_config(tmp_path, models, **keys):
     return inversion.parse_run_config(_write_config(tmp_path, models, **keys))
+
+
+def _record_drive(monkeypatch) -> list:
+    """The positional arguments of each ``multiscale_drive`` call, which still runs."""
+    drive, seen = inversion.multiscale_drive, []
+
+    def recording(*args):
+        seen.append(args)
+        return drive(*args)
+
+    monkeypatch.setattr(inversion, "multiscale_drive", recording)
+    return seen
 
 
 def test_model_gen_and_forward_write_outputs_and_manifests(models):
@@ -135,14 +147,55 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"data": "DATA", "method": "fwi", "pml_cells": 3}, "need at least 5 absorbing cells"),
         ({"data": "DATA", "method": "fwi", "pml_cells": -2}, "need at least 5 absorbing cells"),
         ({"snr_db": "-inf"}, "bad value for snr_db"),
+        ({"stopping": "max_iter"}, "bad value for stopping: 'max_iter' is not one of"),
+        ({"stopping": "max-iter:5"}, "bad value for stopping: max-iter takes no target"),
+        ({"stopping": "model-error:1", "model_true": "", "data": "DATA"},
+         "bad value for stopping: model-error needs model_true"),
+        ({"stopping": "data-residual:auto", "snr_db": "none"},
+         "bad value for stopping: data-residual:auto needs data synthesized"),
+        ({"stopping": "data-residual", "data": "DATA"}, "bad value for stopping"),
+        ({"model_true": ""}, "either data or model_true is required"),
+        ({"method": "FWI"}, "bad value for method: 'FWI' is not one of fwi | irwri"),
+        ({"algorithm": "admm"}, "bad value for algorithm: 'admm' is not one of nista | nadmm"),
+        ({"hessian": "dense"}, "bad value for hessian: unknown hessian mode 'dense'"),
+        ({"hessian": "diagonal", "method": "fwi"}, "bad value for hessian: hessian mode"),
+        ({"hessian": "exact-dense"}, "bad value for hessian: hessian mode 'exact-dense' needs"),
+        ({"lambda": -1}, "bad value for lambda: lambda must be nonnegative"),
+        ({"max_outer": -2}, "bad value for max_outer: max_outer must be nonnegative"),
+        ({"inner_iters": 0}, "bad value for inner_iters: inner_iters must be at least 1"),
+        ({"c_fixed": 0}, "bad value for c_fixed: fixed step size must be positive"),
+        ({"batches": "3 | 9", "frequencies": "3,5,7"}, "bad value for batches: (9.0,)"),
+        ({"batches": "7,3", "frequencies": "3,5,7"}, "bad value for batches: (7.0, 3.0)"),
+        ({"batches": "3 |"}, "bad value for batches: ()"),
+        ({"free_surface": "ture"}, "bad value for free_surface: 'ture' is not one of"),
     ],
 )
-def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, keys, message):
+def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, monkeypatch, keys,
+                                                 message):
+    # every value a run file can hold is rejected before any data is synthesized
+    def no_modeling(*args, **kwargs):
+        raise AssertionError("modeled data before the run file was checked")
+
+    monkeypatch.setattr(wave, "forward", no_modeling)
     if keys.get("data") == "DATA":  # the recorded data file, so no forward run checks
         keys = keys | {"data": models[2]}
     config = _write_config(tmp_path, models, **keys)
     assert cli.main(["invert", "--config", str(config)]) == cli.EXIT_DATA
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    key = next(iter(keys))
+    if "bad value for" in message:  # named with the line that set the key
+        lineno = config.read_text().splitlines().index(f"{key} = {keys[key]}") + 1
+        assert f"{config}:{lineno}: bad value for {key}: " in err
+
+
+@pytest.mark.parametrize("text, value", [("TRUE", True), ("on", True), ("Yes", True),
+                                         ("1", True), ("off", False), ("No", False),
+                                         ("0", False), ("false", False)])
+def test_free_surface_takes_the_documented_spellings_in_any_case(tmp_path, models, text, value):
+    # any other word is a ConfigError (test_invert_bad_config_exits_with_data_error)
+    assert _run_config(tmp_path, models, free_surface=text).free_surface is value
+
 
 
 @pytest.mark.parametrize(
@@ -179,16 +232,10 @@ def test_forward_half_geometry_exits_with_data_error(tmp_path, models, flags, ca
 
 
 def test_run_inversion_takes_explicit_sources_and_receivers(tmp_path, models, monkeypatch):
-    drive, seen = inversion.multiscale_drive, []
-
-    def recording(m0, observed, acq, *args, **kwargs):
-        seen.append((acq, observed))
-        return drive(m0, observed, acq, *args, **kwargs)
-
-    monkeypatch.setattr(inversion, "multiscale_drive", recording)
+    seen = _record_drive(monkeypatch)
     inversion.run_inversion(_run_config(tmp_path, models, max_outer=0, sources="0:10;0:4",
                                         receivers="20:5;20:15;10:20"))
-    ((acq, observed),) = seen
+    ((_, observed, acq, *_),) = seen
     assert acq.sources == ((0, 10), (0, 4))
     assert acq.receivers == ((20, 5), (20, 15), (10, 20))
     assert (observed.n_receivers, observed.n_sources) == (3, 2)
@@ -217,18 +264,12 @@ def test_synthetic_data_and_the_oracles_share_one_pml_profile(tmp_path, monkeypa
     true = init.with_values(inclusion)
     for name, grid in (("init.grd", init), ("true.grd", true)):
         model.write_grid(grid, tmp_path / name)
-    drive, seen = inversion.multiscale_drive, []
-
-    def recording(m0, observed, acq, *args, **kwargs):
-        seen.append((acq, observed))
-        return drive(m0, observed, acq, *args, **kwargs)
-
-    monkeypatch.setattr(inversion, "multiscale_drive", recording)
+    seen = _record_drive(monkeypatch)
     cfg = inversion.parse_run_config(_write_config(
         tmp_path, (tmp_path / "true.grd", tmp_path / "init.grd", None), method="fwi",
         max_outer=0, snr_db="none"))
     inversion.run_inversion(cfg)
-    ((acq, observed),) = seen
+    ((_, observed, acq, *_),) = seen
     oracle = inversion.FwiOracle(acq, observed, init, cfg.f_peak, cfg.pml_cells)
     data_sq = sum(float(np.sum(np.abs(b) ** 2)) for b in observed.blocks)
     assert oracle.value(model.as_slowness_squared(true).values) <= 1e-20 * data_sq
@@ -245,12 +286,13 @@ def test_run_inversion_fixed_step_reaches_every_history_row(tmp_path, models, me
     assert summary.final_rmse < 10.0
 
 
-def test_run_inversion_model_error_target_stops(tmp_path, models):
+def test_run_inversion_model_error_target_stops(tmp_path, models, monkeypatch):
+    seen = _record_drive(monkeypatch)
     summary = inversion.run_inversion(
         _run_config(tmp_path, models, method="fwi", algorithm="nista",
                     stopping="model-error:1e9")
     )
-    assert summary.stop_target == 1e9
+    assert seen[0][9].stop_target == 1e9  # multiscale_drive's OptConfig
     assert summary.batches[-1].status == "target-reached"
     assert summary.batches[-1].n_outer == 0
     status = (tmp_path / "out" / "summary.txt").read_text().split()[-1]
@@ -279,17 +321,19 @@ def test_rosenbrock_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("max_outer", ["2", "200"])
 def test_rosenbrock_lbfgs_memory_is_the_library_default(max_outer, monkeypatch, capsys):
-    # the toy keeps the library's memory at any step count
+    # the toy keeps the library's memory, optim.LBFGS_MEMORY, at any step count
     built = []
 
     class Recording(optim.LbfgsHessian):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+        def __init__(self):
+            super().__init__()
             built.append(self)
 
     monkeypatch.setattr(optim, "LbfgsHessian", Recording)
+    monkeypatch.setattr(optim, "LBFGS_MEMORY", 3)
     cli.main(["rosenbrock", "--hessian", "lbfgs", "--max-outer", max_outer])
-    assert [h.memory for h in built] == [10]
+    (hess,) = built
+    assert len(hess) == min(int(max_outer), 3)
 
 
 @pytest.mark.parametrize("hessian", ["exact", "lbfgs", "identity"])
@@ -308,14 +352,48 @@ def test_rosenbrock_start_takes_a_negative_pair_after_a_space_or_equals(start, c
 
 
 @pytest.mark.parametrize("method", ["fwi", "irwri"])
-def test_data_residual_stopping_takes_a_step(tmp_path, models, method):
+def test_data_residual_stopping_takes_a_step(tmp_path, models, method, monkeypatch):
     # the penalty fields fit the data by construction, so the stopping rule
     # must read the reduced-space residual or irwri stops before its first step
+    add_noise, clean = wave.add_noise, []
+    monkeypatch.setattr(wave, "add_noise", lambda data, *args: clean.append(data)
+                        or add_noise(data, *args))
+    seen = _record_drive(monkeypatch)
     cfg = _run_config(tmp_path, models, method=method, algorithm="nista", c_fixed=1e-9,
                       stopping="data-residual:auto")
     summary = inversion.run_inversion(cfg)
-    assert summary.stop_target == pytest.approx(1.01 * summary.noise_norm, rel=1e-15)
+    # auto is 1.01 times the noise norm, which the SNR of 20 dB sets to a tenth of the data's
+    config = seen[0][9]  # multiscale_drive's OptConfig
+    assert config.stop_target == pytest.approx(1.01 * 0.1 * clean[0].norm(), rel=1e-12)
     assert summary.batches[-1].n_outer >= 1
+
+
+def test_invert_runs_every_batch_of_every_path_from_the_last_model(tmp_path, models,
+                                                                    monkeypatch):
+    solve, runs = inversion.proximal_newton_solve, []
+
+    def recording(oracle, denoiser, config, m0, method):
+        result = solve(oracle, denoiser, config, m0, method)
+        runs.append((oracle.survey.acq.frequencies, m0.copy(), result.m.copy()))
+        return result
+
+    monkeypatch.setattr(inversion, "proximal_newton_solve", recording)
+    # fwi: irwri with NADMM's default step leaves cells at m <= 0 on the 3 Hz batch alone
+    config = _write_config(tmp_path, models, method="fwi", batches="3 | 4", paths=2,
+                           max_outer=1)
+    assert cli.main(["invert", "--config", str(config)]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    tags = [f"p{p}_b{b}" for p in range(2) for b in range(2)]
+    assert all((out / f"history_{tag}.csv").is_file() for tag in tags)
+    assert sorted(p.name for p in out.glob("batch_p*_b*.grd")) == [f"batch_{t}.grd" for t in tags]
+    summary = dict(line.split("=") for line in (out / "summary.txt").read_text().split())
+    assert summary["batches"] == "4"
+    assert [freqs for freqs, _, _ in runs] == [(3.0,), (4.0,), (3.0,), (4.0,)]
+    init = model.as_slowness_squared(model.read_grid(models[1])).values
+    starts = [m0 for _, m0, _ in runs]
+    assert np.array_equal(starts[0], init)
+    assert all(np.array_equal(start, prev) for start, (_, _, prev) in zip(starts[1:], runs))
+    assert not np.array_equal(runs[-1][2], init)
 
 
 # ---------------------------------------------------------------------------

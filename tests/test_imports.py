@@ -8,7 +8,10 @@ private method of a module-level class (``_name``; dunders are exempt), must
 be referenced somewhere in the package: by name, as an attribute, in a
 ``from ... import``, or as a string constant such as ``getattr``'s.  A public
 one must be referenced in the package or the benchmark; tests do not count, so
-a name only a test reaches is dead code.  The solve layering is
+a name only a test reaches is dead code.  So is a field no run path reads:
+each field of a module-level dataclass or NamedTuple, and each attribute a
+module-level class sets on ``self``, must be read as an attribute (or named in
+a string constant) in the package or the benchmark.  The solve layering is
 linsys <- wave <- everything else: only ``linsys`` names SuperLU (``splu``,
 ``spilu``), only ``wave`` names ``linsys.factorize`` outside ``linsys``, and
 only the two of them import ``scipy.sparse``.  Only ``wave`` pads the grid with ``np.pad``, apart
@@ -204,11 +207,109 @@ def test_name_scanner_flags_methods_only_tests_reach():
 UNREFERENCED_ALLOWED = {"cli.EXIT_USAGE"}
 
 
-def test_every_module_level_name_is_referenced_outside_the_tests():
+def _package_and_users() -> tuple[dict[str, str], dict[str, str]]:
+    """The package's modules and the benchmark's, its test files left out."""
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     users = {path.stem: path.read_text() for path in sorted(BENCH.glob("*.py"))
              if not path.name.startswith("test_")}
-    assert set(_unreferenced_names(sources, users)) == UNREFERENCED_ALLOWED
+    return sources, users
+
+
+def test_every_module_level_name_is_referenced_outside_the_tests():
+    assert set(_unreferenced_names(*_package_and_users())) == UNREFERENCED_ALLOWED
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a NamedTuple, whose annotations are fields."""
+    names = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    names += node.bases
+    return any(getattr(n, "id", getattr(n, "attr", None)) in ("dataclass", "NamedTuple")
+               for n in names)
+
+
+def _fields(tree) -> list[str]:
+    """``Class.field`` of each field of a module-level dataclass or NamedTuple
+    and of each attribute its methods set on ``self``."""
+    names = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        found = []
+        if _is_record(node):
+            found += [item.target.id for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        found += [item.attr for item in ast.walk(node)
+                  if isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Store)
+                  and isinstance(item.value, ast.Name) and item.value.id == "self"]
+        names += [f"{node.name}.{field}" for field in dict.fromkeys(found)]
+    return names
+
+
+def _reads(trees) -> set[str]:
+    """Attributes loaded (``+=`` loads too) or spelled as a string constant."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.isidentifier()):
+                read.add(node.value)
+    return read
+
+
+def _unread_fields(sources: dict[str, str], users: dict[str, str]) -> list[str]:
+    """``module.Class.field`` of each field in ``sources`` that neither ``sources``
+    nor ``users`` ever reads as an attribute or names in a string."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _reads(trees.values()) | _reads(ast.parse(source) for source in users.values())
+    return [f"{module}.{name}" for module, tree in trees.items() for name in _fields(tree)
+            if _short(name) not in read]
+
+
+def test_field_scanner_flags_fields_no_run_path_reads():
+    sources = {
+        "a": (
+            "@dataclass(frozen=True)\n"
+            "class Result:\n"
+            "    m: int\n"
+            "    start: int\n"
+            "    kind: str = 'x'\n"
+            "    LIMIT = 3\n"
+            "class Row(NamedTuple):\n"
+            "    value: float\n"
+            "    spare: float\n"
+            "class Solver:\n"
+            "    cap: int\n"
+            "    def __init__(self, n):\n"
+            "        self.n = n\n"
+            "        self._cache = None\n"
+            "        self.count = 0\n"
+            "        self.kept = n\n"
+            "    def run(self, other):\n"
+            "        self.count += 1\n"
+            "        other.spare = 2\n"
+            "        return self.n + getattr(self, 'kind')\n"
+            "def f(r, row, m):\n"
+            "    start = m\n"
+            "    return r.m + row.value + start\n"
+        ),
+    }
+    users = {"run": "from proxfwi.a import Solver\nkept = Solver(1).kept\n"}
+    assert _unread_fields(sources, users) == ["a.Result.start", "a.Row.spare", "a.Solver._cache"]
+    assert _unread_fields(sources, {}) == [
+        "a.Result.start", "a.Row.spare", "a.Solver._cache", "a.Solver.kept"
+    ]
+
+
+# a fault flag: a caller that needs the power iteration's outcome reads it
+UNREAD_FIELDS_ALLOWED = {"linsys.SpectralEstimate.converged"}
+
+
+def test_every_field_is_read_outside_the_tests():
+    assert set(_unread_fields(*_package_and_users())) == UNREAD_FIELDS_ALLOWED
 
 
 SUPERLU = {"splu", "spilu"}

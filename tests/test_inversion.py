@@ -187,11 +187,11 @@ def _wri(acq, observed, background, mu=3e-4):
 
 
 def _penalty_fields(oracle, m):
-    """(system, b, u, b - A u) per frequency: the fields ``update_wavefields(m)`` freezes."""
+    """(A, b, u, b - A u) per frequency: the fields ``update_wavefields(m)`` freezes."""
     out = []
     for i, d in enumerate(oracle.observed.blocks):
-        system, u, e = oracle.survey.solve_penalty(m, i, d, oracle.mu)
-        out.append((system, oracle.survey.point_sources(i), u, e))
+        u, e = oracle.survey.solve_penalty(m, i, d, oracle.mu)
+        out.append((oracle.survey.system(m, i), oracle.survey.point_sources(i), u, e))
     return out
 
 
@@ -221,8 +221,8 @@ def test_wri_normal_equation_residual():
     true, background, acq, observed = _tiny_problem()
     oracle = _wri(acq, observed, background)
     m = model.as_slowness_squared(background).values
-    for (system, b, u, _), d in zip(_penalty_fields(oracle, m), observed.blocks):
-        a, rx, mu2 = system.matrix, oracle.survey.rx, oracle.mu**2
+    for (a, b, u, _), d in zip(_penalty_fields(oracle, m), observed.blocks):
+        rx, mu2 = oracle.survey.rx, oracle.mu**2
         rhs = a.conjugate().transpose() @ b
         rhs[rx, :] += mu2 * d
         resid = rhs - a.conjugate().transpose() @ (a @ u)
@@ -236,9 +236,9 @@ def test_wri_hessian_diag_formula():
     m = model.as_slowness_squared(background).values
     oracle.update_wavefields(m)
     expected = np.zeros_like(m)
-    for system, _, u, _ in _penalty_fields(oracle, m):
+    for omega, (_, _, u, _) in zip(oracle.survey.omegas, _penalty_fields(oracle, m)):
         u_int = u[oracle.survey.interior_rows, :]
-        expected += system.omega**4 * np.sum(np.abs(u_int) ** 2, axis=2)
+        expected += omega**4 * np.sum(np.abs(u_int) ** 2, axis=2)
     hdiag = oracle.hessian_diag(m)
     assert np.allclose(hdiag, expected, rtol=1e-14)
     assert np.all(hdiag >= 0.0)
@@ -309,8 +309,8 @@ def test_wri_small_mu_fields_match_plain_forward():
     true, background, acq, observed = _tiny_problem()
     oracle = _wri(acq, observed, background, mu=1e-10)
     m = model.as_slowness_squared(background).values
-    for system, b, u, _ in _penalty_fields(oracle, m):
-        plain = linsys.factorize(system.matrix).solve(b)
+    for a, b, u, _ in _penalty_fields(oracle, m):
+        plain = linsys.factorize(a).solve(b)
         rel = np.linalg.norm(u - plain) / np.linalg.norm(plain)
         assert rel < 1e-4
 
@@ -330,7 +330,7 @@ def _random_data_problem(seed=0, n=9, n_src=2, freq=6.0):
 
 
 def _wri_fields(grid, acq, observed, mu):
-    """(system, b, u, b - A u): the data-assimilated fields for the single frequency."""
+    """(A, b, u, b - A u): the data-assimilated fields for the single frequency."""
     oracle = _wri(acq, observed, grid, mu=mu)
     return _penalty_fields(oracle, model.as_slowness_squared(grid).values)[0]
 
@@ -338,10 +338,10 @@ def _wri_fields(grid, acq, observed, mu):
 def test_wri_fields_match_dense_least_squares():
     grid, acq, observed = _random_data_problem(n=7)
     mu = 3e-4
-    system, b, u, _ = _wri_fields(grid, acq, observed, mu)
-    p = np.zeros((len(acq.receivers), system.n))
+    a, b, u, _ = _wri_fields(grid, acq, observed, mu)
+    p = np.zeros((len(acq.receivers), a.shape[0]))
     p[np.arange(len(acq.receivers)), wave.Survey(grid, acq, pml_cells=5).rx] = 1.0
-    stacked = np.vstack([system.matrix.toarray(), mu * p])
+    stacked = np.vstack([a.toarray(), mu * p])
     for s in range(acq.n_sources):
         rhs = np.concatenate([b[:, s], mu * observed.blocks[0][:, s]])
         reference, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
@@ -352,8 +352,8 @@ def test_wri_fields_match_dense_least_squares():
 def test_wri_fields_are_stationary():
     grid, acq, observed = _random_data_problem()
     mu = 1e-3
-    system, b, fields, e = _wri_fields(grid, acq, observed, mu)
-    a, rx = system.matrix, wave.Survey(grid, acq, pml_cells=5).rx
+    a, b, fields, e = _wri_fields(grid, acq, observed, mu)
+    rx = wave.Survey(grid, acq, pml_cells=5).rx
     assert np.linalg.norm(e - (b - a @ fields)) <= 1e-12 * np.linalg.norm(b)
     for s in range(acq.n_sources):
         u = fields[:, s]
@@ -506,7 +506,7 @@ def test_wri_value_after_zeroing_fields():
     oracle = _wri(acq, observed, background)
     m = model.as_slowness_squared(background).values
     oracle.update_wavefields(m)
-    ((system, b, _, _),) = _penalty_fields(oracle, m)
+    ((_, b, _, _),) = _penalty_fields(oracle, m)
     oracle._w[:] = 0.0
     oracle._e[:] = b[oracle.survey.interior_rows, :]
     oracle._outside_sq = 0.0  # point sources live strictly in the interior
@@ -531,9 +531,9 @@ def test_wri_value_matches_an_independent_assembly_at_a_new_model():
     survey = wave.Survey(background, acq, 10.0, 5)
     expected = 0.0
     for i, (f, d) in enumerate(zip(acq.frequencies, observed.blocks)):
-        _, u, _ = survey.solve_penalty(m_ref, i, d, oracle.mu)
+        u, _ = survey.solve_penalty(m_ref, i, d, oracle.mu)
         a1 = wave.assemble_padded(padded, background.dz, background.dx, 2.0 * np.pi * f, 5,
-                                  False, pml_velocity=pml_velocity).matrix
+                                  False, pml_velocity=pml_velocity)
         b = survey.point_sources(i)
         expected += 0.5 * float(np.sum(np.abs(b - a1 @ u) ** 2))
     assert not np.array_equal(m1, m_ref)
@@ -572,12 +572,19 @@ def test_multiscale_single_batch_equivalent_to_direct_solve():
         assert np.array_equal(m_drive, direct.m), algorithm
 
 
-def test_multiscale_batches_warm_start():
+def test_multiscale_batches_warm_start(monkeypatch):
+    solve, starts = optim.proximal_newton_solve, []
+
+    def recording(oracle, denoiser, config, m0, method):
+        starts.append((oracle.survey.acq.frequencies, m0.copy()))
+        return solve(oracle, denoiser, config, m0, method)
+
+    monkeypatch.setattr(inversion, "proximal_newton_solve", recording)
     m_final, results = _drive(batches=((6.0,), (9.0,)))
     assert len(results) == 2
-    assert np.array_equal(results[1].m_start, results[0].m_final)
+    assert [freqs for freqs, _ in starts] == [(6.0,), (9.0,)]
+    assert np.array_equal(starts[1][1], results[0].m_final)
     assert np.array_equal(m_final, results[1].m_final)
-    assert results[0].frequencies == (6.0,)
 
 
 def test_multiscale_empty_plan_rejected():
@@ -690,7 +697,7 @@ out_dir = out
     assert cfg.frequencies == (5.0, 7.0, 10.0, 12.5)
     assert cfg.batches == ((5.0, 7.0), (10.0, 12.5))
     assert cfg.snr_db == 5.0
-    assert cfg.stopping == "data-residual:auto"
+    assert cfg.stopping == ("data-residual", None)
     assert cfg.c_fixed == 0.25
     assert inversion.RunConfig().c_fixed is None
 

@@ -102,15 +102,14 @@ def _helmholtz_41(m_interior, pml=10, h=25.0, v=2000.0, freq=5.0):
 
 
 def _wri_matrices(m, freq=5.0):
-    """The 41^2 system, its bottom-row receiver nodes, A and the WRI normal
+    """The 41^2 system's bottom-row receiver nodes, A and the WRI normal
     matrix A^H A + mu^2 P^T P."""
-    system = _helmholtz_41(m, freq=freq)
     rx = _survey_41(freq=freq).rx
-    a = system.matrix.tocsc()
+    a = _helmholtz_41(m, freq=freq).tocsc()
     ah = a.conjugate().transpose().tocsc()
     mu = 1e-3 * abs(a[rx[0], rx[0]])
     penalty = sp.coo_matrix((np.full(rx.size, mu**2), (rx, rx)), shape=a.shape)
-    return system, rx, a, (ah @ a + penalty).tocsc()
+    return rx, a, (ah @ a + penalty).tocsc()
 
 
 def _indefinite_m(rng):
@@ -130,8 +129,9 @@ def _relative_residual(a, x, rhs):
 
 def test_unphysical_helmholtz_and_normal_matrix_residual():
     rng = np.random.default_rng(5)
-    system, rx, a, normal = _wri_matrices(_indefinite_m(rng))
-    rhs = rng.standard_normal((system.n, 3)) + 1j * rng.standard_normal((system.n, 3))
+    rx, a, normal = _wri_matrices(_indefinite_m(rng))
+    n = a.shape[0]
+    rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     for matrix in (a, normal):
         x = linsys.factorize(matrix).solve(rhs)
         assert _relative_residual(matrix, x, rhs) <= 1e-10
@@ -141,11 +141,11 @@ def test_unphysical_helmholtz_and_normal_matrix_residual():
     last = np.concatenate([rx, src])
     rows = np.arange(rx.size, last.size)
     values = np.array([1.0, -2.0j, 0.5 + 0.5j])
-    b = np.zeros((system.n, 3), dtype=complex)
+    b = np.zeros((n, 3), dtype=complex)
     b[src, np.arange(3)] = values
     full = linsys.factorize(a).solve(b)[last]
     fact = linsys.factorize(a, last=last)
-    assert np.all(fact._lu.perm_r[system.n - last.size + rows] >= system.n - last.size)
+    assert np.all(fact._lu.perm_r[n - last.size + rows] >= n - last.size)
     x_last = fact.solve_last(rows, values)
     assert np.linalg.norm(x_last - full) <= 1e-10 * np.linalg.norm(full)
     assert _relative_residual(a, fact.solve(b), b) <= 1e-10
@@ -183,8 +183,8 @@ def test_factorize_matches_superlus_own_mmd_factorization():
     # the cached order with SuperLU in the given order is the factorization
     # SuperLU makes when it orders the matrix itself
     rng = np.random.default_rng(8)
-    normal = _wri_matrices(_indefinite_m(np.random.default_rng(5)))[3]
-    for matrix in (_helmholtz_41(_inclusion_m()).matrix, normal):
+    normal = _wri_matrices(_indefinite_m(np.random.default_rng(5)))[2]
+    for matrix in (_helmholtz_41(_inclusion_m()), normal):
         ref = spla.splu(
             sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=linsys.DIAG_PIVOT_THRESH, options={"SymmetricMode": True},
@@ -206,7 +206,7 @@ def test_mmd_order_is_read_once_per_pattern_and_the_cache_is_bounded(monkeypatch
 
     monkeypatch.setattr(linsys.spla, "spilu", counted)
     for freq in (3.0, 4.0, 5.0):  # a WRI run's two patterns, interleaved
-        _, _, a, normal = _wri_matrices(_inclusion_m(), freq=freq)
+        _, a, normal = _wri_matrices(_inclusion_m(), freq=freq)
         linsys.factorize(a)
         linsys.factorize(normal)
     assert len(calls) == 2
@@ -253,7 +253,7 @@ def test_mmd_order_cache_is_safe_for_concurrent_callers(monkeypatch):
 
 
 def test_helmholtz_fill_below_colamd():
-    a = _helmholtz_41(_inclusion_m()).matrix
+    a = _helmholtz_41(_inclusion_m())
     colamd = spla.splu(sp.csc_matrix(a)).nnz
     assert linsys.factorize(a)._lu.nnz < colamd
 

@@ -33,7 +33,7 @@ def test_lbfgs_hessian_apply_matches_dense_bfgs_recursion():
         y = s + 0.3 * rng.standard_normal(n)
         if float(s @ y) > 0:
             pairs.append((s, y))
-    hess = optim.LbfgsHessian(memory=10)
+    hess = optim.LbfgsHessian()
     for s, y in pairs:
         hess.update(s, y)
 
@@ -54,10 +54,11 @@ def test_lbfgs_hessian_apply_matches_dense_bfgs_recursion():
         assert np.allclose(hess.solve_shifted(c, rhs), dense, rtol=1e-9, atol=1e-11)
 
 
-def test_lbfgs_hessian_rebuilds_its_compact_form_after_each_update():
+def test_lbfgs_hessian_rebuilds_its_compact_form_after_each_update(monkeypatch):
+    monkeypatch.setattr(optim, "LBFGS_MEMORY", 2)
     rng = np.random.default_rng(8)
     n = 5
-    hess = optim.LbfgsHessian(memory=2)
+    hess = optim.LbfgsHessian()
     pairs = []
     for _ in range(4):  # the last two updates drop the oldest pair
         s = rng.standard_normal(n)
@@ -66,7 +67,7 @@ def test_lbfgs_hessian_rebuilds_its_compact_form_after_each_update():
         hess.apply(v)  # builds the compact form of the current pairs
         hess.update(s, y)
         pairs = (pairs + [(s, y)])[-2:]
-        fresh = optim.LbfgsHessian(memory=2)
+        fresh = optim.LbfgsHessian()
         for ps, py in pairs:
             fresh.update(ps, py)
         assert np.array_equal(hess.apply(v), fresh.apply(v))
@@ -76,7 +77,7 @@ def test_lbfgs_hessian_rebuilds_its_compact_form_after_each_update():
 
 
 def test_lbfgs_hessian_skips_bad_curvature():
-    hess = optim.LbfgsHessian(memory=5)
+    hess = optim.LbfgsHessian()
     hess.update(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
     assert len(hess) == 0
     assert np.array_equal(hess.apply(np.array([2.0, 3.0])), np.array([2.0, 3.0]))
@@ -234,13 +235,14 @@ def test_nista_single_step_is_gradient_step():
     oracle = _quadratic_oracle(np.eye(2), np.zeros(2))
     m = np.array([3.0, -4.0])
     dm, sweeps = optim.nista_direction(
-        m, oracle.gradient(m), lambda v: v, Denoiser("identity"), 0.0, 1.0, 1, 0.0
+        m, oracle.gradient(m), lambda v: v, Denoiser("identity"), 0.0, 1.0, 1
     )
     assert sweeps == 1
     assert np.allclose(dm, -oracle.gradient(m), atol=1e-15)
 
 
-def test_nista_converges_to_newton_direction():
+def test_nista_converges_to_newton_direction(monkeypatch):
+    monkeypatch.setattr(optim, "INNER_FORCING", 0.0)  # every sweep until the residual is 0
     rng = np.random.default_rng(7)
     q = np.array([[4.0, 1.0], [1.0, 2.0]])
     b = rng.standard_normal(2)
@@ -249,12 +251,13 @@ def test_nista_converges_to_newton_direction():
     newton = -np.linalg.solve(q, oracle.gradient(m))
     ck = 0.9 / np.linalg.eigvalsh(q)[-1]
     dm, _ = optim.nista_direction(
-        m, oracle.gradient(m), lambda v: q @ v, Denoiser("identity"), 0.0, ck, 2000, 0.0
+        m, oracle.gradient(m), lambda v: q @ v, Denoiser("identity"), 0.0, ck, 2000
     )
     assert np.linalg.norm(dm - newton) < 1e-6
 
 
-def test_nista_subproblem_matches_grid_search():
+def test_nista_subproblem_matches_grid_search(monkeypatch):
+    monkeypatch.setattr(optim, "INNER_FORCING", 0.0)  # every sweep until the residual is 0
     # composite quadratic model of the valley at the origin with weight 1.5
     oracle = rosenbrock.RosenbrockOracle()
     m = np.zeros(2)
@@ -263,7 +266,7 @@ def test_nista_subproblem_matches_grid_search():
     grad = oracle.gradient(m)
     ck = 0.9 / np.linalg.eigvalsh(hess)[-1]
     h_apply = lambda v: oracle.hvp(m, v)
-    dm, _ = optim.nista_direction(m, grad, h_apply, Denoiser("l1"), lam, ck, 100, 0.0)
+    dm, _ = optim.nista_direction(m, grad, h_apply, Denoiser("l1"), lam, ck, 100)
 
     # exhaustive refining search over the subproblem objective
     def model(d):
@@ -286,11 +289,12 @@ def test_nista_subproblem_matches_grid_search():
     assert np.linalg.norm(dm - best) <= max(5e-3, 3 * step.max())
     assert model(dm) <= model(best) + 1e-4
     # with a large inner budget the sweep nails the subproblem argmin
-    dm_long, _ = optim.nista_direction(m, grad, h_apply, Denoiser("l1"), lam, ck, 5000, 0.0)
+    dm_long, _ = optim.nista_direction(m, grad, h_apply, Denoiser("l1"), lam, ck, 5000)
     assert np.linalg.norm(dm_long - [0.25, 0.0]) < 1e-5
 
 
-def test_nista_uses_exactly_n_hvp_evaluations():
+def test_nista_uses_exactly_n_hvp_evaluations(monkeypatch):
+    monkeypatch.setattr(optim, "INNER_FORCING", 0.0)  # every sweep until the residual is 0
     calls = []
     oracle = rosenbrock.RosenbrockOracle()
     m = np.zeros(2)
@@ -300,14 +304,13 @@ def test_nista_uses_exactly_n_hvp_evaluations():
         return oracle.hvp(m, v)
 
     _, sweeps = optim.nista_direction(
-        m, oracle.gradient(m), h_apply, Denoiser("l1"), 1.0, 1e-3, 37, 0.0
+        m, oracle.gradient(m), h_apply, Denoiser("l1"), 1.0, 1e-3, 37
     )
     assert len(calls) == sweeps == 37
 
 
-@pytest.mark.parametrize("forcing, sweeps", [(0.0, 9), (0.05, 1)])
-def test_nista_zero_gradient_runs_every_sweep_only_without_forcing(forcing, sweeps):
-    # at the minimizer r_1 = 0, so any forcing term is met on the first sweep
+def test_nista_zero_gradient_stops_after_one_sweep():
+    # at the minimizer r_1 = 0, so the forcing term is met on the first sweep
     calls = []
     q, b = np.array([[4.0, 1.0], [1.0, 2.0]]), np.array([1.0, -1.0])
 
@@ -317,13 +320,13 @@ def test_nista_zero_gradient_runs_every_sweep_only_without_forcing(forcing, swee
 
     m = np.linalg.solve(q, b)
     dm, ran = optim.nista_direction(
-        m, np.zeros(2), h_apply, Denoiser("identity"), 0.0, 0.2, 9, forcing
+        m, np.zeros(2), h_apply, Denoiser("identity"), 0.0, 0.2, 9
     )
-    assert len(calls) == ran == sweeps
+    assert len(calls) == ran == 1
     assert np.array_equal(dm, np.zeros(2))
 
 
-def test_nista_forcing_stops_at_the_first_small_residual():
+def test_nista_forcing_stops_at_the_first_small_residual(monkeypatch):
     rng = np.random.default_rng(3)
     q = np.array([[4.0, 1.0], [1.0, 2.0]])
     oracle = _quadratic_oracle(q, rng.standard_normal(2))
@@ -337,8 +340,9 @@ def test_nista_forcing_stops_at_the_first_small_residual():
         return q @ v
 
     def run(n_inner, forcing=0.0):
+        monkeypatch.setattr(optim, "INNER_FORCING", forcing)
         return optim.nista_direction(
-            m, oracle.gradient(m), h_apply, Denoiser("identity"), 0.0, ck, n_inner, forcing
+            m, oracle.gradient(m), h_apply, Denoiser("identity"), 0.0, ck, n_inner
         )
 
     run(n)
@@ -353,18 +357,16 @@ def test_nista_forcing_stops_at_the_first_small_residual():
     assert np.array_equal(dm, run(stop)[0])
 
 
-def test_proximal_newton_solve_passes_the_inner_forcing_term(monkeypatch):
-    seen = []
-    direction = optim.nista_direction
-
-    def recording(*args, **kwargs):
-        seen.append(kwargs["forcing"])
-        return direction(*args, **kwargs)
-
-    monkeypatch.setattr(optim, "nista_direction", recording)
-    monkeypatch.setattr(optim, "INNER_FORCING", 0.125)
-    result = _toy_solve(1.5, "nista", max_outer=3)
-    assert seen == [0.125] * result.n_outer and result.n_outer == 3
+def test_proximal_newton_solve_stops_nista_at_the_inner_forcing_term(monkeypatch):
+    # the first outer step solves the same subproblem whatever the forcing term,
+    # so a looser term stops its inner loop sooner
+    first = {}
+    for forcing in (0.05, 0.5):
+        monkeypatch.setattr(optim, "INNER_FORCING", forcing)
+        result = _toy_solve(1.5, "nista", max_outer=3)
+        assert result.n_outer == 3
+        first[forcing] = result.history[0].inner_sweeps
+    assert 1 <= first[0.5] < first[0.05]
 
 
 def test_nista_extrapolation_coefficients_exact():
@@ -376,7 +378,8 @@ def test_nista_extrapolation_coefficients_exact():
 
     g = np.array([1.0, -2.0])
     n = 7
-    optim.nista_direction(np.zeros(2), g, h_apply, Denoiser("identity"), 0.0, 1.0, n, 0.0)
+    # every sweep moves by ||g||, so the forcing term never stops the loop
+    optim.nista_direction(np.zeros(2), g, h_apply, Denoiser("identity"), 0.0, 1.0, n)
     # simulate the recurrence with coefficients (l-1)/(l+2), l starting at 1
     dp, dm = np.zeros(2), np.zeros(2)
     expected = []
@@ -385,6 +388,7 @@ def test_nista_extrapolation_coefficients_exact():
         dm_new = dp - g
         dp = dm_new + ((ell - 1.0) / (ell + 2.0)) * (dm_new - dm)
         dm = dm_new
+    assert len(recorded) == n
     assert all(np.array_equal(a, b) for a, b in zip(recorded, expected))
 
 
