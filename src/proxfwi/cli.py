@@ -180,7 +180,12 @@ def cmd_preview(args, argv):
 
 
 def cmd_rosenbrock(args, argv):
-    hessian = {"exact": "exact-dense", "lbfgs": "lbfgs", "identity": "identity"}[args.hessian]
+    """Solve the valley plus lam * l1; exit 0 within 1e-3 of its analytic minimizer.
+
+    ``--hessian exact`` is the ``hvp`` mode on the oracle's exact Hessian
+    products, which it shifts to PSD where the valley is indefinite.
+    """
+    hessian = {"exact": "hvp", "lbfgs": "lbfgs", "identity": "identity"}[args.hessian]
     config = optim.OptConfig(
         lam=args.lam, hessian=hessian, max_outer=args.max_outer, inner_iters=args.inner_iters,
     )
@@ -212,9 +217,13 @@ def _number(low: float, strict: bool = False):
     return number
 
 
-def _seed(text: str) -> int:
-    """argparse type of a seed: an int at least 0, as ``np.random.default_rng`` takes."""
-    return inversion._in_range(int(text), 0)
+def _integer(low: int):
+    """argparse type of an int at least ``low``."""
+
+    def integer(text: str) -> int:
+        return inversion._in_range(int(text), low)
+
+    return integer
 
 
 def _point_pair(text: str) -> np.ndarray:
@@ -258,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freqs", type=inversion._frequencies, required=True, help="Hz, as 3,4.5")
     p.add_argument("--out", required=True)
     p.add_argument("--f-peak", type=_number(0.0, strict=True), default=10.0)
-    p.add_argument("--pml-cells", type=int, default=10)
+    p.add_argument("--pml-cells", type=_integer(wave.MIN_PML_CELLS), default=10)
     p.add_argument("--free-surface", action="store_true")
     p.add_argument("--snr-db", type=inversion._snr_db, default=None)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--n-sources", type=int, default=5)
+    p.add_argument("--seed", type=_integer(0), default=0)
+    p.add_argument("--n-sources", type=_integer(1), default=5)
     p.add_argument("--source-depth", type=int, default=0)
-    p.add_argument("--receiver-spacing", type=int, default=2)
+    p.add_argument("--receiver-spacing", type=_integer(1), default=2)
     p.add_argument("--sources", type=inversion._parse_points, default="", help="iz:ix;iz:ix list")
     p.add_argument("--receivers", type=inversion._parse_points, default="")
     p.set_defaults(func=cmd_forward)
@@ -297,12 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preview)
 
     p = sub.add_parser("rosenbrock", help="solve the analytic 2D toy problem")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.5)
+    p.add_argument("--lambda", dest="lam", type=_number(0.0), default=1.5)
     p.add_argument("--method", choices=optim.SOLVERS, default="nadmm")
-    p.add_argument("--hessian", choices=("exact", "lbfgs", "identity"), default="exact")
+    p.add_argument("--hessian", choices=("exact", "lbfgs", "identity"), default="exact",
+                   help="exact: hvp mode on the exact Hessian, shifted where it is indefinite")
     p.add_argument("--start", type=_point_pair, default="-1.2,1.0")
-    p.add_argument("--max-outer", type=int, default=200)
-    p.add_argument("--inner-iters", type=int, default=100,
+    p.add_argument("--max-outer", type=_integer(0), default=200)
+    p.add_argument("--inner-iters", type=_integer(1), default=100,
                    help="cap on NISTA's inner sweeps per outer step")
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_rosenbrock)

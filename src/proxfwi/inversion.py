@@ -120,9 +120,7 @@ class FwiOracle(_OracleBase):
             return self._cache
         # the factors outlive this call, so they are made on this thread (see wave.Survey.each)
         per_freq = [self._forward(m, i) for i in range(len(self.observed.blocks))]
-        misfit = 0.0
-        for entry in per_freq:
-            misfit += 0.5 * float(np.sum(np.abs(entry["resid"]) ** 2))
+        misfit = sum(0.5 * float(np.sum(np.abs(entry["resid"]) ** 2)) for entry in per_freq)
         self._cache_key = key
         self._cache = {"per_freq": per_freq, "misfit": misfit}
         return self._cache
@@ -144,11 +142,8 @@ class FwiOracle(_OracleBase):
 
     def gradient(self, m) -> np.ndarray:
         per_freq = self._prepare(m)["per_freq"]
-        terms = self.survey.each(lambda i: self._back_correlate(per_freq[i], per_freq[i]["resid"]))
-        grad = np.zeros(self.survey.interior_rows.shape)
-        for term in terms:
-            grad += term
-        return grad
+        return sum(self.survey.each(
+            lambda i: self._back_correlate(per_freq[i], per_freq[i]["resid"])))
 
     def hvp(self, m, v) -> np.ndarray:
         """Gauss-Newton product J^T J v via forward-linearized and adjoint solves."""
@@ -162,10 +157,7 @@ class FwiOracle(_OracleBase):
             du = entry["fact"].solve(-entry["omega"] ** 2 * (vp[:, None] * entry["u"]))
             return self._back_correlate(entry, du[self.survey.rx, :])
 
-        out = np.zeros(self.survey.interior_rows.shape)
-        for term in self.survey.each(product):
-            out += term
-        return out.reshape(v.shape)
+        return sum(self.survey.each(product)).reshape(v.shape)
 
 
 class WriOracle(_OracleBase):
@@ -197,14 +189,11 @@ class WriOracle(_OracleBase):
             return self.survey.omegas[i] ** 2 * u[interior], e[interior], outside
 
         weighted, resid, outside = zip(*self.survey.each(fields))
-        outside_sq = 0.0
-        for value in outside:
-            outside_sq += value
         shape = self.survey.interior_rows.shape + (-1,)
         self._m_ref = np.array(m, dtype=np.float64)
         self._w = np.hstack(weighted).reshape(shape)
         self._e = np.hstack(resid).reshape(shape)
-        self._outside_sq = outside_sq
+        self._outside_sq = sum(outside)
         self._hdiag = np.sum(np.abs(self._w) ** 2, axis=2)
         return self
 
@@ -227,9 +216,6 @@ class WriOracle(_OracleBase):
         if self._hdiag is None:
             raise StateError("wavefields not initialized; call update_wavefields first")
         return self._hdiag.copy()
-
-    def hvp(self, m, v) -> np.ndarray:
-        return self.hessian_diag(m) * np.asarray(v, dtype=np.float64)
 
 
 def default_penalty_mu(background: ModelGrid, first_freq: float, pml_cells: int = 10,
@@ -418,15 +404,15 @@ def parse_run_config(path) -> RunConfig:
     a value of the wrong type, out of range (a bounded number must also be
     finite), outside its choices or at odds with another key, is a ConfigError
     naming the key and its line, at parse time; ``OptConfig.validate`` checks
-    the keys it shares.  Only what needs the model grids (pml_cells, the
-    geometry, the denoiser) waits for ``run_inversion``, which checks it
-    before any modeling.  Keys, as ``name (type, default): syntax``:
+    the keys it shares.  Only what needs the model grids (source_depth, the
+    explicit sources and receivers, the denoiser) waits for ``run_inversion``,
+    which checks it before any modeling.  Keys, as ``name (type, default): syntax``:
 
     - model_init (path, required), model_true (path, on model_init's grid),
       data (path): without data, the data is synthesized from model_true.
     - method (fwi | irwri, irwri); algorithm (nista | nadmm, nadmm);
-      hessian (hvp | lbfgs | identity, or diagonal for irwri only; diagonal
-      for irwri and lbfgs for fwi); denoiser (make_denoiser spec, identity);
+      hessian (lbfgs | identity, hvp for fwi only or diagonal for irwri only;
+      diagonal for irwri and lbfgs for fwi); denoiser (make_denoiser spec, identity);
       lambda (float >= 0, 0); mu (float > 0 | auto, auto): the WRI penalty weight.
     - frequencies (Hz > 0, required): ``3,4.5``; batches (Hz > 0, one batch
       of all): ``3,4 | 5,6``, each some frequencies in order; paths (int >= 1,
@@ -442,9 +428,9 @@ def parse_run_config(path) -> RunConfig:
       ||v - v_true|| <= VAL (m/s), which a model with any cell m <= 0 never meets.
     - snr_db (float, not nan or -inf | none | inf, none); seed (int >= 0, 0):
       seeds the noise and the sigma_max power iteration; f_peak (Hz > 0, 10);
-      pml_cells (int >= 5, 10): checked by wave.Survey; free_surface
+      pml_cells (int >= wave.MIN_PML_CELLS = 5, 10); free_surface
       (``1 | true | yes | on`` or ``0 | false | no | off`` in any case, false).
-    - n_sources (int, 5), source_depth (int, 0), receiver_spacing (int, 2):
+    - n_sources (int >= 1, 5), source_depth (int, 0), receiver_spacing (int >= 1, 2):
       the surface layout, replaced by sources and receivers (``iz:ix;iz:ix``),
       which go together (model.survey_geometry); out_dir (path, run_out).
     """
@@ -481,12 +467,14 @@ def parse_run_config(path) -> RunConfig:
                 cfg.frequencies = _frequencies(value)
             elif key == "batches":
                 cfg.batches = tuple(_frequencies(part) for part in value.split("|"))
-            elif key == "paths":
-                cfg.paths = _in_range(int(value), 1)
             elif key == "seed":
                 cfg.seed = _in_range(int(value), 0)
-            elif key in ("pml_cells", "n_sources", "source_depth", "receiver_spacing"):
-                setattr(cfg, key, int(value))
+            elif key == "pml_cells":
+                cfg.pml_cells = wave.check_pml_cells(int(value))
+            elif key in ("paths", "n_sources", "receiver_spacing"):
+                setattr(cfg, key, _in_range(int(value), 1))
+            elif key == "source_depth":
+                cfg.source_depth = int(value)
             elif key == "f_peak":
                 cfg.f_peak = _in_range(float(value), 0.0, True)
             elif key == "snr_db":

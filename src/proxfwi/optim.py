@@ -10,14 +10,16 @@ proximal Newton solve (Lee, Sun & Saunders 2014): it stops once a sweep
 moves at most the constant ``INNER_FORCING`` times as far as the first sweep
 did, and ``inner_iters`` caps it.
 
-The Hessian can be the oracle's exact/Gauss-Newton operator (``hvp``), its
-dense matrix for toy sizes (``hessian_dense``), a limited-memory quasi-Newton
-approximation built from outer gradient pairs, the oracle's diagonal, or the
-identity.  ``_hessian_ops`` is the only place a Hessian mode is chosen: it
-builds the per-outer (apply, shifted solve, sigma_max) triple, and sigma_max
-is computed only when the driver calls it to set ck.  ``LbfgsHessian`` keeps
-its own curvature pairs, at most the constant ``LBFGS_MEMORY`` of them, and
-``nadmm_step`` takes ``solve_shifted``.  Both solvers accept their step
+The Hessian reaches both solvers only as an operator: the oracle's exact or
+Gauss-Newton products (``hvp``), its diagonal (``hessian_diag``), a
+limited-memory quasi-Newton approximation built from outer gradient pairs, or
+the identity.  Every operator must be positive semidefinite, since both inner
+loops need a convex model; an oracle whose Hessian can be indefinite shifts it
+in its own ``hvp``.  ``_hessian_ops`` is the only place a Hessian mode is
+chosen: it builds the per-outer (apply, shifted solve, sigma_max) triple, and
+sigma_max is computed only when the outer loop calls it to set ck.
+``LbfgsHessian`` keeps its own curvature pairs, at most the constant
+``LBFGS_MEMORY`` of them, and ``nadmm_step`` takes ``solve_shifted``.  Both solvers accept their step
 through ``line_search``, one Armijo backtracking rule with the constants
 ``SIGMA_LS`` (c1 = 1e-4), ``BETA_LS`` (rho = 1/2) and ``MAX_TRIALS`` (25); it
 holds the iterate when no trial lowers the merit.  Each solver forms
@@ -59,8 +61,7 @@ SIGMA_LS = 1e-4
 BETA_LS = 0.5
 MAX_TRIALS = 25
 # every Hessian mode and the oracle method it reads; lbfgs and identity need none
-_HESSIAN_NEEDS = {"hvp": "hvp", "exact-dense": "hessian_dense", "diagonal": "hessian_diag",
-                  "lbfgs": None, "identity": None}
+_HESSIAN_NEEDS = {"hvp": "hvp", "diagonal": "hessian_diag", "lbfgs": None, "identity": None}
 SOLVERS = ("nista", "nadmm")  # proximal_newton_solve's direction solvers
 
 
@@ -89,9 +90,6 @@ class LbfgsHessian:
         self._y: list[np.ndarray] = []
         self._form = None  # (delta, U, M) of the current pairs, built on first use
         self._last = None  # (m, g) of the last observed outer iterate
-
-    def __len__(self):
-        return len(self._s)
 
     def update(self, s, y):
         if not _dot(s, y) > _CURVATURE_FLOOR * max(_norm(s) * _norm(y), 1e-300):
@@ -284,15 +282,6 @@ class Step(NamedTuple):
     inner_sweeps: int = 0
 
 
-def _psd_guard(h: np.ndarray) -> np.ndarray:
-    """Shift eigenvalues so the quadratic model is convex (inner loops need it)."""
-    eigs = np.linalg.eigvalsh(h)
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(eigs))))
-    if eigs[0] < floor:
-        h = h + (floor - eigs[0]) * np.eye(h.shape[0])
-    return h
-
-
 def nadmm_step(
     oracle,
     state: InversionState,
@@ -366,7 +355,7 @@ class OptConfig:
     c_fixed: float | None = None
     max_outer: int = 70
     inner_iters: int = 100
-    hessian: str = "hvp"  # hvp | exact-dense | lbfgs | diagonal | identity
+    hessian: str = "hvp"  # a key of _HESSIAN_NEEDS: hvp | diagonal | lbfgs | identity
     stop_target: float | None = None
     stop_metric: Callable | None = None  # (oracle, m) -> float
     seed: int = 0
@@ -437,7 +426,9 @@ def _check_hessian(mode: str, oracle):
 def _hessian_ops(mode, oracle, m, lbfgs_hess, seed):
     """Per-outer (h_apply, solve_shifted, sigma_max) for the chosen mode.
 
-    ``sigma_max()`` computes on call; lbfgs and hvp share one power iteration.
+    ``sigma_max()`` computes on call; lbfgs and hvp share one power iteration,
+    which returns exactly 1.0 on an empty L-BFGS memory, where ``apply`` is the
+    identity.
     """
     m = np.asarray(m, dtype=np.float64)
     if mode == "identity":
@@ -449,24 +440,8 @@ def _hessian_ops(mode, oracle, m, lbfgs_hess, seed):
             lambda c, rhs: np.asarray(rhs) / (c * d + 1.0),
             lambda: float(np.max(d)) if d.size else 0.0,
         )
-    if mode == "exact-dense":
-        h = np.asarray(oracle.hessian_dense(m), dtype=np.float64)
-        h = _psd_guard(0.5 * (h + h.T))
-        eye = np.eye(h.shape[0])
-
-        def h_apply(v):
-            v = np.asarray(v)
-            return (h @ np.ravel(v)).reshape(v.shape)
-
-        def solve_shifted(c, rhs):
-            rhs = np.asarray(rhs)
-            return np.linalg.solve(c * h + eye, np.ravel(rhs)).reshape(rhs.shape)
-
-        return h_apply, solve_shifted, lambda: float(np.max(np.abs(np.linalg.eigvalsh(h))))
     if mode == "lbfgs":
         h_apply, solve_shifted = lbfgs_hess.apply, lbfgs_hess.solve_shifted
-        if not len(lbfgs_hess):
-            return h_apply, solve_shifted, lambda: 1.0
     else:  # raw Hessian-vector products
         h_apply = lambda v: np.asarray(oracle.hvp(m, v))
         solve_shifted = lambda c, rhs: _cg_shifted(h_apply, c, rhs)

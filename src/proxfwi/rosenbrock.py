@@ -27,7 +27,12 @@ def rosenbrock_value_grad_hess(m):
 
 
 class RosenbrockOracle:
-    """Misfit oracle exposing exact derivatives of the 2D valley."""
+    """Misfit oracle exposing exact derivatives of the 2D valley.
+
+    The solvers' inner loops need a convex model, and off the valley floor the
+    Hessian is indefinite, so ``hvp`` shifts it up to the eigenvalue floor
+    1e-12 * max(1, max |lambda|) wherever its smallest eigenvalue is below it.
+    """
 
     def value(self, m):
         return rosenbrock_value_grad_hess(m)[0]
@@ -36,10 +41,12 @@ class RosenbrockOracle:
         return rosenbrock_value_grad_hess(m)[1]
 
     def hvp(self, m, v):
-        return rosenbrock_value_grad_hess(m)[2] @ np.asarray(v, dtype=np.float64)
-
-    def hessian_dense(self, m):
-        return rosenbrock_value_grad_hess(m)[2]
+        hess = rosenbrock_value_grad_hess(m)[2]
+        eigs = np.linalg.eigvalsh(hess)
+        floor = 1e-12 * max(1.0, float(np.max(np.abs(eigs))))
+        if eigs[0] < floor:
+            hess = hess + (floor - eigs[0]) * np.eye(2)
+        return hess @ np.asarray(v, dtype=np.float64)
 
 
 def rosenbrock_l1_argmin(lam: float) -> np.ndarray:

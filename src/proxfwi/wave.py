@@ -51,6 +51,7 @@ from .model import (
 
 PML_REFLECTION = 1e-3  # target boundary reflection coefficient
 MIN_POINTS_PER_WAVELENGTH = 8.0
+MIN_PML_CELLS = 5  # the thinnest absorbing collar: pad_collar and both parsers read it
 # from this many sources on, forward eliminates the source and receiver nodes
 # last and skips the per-source solves; one frequency's factor-and-solve broke
 # even at about 12 sources on both the 81^2 and the 161^2 survey grids
@@ -70,6 +71,13 @@ def _pad_top(pml_cells: int, free_surface_top: bool) -> int:
     return 0 if free_surface_top else pml_cells
 
 
+def check_pml_cells(pml_cells: int) -> int:
+    """``pml_cells`` if the collar is at least ``MIN_PML_CELLS`` thick, else ValueError."""
+    if pml_cells < MIN_PML_CELLS:
+        raise ValueError(f"need at least {MIN_PML_CELLS} absorbing cells, got {pml_cells}")
+    return pml_cells
+
+
 def pad_collar(values: np.ndarray, pml_cells: int, free_surface_top: bool):
     """``values`` padded with the absorbing collar, and the interior block.
 
@@ -77,10 +85,12 @@ def pad_collar(values: np.ndarray, pml_cells: int, free_surface_top: bool):
     the bottom, and on top unless there is a free surface.  Returns
     ``(padded, interior)`` with ``padded[interior]`` equal to ``values``.  Every
     run path pads here before it assembles, so this is where a collar thinner
-    than 5 cells is a GeometryError.
+    than ``MIN_PML_CELLS`` is a GeometryError.
     """
-    if pml_cells < 5:
-        raise GeometryError(f"need at least 5 absorbing cells, got {pml_cells}")
+    try:
+        check_pml_cells(pml_cells)
+    except ValueError as exc:
+        raise GeometryError(str(exc)) from None
     top = _pad_top(pml_cells, free_surface_top)
     nz, nx = values.shape
     padded = np.pad(values, ((top, pml_cells), (pml_cells, pml_cells)), mode="edge")

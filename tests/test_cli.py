@@ -159,7 +159,7 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"algorithm": "admm"}, "bad value for algorithm: 'admm' is not one of nista | nadmm"),
         ({"hessian": "dense"}, "bad value for hessian: unknown hessian mode 'dense'"),
         ({"hessian": "diagonal", "method": "fwi"}, "bad value for hessian: hessian mode"),
-        ({"hessian": "exact-dense"}, "bad value for hessian: hessian mode 'exact-dense' needs"),
+        ({"hessian": "hvp"}, "bad value for hessian: hessian mode 'hvp' needs an oracle with hvp"),
         ({"lambda": -1}, "bad value for lambda: lambda must be nonnegative"),
         ({"max_outer": -2}, "bad value for max_outer: max_outer must be nonnegative"),
         ({"inner_iters": 0}, "bad value for inner_iters: inner_iters must be at least 1"),
@@ -168,6 +168,10 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"batches": "7,3", "frequencies": "3,5,7"}, "bad value for batches: (7.0, 3.0)"),
         ({"batches": "3 |"}, "bad value for batches: ()"),
         ({"free_surface": "ture"}, "bad value for free_surface: 'ture' is not one of"),
+        ({"hessian": "exact-dense"}, "bad value for hessian: unknown hessian mode 'exact-dense'"),
+        ({"n_sources": 0}, "bad value for n_sources: 0 is not finite and at least 1"),
+        ({"receiver_spacing": 0}, "bad value for receiver_spacing: 0 is not finite and at least 1"),
+        ({"pml_cells": 3}, "bad value for pml_cells: need at least 5 absorbing cells, got 3"),
     ],
 )
 def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, monkeypatch, keys,
@@ -214,6 +218,15 @@ def test_free_surface_takes_the_documented_spellings_in_any_case(tmp_path, model
          "--snr-db"),
         (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--snr-db=-inf"],
          "--snr-db"),
+        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--pml-cells", "3"],
+         "--pml-cells"),
+        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--n-sources", "0"],
+         "--n-sources"),
+        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3",
+          "--receiver-spacing", "0"], "--receiver-spacing"),
+        (["rosenbrock", "--lambda", "-1"], "--lambda"),
+        (["rosenbrock", "--max-outer", "-1"], "--max-outer"),
+        (["rosenbrock", "--inner-iters", "0"], "--inner-iters"),
     ],
 )
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(argv, flag, capsys):
@@ -315,8 +328,10 @@ def test_rosenbrock_command(tmp_path, capsys):
     # two outer steps stop far from the analytic minimizer
     assert cli.main(["rosenbrock", "--max-outer", "2"]) == cli.EXIT_NUMERIC
     capsys.readouterr()
-    assert cli.main(["rosenbrock", "--max-outer", "-3"]) == cli.EXIT_DATA
-    assert "max_outer must be nonnegative" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # a bad flag value is a usage error
+        cli.main(["rosenbrock", "--max-outer", "-3"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "argument --max-outer: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_outer", ["2", "200"])
@@ -333,7 +348,7 @@ def test_rosenbrock_lbfgs_memory_is_the_library_default(max_outer, monkeypatch, 
     monkeypatch.setattr(optim, "LBFGS_MEMORY", 3)
     cli.main(["rosenbrock", "--hessian", "lbfgs", "--max-outer", max_outer])
     (hess,) = built
-    assert len(hess) == min(int(max_outer), 3)
+    assert len(hess._s) == min(int(max_outer), 3)
 
 
 @pytest.mark.parametrize("hessian", ["exact", "lbfgs", "identity"])
@@ -343,6 +358,16 @@ def test_rosenbrock_nista_reaches_the_minimizer(hessian, capsys):
     assert cli.main(["rosenbrock", "--method", "nista", "--hessian", hessian]) == cli.EXIT_OK
     distance = float(capsys.readouterr().out.split("distance=")[1])
     assert distance < 1e-6
+
+
+@pytest.mark.parametrize("start", ["0,1", "0.5,2"])
+def test_rosenbrock_exact_nista_reaches_the_minimizer_from_indefinite_starts(start, capsys):
+    # the valley's Hessian is indefinite at both starts, so the exact mode's
+    # products must be shifted to PSD there, or NISTA ends about 1 and 2 away
+    argv = ["rosenbrock", "--method", "nista", "--hessian", "exact", f"--start={start}"]
+    assert cli.main(argv) == cli.EXIT_OK
+    distance = float(capsys.readouterr().out.split("distance=")[1])
+    assert distance < 1e-3
 
 
 @pytest.mark.parametrize("start", [["--start", "-0.5,0.4"], ["--start=-0.5,0.4"]])

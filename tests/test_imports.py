@@ -22,7 +22,9 @@ Every LU runs on the cached order: only ``linsys._mmd_order`` names
 Only ``wave``, whose ``Survey.each`` runs a survey's frequencies in a thread
 pool, names ``ThreadPoolExecutor``, ``Thread``, ``concurrent`` or
 ``threading``, except that ``linsys`` names ``threading.Lock`` for its order
-cache.
+cache.  Every Hessian mode that reads an oracle method names one that some
+package oracle class (a class with ``value`` and ``gradient``) defines, so
+retiring an oracle method cannot leave a mode no oracle can run.
 """
 
 import ast
@@ -516,3 +518,44 @@ def test_benchmark_wrap_points_name_existing_attributes(monkeypatch):
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in spans.wrap_points()
                if attr not in vars(owner)]
     assert missing == []
+
+
+def _oracle_methods(sources: dict[str, str]) -> set[str]:
+    """The methods of each module-level class that defines ``value`` and
+    ``gradient``, the two every misfit oracle has."""
+    methods = set()
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                names = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                if {"value", "gradient"} <= names:
+                    methods |= names
+    return methods
+
+
+def test_oracle_method_scanner_reads_only_oracle_classes():
+    sources = {
+        "a": (
+            "class Oracle:\n"
+            "    def value(self, m):\n"
+            "        return 0.0\n"
+            "    def gradient(self, m):\n"
+            "        return m\n"
+            "    def hvp(self, m, v):\n"
+            "        return v\n"
+            "class Helper:\n"
+            "    def value(self, m):\n"
+            "        return 0.0\n"
+            "    def hessian_diag(self, m):\n"
+            "        return m\n"
+        ),
+    }
+    assert _oracle_methods(sources) == {"value", "gradient", "hvp"}
+
+
+def test_every_hessian_mode_reads_a_method_some_oracle_defines():
+    from proxfwi import optim
+
+    needs = {need for need in optim._HESSIAN_NEEDS.values() if need is not None}
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert needs - _oracle_methods(sources) == set()

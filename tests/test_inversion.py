@@ -277,23 +277,6 @@ def test_wri_materialized_hessian_is_diagonal():
     assert np.allclose(np.diag(hess), oracle.hessian_diag(m).ravel(), rtol=1e-6)
 
 
-def test_wri_hvp_mode_matches_diagonal_mode():
-    true, background, acq, observed = _tiny_problem()
-    oracle = _wri(acq, observed, background)
-    m = model.as_slowness_squared(background).values
-    oracle.update_wavefields(m)
-    _, cg_solve, sigma = optim._hessian_ops("hvp", oracle, m, None, 0)
-    _, diag_solve, diag_sigma = optim._hessian_ops("diagonal", oracle, m, None, 0)
-    # the two largest entries, next to the two sources, are 0.4 % apart, so the
-    # power iteration's Rayleigh quotient settles between them, never above the first
-    assert diag_sigma() * (1.0 - 5e-3) <= sigma() <= diag_sigma()
-    rng = np.random.default_rng(8)
-    for c in (0.1, 1.0, 10.0):
-        ck = c / diag_sigma()
-        rhs = rng.standard_normal(m.shape)
-        assert np.max(np.abs(cg_solve(ck, rhs) - diag_solve(ck, rhs))) <= 1e-10
-
-
 def test_data_residual_norm_is_the_reduced_residual_for_both_oracles():
     true, background, acq, observed = _tiny_problem(snr=20.0, seed=2)
     m = model.as_slowness_squared(background).values

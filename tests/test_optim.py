@@ -16,7 +16,6 @@ def _quadratic_oracle(q, b):
         value=lambda m: 0.5 * float(m @ q @ m) - float(b @ m),
         gradient=lambda m: q @ m - b,
         hvp=lambda m, v: q @ v,
-        hessian_dense=lambda m: q,
     )
 
 
@@ -79,7 +78,7 @@ def test_lbfgs_hessian_rebuilds_its_compact_form_after_each_update(monkeypatch):
 def test_lbfgs_hessian_skips_bad_curvature():
     hess = optim.LbfgsHessian()
     hess.update(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-    assert len(hess) == 0
+    assert hess._s == []
     assert np.array_equal(hess.apply(np.array([2.0, 3.0])), np.array([2.0, 3.0]))
 
 
@@ -94,18 +93,30 @@ def test_hvp_mode_shifted_solve_matches_exact_dense():
     oracle = _quadratic_oracle(q, rng.standard_normal(6))
     m = rng.standard_normal(6)
     h_apply, cg_solve, sigma = optim._hessian_ops("hvp", oracle, m, None, 0)
-    _, dense_solve, dense_sigma = optim._hessian_ops("exact-dense", oracle, m, None, 0)
-    assert sigma() == pytest.approx(dense_sigma(), rel=1e-3)  # power iteration, tol 1e-4
+    # power iteration to tol 1e-4 against the exact top eigenvalue
+    assert sigma() == pytest.approx(np.linalg.eigvalsh(q)[-1], rel=1e-3)
     for c in (0.01, 1.0, 30.0):
         rhs = rng.standard_normal(6)
         assert np.allclose(h_apply(rhs), q @ rhs, rtol=0.0, atol=1e-14)
-        assert np.max(np.abs(cg_solve(c, rhs) - dense_solve(c, rhs))) <= 1e-10
+        dense = np.linalg.solve(c * q + np.eye(6), rhs)
+        assert np.max(np.abs(cg_solve(c, rhs) - dense)) <= 1e-10
+
+
+def _dense(apply, n):
+    """The matrix of a linear map on R^n, one column per unit vector."""
+    return np.column_stack([np.asarray(apply(e), dtype=np.float64) for e in np.eye(n)])
 
 
 @pytest.mark.parametrize("method", ["nista", "nadmm"])
-def test_hvp_mode_toy_solve_reaches_exact_dense_result(method):
+def test_hvp_mode_toy_solve_reaches_exact_dense_result(method, monkeypatch):
+    hvp = _toy_solve(1.5, method)
+    # the same run with hvp mode's CG and power iteration replaced by a direct
+    # solve and an exact eigenvalue of the materialized Hessian
+    monkeypatch.setattr(optim, "_cg_shifted", lambda h_apply, c, rhs: np.linalg.solve(
+        c * _dense(h_apply, rhs.size) + np.eye(rhs.size), rhs))
+    monkeypatch.setattr(optim, "spectral_norm", lambda apply, n, seed: SimpleNamespace(
+        value=float(np.max(np.abs(np.linalg.eigvalsh(_dense(apply, n)))))))
     dense = _toy_solve(1.5, method)
-    hvp = _toy_solve(1.5, method, hessian="hvp")
     assert np.linalg.norm(hvp.m - dense.m) < 1e-6
     assert np.linalg.norm(hvp.m - rosenbrock.rosenbrock_l1_argmin(1.5)) < 1e-4
 
@@ -118,13 +129,12 @@ def test_identity_mode_solves_shifted_identity():
         assert np.array_equal(solve_shifted(c, r), r / (c + 1.0))
 
 
-@pytest.mark.parametrize("hessian", ["hvp", "exact-dense", "diagonal"])
+@pytest.mark.parametrize("hessian", ["hvp", "diagonal"])
 def test_hessian_mode_missing_from_oracle_is_a_config_error(hessian):
     # the driver checks the oracle for the one method the mode reads before it calls
     # the oracle at all; the oracle carries every other Hessian method
     calls = []
-    methods = {"hvp": lambda m, v: v, "hessian_dense": lambda m: np.eye(m.size),
-               "hessian_diag": lambda m: np.ones_like(m)}
+    methods = {"hvp": lambda m, v: v, "hessian_diag": lambda m: np.ones_like(m)}
     need = optim._HESSIAN_NEEDS[hessian]
     del methods[need]
     oracle = SimpleNamespace(
@@ -208,14 +218,14 @@ def test_search_step_holds_iterate_on_ascent_direction():
     assert np.array_equal(m + ls.alpha * dm, m)
 
 
-@pytest.mark.parametrize("hessian", ["identity", "exact-dense", "lbfgs"])
+@pytest.mark.parametrize("hessian", ["identity", "hvp", "lbfgs"])
 @pytest.mark.parametrize("method", ["nista", "nadmm"])
 def test_zero_direction_is_an_accepted_null_step_that_stops_the_run(method, hessian):
     # a constant objective under the identity denoiser leaves no direction:
     # NISTA at its first step, NADMM once p has caught up with m
     oracle = SimpleNamespace(
         value=lambda m: 1.0, gradient=lambda m: np.zeros_like(m),
-        hessian_dense=lambda m: np.zeros((m.size, m.size)),
+        hvp=lambda m, v: np.zeros_like(v),
     )
     config = optim.OptConfig(hessian=hessian, max_outer=10)
     m0 = np.array([1.0, -2.0])
@@ -262,7 +272,7 @@ def test_nista_subproblem_matches_grid_search(monkeypatch):
     oracle = rosenbrock.RosenbrockOracle()
     m = np.zeros(2)
     lam = 1.5
-    hess = oracle.hessian_dense(m)
+    hess = rosenbrock.rosenbrock_value_grad_hess(m)[2]
     grad = oracle.gradient(m)
     ck = 0.9 / np.linalg.eigvalsh(hess)[-1]
     h_apply = lambda v: oracle.hvp(m, v)
@@ -414,8 +424,8 @@ def test_nadmm_identity_prox_reduction():
     for _ in range(6):
         m_k = state.m.copy()
         grad = oracle.gradient(m_k)
-        hess = oracle.hessian_dense(m_k)
-        _, solve_shifted, _ = optim._hessian_ops("exact-dense", oracle, m_k, None, 0)
+        hess = rosenbrock.rosenbrock_value_grad_hess(m_k)[2]
+        _, solve_shifted, _ = optim._hessian_ops("hvp", oracle, m_k, None, 0)
         step = optim.nadmm_step(oracle, state, Denoiser("identity"), 0.0, ck, solve_shifted,
                                 grad, oracle.value(m_k))
         assert np.array_equal(state.q, np.zeros(2))
@@ -430,7 +440,7 @@ def test_nadmm_identity_prox_reduction():
 
 
 def _toy_solve(lam, method, **overrides):
-    defaults = dict(lam=lam, hessian="exact-dense", max_outer=400)
+    defaults = dict(lam=lam, hessian="hvp", max_outer=400)
     if method == "nadmm":
         defaults.update(c_fixed=0.1, max_outer=2000)
     defaults.update(overrides)
@@ -476,10 +486,9 @@ def test_scaling_invariance_of_argmin():
         value=lambda m: scale * base.value(m),
         gradient=lambda m: scale * base.gradient(m),
         hvp=lambda m, v: scale * base.hvp(m, v),
-        hessian_dense=lambda m: scale * base.hessian_dense(m),
     )
     lam = 1.0
-    config = optim.OptConfig(lam=lam * scale, hessian="exact-dense", max_outer=400)
+    config = optim.OptConfig(lam=lam * scale, hessian="hvp", max_outer=400)
     result = optim.proximal_newton_solve(
         scaled, Denoiser("l1"), config, np.array([-1.2, 1.0]), "nista"
     )
@@ -574,7 +583,7 @@ def test_config_rejects_half_stopping_rule_and_bad_step(kwargs):
 def test_stop_metric_target():
     target = rosenbrock.rosenbrock_l1_argmin(1.5)
     config = optim.OptConfig(
-        lam=1.5, hessian="exact-dense", max_outer=400,
+        lam=1.5, hessian="hvp", max_outer=400,
         stop_target=1e-3,
         stop_metric=lambda oracle, m: float(np.linalg.norm(m - target)),
     )

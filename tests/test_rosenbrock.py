@@ -84,8 +84,19 @@ def test_oracle_consistency():
     assert oracle.value(m) == value
     assert np.array_equal(oracle.gradient(m), grad)
     v = np.array([1.0, -2.0])
+    assert np.all(np.linalg.eigvalsh(hess) > 0.0)  # convex here: hvp is the exact product
     assert np.array_equal(oracle.hvp(m, v), hess @ v)
-    assert np.array_equal(oracle.hessian_dense(m), hess)
+    # off the valley floor the Hessian is indefinite, and hvp applies it shifted up
+    # to the eigenvalue floor 1e-12 max(1, max |lambda|), which makes it PSD
+    m = np.array([0.0, 1.0])
+    _, _, hess = rosenbrock.rosenbrock_value_grad_hess(m)
+    eigs = np.linalg.eigvalsh(hess)
+    assert np.array_equal(eigs, [-298.0, 150.0])
+    shifted = hess + (1e-12 * 298.0 + 298.0) * np.eye(2)
+    assert np.array_equal(oracle.hvp(m, v), shifted @ v)
+    applied = np.column_stack([oracle.hvp(m, e) for e in np.eye(2)])
+    assert np.array_equal(applied, applied.T)
+    assert np.linalg.eigvalsh(applied)[0] >= 0.0
 
 
 def test_negative_weight_rejected():
