@@ -27,6 +27,10 @@ from .errors import ConfigError, DenoiserPipeError, GeometryError, ProxfwiError
 from .model import KIND_SLOWNESS_SQ, ModelGrid, read_grid, write_grid
 
 NLM_BANDWIDTH = 0.1  # nlm's bandwidth h per unit of prox scale
+# each make_denoiser spec parameter: the Denoiser field it sets, its type, and the one kind
+# that reads it
+_SPEC_PARAMS = {"iters": ("inner_iters", int, "tv2d"), "patch": ("patch_radius", int, "nlm"),
+                "search": ("search_radius", int, "nlm"), "sigma": ("sigma", float, "nlm")}
 
 
 def prox_l1(x: np.ndarray, t: float) -> np.ndarray:
@@ -183,7 +187,8 @@ class Denoiser:
     sets the strength: l1/l2sq/tv2d take it as their prox weight, and nlm
     takes the bandwidth ``NLM_BANDWIDTH * scale``, a documented heuristic
     (stronger regularization smooths more).  ``inner_iters`` caps the FGP
-    iterations of the tv2d prox.
+    iterations of the tv2d prox; it and nlm's radii must be at least 1, and
+    nlm's ``sigma`` nonnegative and finite, or construction is a ConfigError.
     """
 
     kind: str = "identity"
@@ -198,6 +203,14 @@ class Denoiser:
             raise ConfigError(f"unknown denoiser kind {self.kind!r}")
         if self.kind == "l2sq" and self.ref is None:
             raise ConfigError("l2sq denoiser needs a reference field")
+        for key, value in (("iters", self.inner_iters), ("patch", self.patch_radius),
+                           ("search", self.search_radius)):
+            if value < 1:
+                raise ConfigError(f"denoiser parameter {key} must be at least 1, got {value!r}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigError(
+                f"denoiser parameter sigma must be nonnegative and finite, got {self.sigma!r}"
+            )
 
     def apply(self, x: np.ndarray, scale: float) -> np.ndarray:
         if scale < 0.0:
@@ -280,38 +293,33 @@ def make_denoiser(spec: str, ref: np.ndarray | None = None, dz: float = 1.0, dx:
                   kind: str = KIND_SLOWNESS_SQ) -> Denoiser | ExternalDenoiser:
     """Parse a denoiser spec string like ``tv2d:iters=30``.
 
-    Recognized parameters: iters (the cap on tv2d's dual iterations),
-    patch/search/sigma (nlm); the strength is the prox scale, never a spec
-    parameter.  ``ref`` supplies the l2sq reference field.
-    ``external:<template>`` builds an :class:`ExternalDenoiser` whose grid
-    files carry spacing ``dz``/``dx`` and model ``kind``.
+    Recognized parameters: iters (the cap on tv2d's dual iterations, >= 1),
+    patch/search (nlm's radii, >= 1) and sigma (nlm, >= 0); the strength is
+    the prox scale, never a spec parameter.  A parameter the kind does not
+    read, or a value out of range, is a ConfigError.  ``ref`` supplies the
+    l2sq reference field.  ``external:<template>`` builds an
+    :class:`ExternalDenoiser` whose grid files carry spacing ``dz``/``dx`` and
+    model ``kind``.
     """
     if spec.startswith("external:"):
         return ExternalDenoiser(spec[len("external:"):], dz=dz, dx=dx, kind=kind)
     name, _, params = spec.partition(":")
     name = name.strip()
-    kwargs = {}
-    if params:
-        for item in params.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise ConfigError(f"bad denoiser parameter {item!r}")
-            kwargs[key.strip()] = value.strip()
-    try:
-        mapped = {}
-        for key, value in kwargs.items():
-            if key == "iters":
-                mapped["inner_iters"] = int(value)
-            elif key == "patch":
-                mapped["patch_radius"] = int(value)
-            elif key == "search":
-                mapped["search_radius"] = int(value)
-            elif key == "sigma":
-                mapped["sigma"] = float(value)
-            else:
-                raise ConfigError(f"unknown denoiser parameter {key!r}")
-    except ValueError as exc:
-        raise ConfigError(f"bad denoiser parameter value: {exc}") from exc
     if name == "none":
         name = "identity"
+    mapped = {}
+    for item in params.split(",") if params else ():
+        key, _, value = (part.strip() for part in item.partition("="))
+        if not value:
+            raise ConfigError(f"bad denoiser parameter {item!r}")
+        if key not in _SPEC_PARAMS:
+            raise ConfigError(f"unknown denoiser parameter {key!r}")
+        field, parse, reader = _SPEC_PARAMS[key]
+        if name != reader:
+            raise ConfigError(f"denoiser parameter {key!r} is read by {reader} only, "
+                              f"not by {name!r}")
+        try:
+            mapped[field] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad denoiser parameter value: {exc}") from exc
     return Denoiser(kind=name, ref=ref, **mapped)

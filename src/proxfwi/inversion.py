@@ -13,7 +13,7 @@ synthesizes data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +337,7 @@ class RunConfig:
     sources: tuple = ()  # optional explicit (iz, ix) pairs
     receivers: tuple = ()
     out_dir: str = "run_out"
+    where: dict = field(default_factory=dict)  # "file:line" that set each run-file key
 
 
 STOPPING_RULES = ("max-iter", "data-residual", "model-error")
@@ -392,6 +393,12 @@ def _opt_value(field: str, value):
     return value
 
 
+def _bad_value(cfg: RunConfig, key: str, reason) -> ConfigError:
+    """ConfigError naming ``key`` and, when a run file set it, the file and line."""
+    where = f"{cfg.where[key]}: " if key in cfg.where else ""
+    return ConfigError(f"{where}bad value for {key}: {reason}")
+
+
 def _parse_points(text: str) -> tuple:
     pairs = [item.split(":") for item in text.split(";") if item.strip()]
     return tuple((int(iz), int(ix)) for iz, ix in pairs)
@@ -406,7 +413,8 @@ def parse_run_config(path) -> RunConfig:
     naming the key and its line, at parse time; ``OptConfig.validate`` checks
     the keys it shares.  Only what needs the model grids (source_depth, the
     explicit sources and receivers, the denoiser) waits for ``run_inversion``,
-    which checks it before any modeling.  Keys, as ``name (type, default): syntax``:
+    which checks it before any modeling and names the key and its line the
+    same way.  Keys, as ``name (type, default): syntax``:
 
     - model_init (path, required), model_true (path, on model_init's grid),
       data (path): without data, the data is synthesized from model_true.
@@ -439,7 +447,6 @@ def parse_run_config(path) -> RunConfig:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    where = {}  # the line that set each key
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -448,7 +455,7 @@ def parse_run_config(path) -> RunConfig:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = key.strip().replace("-", "_"), value.strip()
-        where[key] = lineno
+        cfg.where[key] = f"{path}:{lineno}"
         try:
             if key in ("model_init", "model_true", "data", "denoiser", "out_dir"):
                 setattr(cfg, key, value)
@@ -486,10 +493,7 @@ def parse_run_config(path) -> RunConfig:
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-
-    def bad(key, reason):
-        return ConfigError(f"{path}:{where[key]}: bad value for {key}: {reason}")
+            raise _bad_value(cfg, key, exc) from exc
 
     if not cfg.model_init:
         raise ConfigError(f"{path}: model_init is required")
@@ -501,17 +505,21 @@ def parse_run_config(path) -> RunConfig:
         try:
             _check_hessian(cfg.hessian, FwiOracle if cfg.method == "fwi" else WriOracle)
         except ConfigError as exc:
-            raise bad("hessian", f"{exc} (method {cfg.method})") from None
+            raise _bad_value(cfg, "hessian", f"{exc} (method {cfg.method})") from None
     for batch in cfg.batches:
         if not batch or batch != tuple(f for f in cfg.frequencies if f in batch):
-            raise bad("batches", f"{batch} is not some of the frequencies {cfg.frequencies} "
-                                 "in their order")
+            raise _bad_value(cfg, "batches", f"{batch} is not some of the frequencies "
+                                             f"{cfg.frequencies} in their order")
+    if bool(cfg.sources) != bool(cfg.receivers):
+        raise _bad_value(cfg, "sources" if cfg.sources else "receivers",
+                         "sources and receivers must be given together")
     rule, target = cfg.stopping
     if rule == "model-error" and not cfg.model_true:
-        raise bad("stopping", "model-error needs model_true")
+        raise _bad_value(cfg, "stopping", "model-error needs model_true")
     if (rule == "data-residual" and target is None
             and (cfg.data or cfg.snr_db in (None, math.inf))):
-        raise bad("stopping", "data-residual:auto needs data synthesized at a finite snr_db")
+        raise _bad_value(cfg, "stopping",
+                         "data-residual:auto needs data synthesized at a finite snr_db")
     return cfg
 
 
@@ -537,12 +545,22 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
 
     if true is not None and layout(true) != layout(init):
         raise GeometryError(f"model_true is {layout(true)} but model_init is {layout(init)}")
-    denoiser = make_denoiser(
-        cfg.denoiser, ref=as_slowness_squared(init).values, dz=init.dz, dx=init.dx
-    )
+    try:
+        denoiser = make_denoiser(
+            cfg.denoiser, ref=as_slowness_squared(init).values, dz=init.dz, dx=init.dx
+        )
+    except ConfigError as exc:
+        raise _bad_value(cfg, "denoiser", exc) from None
 
     acq = survey_geometry(init.nz, init.nx, cfg.frequencies, cfg.sources, cfg.receivers,
                           cfg.n_sources, cfg.source_depth, cfg.receiver_spacing)
+    try:
+        acq.validate_for(init.nz, init.nx, min_iz=1 if cfg.free_surface else 0)
+    except GeometryError as exc:  # the surface layout's receivers always lie inside
+        key = "source_depth"
+        if cfg.sources:
+            key = "sources" if str(exc).startswith("source") else "receivers"
+        raise _bad_value(cfg, key, exc) from None
     survey = wave.Survey(init, acq, cfg.f_peak, cfg.pml_cells, cfg.free_surface)
 
     noise_norm = None

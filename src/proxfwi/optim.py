@@ -1,12 +1,13 @@
 """Proximal Newton solvers with black-box denoiser regularization.
 
 The outer iteration is m_{k+1} = m_k + alpha_k * dm_k where dm_k approximately
-minimizes the local quadratic misfit model plus the regularizer.  Two
-direction solvers are provided: an accelerated proximal-gradient inner loop
-driven purely by Hessian-vector products (``nista_direction``) and an
-operator-splitting step that combines a damped Newton solve, a prox/denoise
-step, and a dual update (``nadmm_step``).  NISTA's inner loop is an inexact
-proximal Newton solve (Lee, Sun & Saunders 2014): it stops once a sweep
+minimizes the local quadratic misfit model plus the regularizer (a proximal
+Newton step, Lee, Sun & Saunders 2014).  Two direction solvers are provided:
+an accelerated proximal-gradient inner loop driven purely by Hessian-vector
+products (``nista_direction``) and an operator-splitting step that combines a
+damped Newton solve, a prox/denoise step and a scaled dual update (Boyd et
+al. 2011, sec. 3.1.1), written out in ``proximal_newton_solve``.  NISTA's
+inner loop is an inexact proximal Newton solve: it stops once a sweep
 moves at most the constant ``INNER_FORCING`` times as far as the first sweep
 did, and ``inner_iters`` caps it.
 
@@ -19,19 +20,17 @@ in its own ``hvp``.  ``_hessian_ops`` is the only place a Hessian mode is
 chosen: it builds the per-outer (apply, shifted solve, sigma_max) triple, and
 sigma_max is computed only when the outer loop calls it to set ck.
 ``LbfgsHessian`` keeps its own curvature pairs, at most the constant
-``LBFGS_MEMORY`` of them, and ``nadmm_step`` takes ``solve_shifted``.  Both solvers accept their step
-through ``line_search``, one Armijo backtracking rule with the constants
-``SIGMA_LS`` (c1 = 1e-4), ``BETA_LS`` (rho = 1/2) and ``MAX_TRIALS`` (25); it
-holds the iterate when no trial lowers the merit.  Each solver forms
-m + alpha * dm itself.
+``LBFGS_MEMORY`` of them, and NADMM's direction takes ``solve_shifted``.
 
-``proximal_newton_solve`` is the one outer driver.  It owns the outer index,
-the step scale ck, the history and the stopping decision; ``InversionState``
-holds only the iterate and NADMM's splitting variables, and each step reports
-back through a ``Step``.  ``OptConfig`` states each decision once: the step
-scale in ``c_fixed`` (None for the spectral rule), the regularization
-strength in ``lam`` (both solvers call the prox at scale ck * lam, and the
-objective adds lam * penalty) and early stopping in the pair
+``proximal_newton_solve`` is the one outer driver.  It owns the iterate,
+NADMM's splitting variables p and q, the outer index, the step scale ck, the
+history and the stopping decision.  Both solvers accept their step at its one
+call of ``line_search``, an Armijo backtracking rule with the constants
+``SIGMA_LS`` (c1 = 1e-4), ``BETA_LS`` (rho = 1/2) and ``MAX_TRIALS`` (25); it
+holds the iterate when no trial lowers the merit.  ``OptConfig`` states each
+decision once: the step scale in ``c_fixed`` (None for the spectral rule), the
+regularization strength in ``lam`` (both solvers call the prox at scale
+ck * lam, and the objective adds lam * penalty) and early stopping in the pair
 ``stop_target`` / ``stop_metric``.
 """
 
@@ -257,88 +256,13 @@ def nista_direction(
     return dm, n_inner
 
 
-@dataclass
-class InversionState:
-    """The iterate m and the splitting auxiliaries p (denoised) and q (dual)."""
-
-    m: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-
-    @classmethod
-    def initial(cls, m0) -> "InversionState":
-        m0 = np.asarray(m0, dtype=np.float64).copy()
-        return cls(m=m0, p=np.zeros_like(m0), q=np.zeros_like(m0))
-
-
-class Step(NamedTuple):
-    """What one outer step did: direction, accepted fraction of it, misfit after,
-    and the inner sweeps that found the direction (0 for NADMM)."""
-
-    dm: np.ndarray
-    alpha: float
-    accepted: bool
-    misfit: float
-    inner_sweeps: int = 0
-
-
-def nadmm_step(
-    oracle,
-    state: InversionState,
-    denoiser,
-    lam: float,
-    ck: float,
-    solve_shifted: Callable,
-    grad,
-    value: float,
-) -> Step:
-    """One splitting step: damped Newton solve, line search, prox, dual update.
-
-    ``grad`` and ``value`` are the misfit's gradient and value at ``state.m``.
-    Solves (ck*H + I) dm = -ck*grad + (p + q - m) with ``solve_shifted(c,
-    rhs)`` (one of the solvers built by ``_hessian_ops``), accepts alpha dm by
-    ``line_search`` on the damped merit M(m) + ||m - (p+q)||^2 / (2 ck), then
-    updates p by denoising (m_new - q) and q by the running constraint
-    mismatch.  ``state`` advances in place; the returned ``Step`` carries the
-    misfit at the new m.
-    """
-    if ck <= 0.0:
-        raise ValueError("step size ck must be positive")
-    m, p, q = state.m, state.p, state.q
-    grad = np.asarray(grad, dtype=np.float64)
-
-    prior = p + q
-    rhs = -ck * grad + (prior - m)
-    dm = np.asarray(solve_shifted(ck, rhs), dtype=np.float64)
-    if not np.all(np.isfinite(dm)):
-        raise NumericalError("inner solver produced a non-finite direction")
-
-    def damped(mm):
-        diff = mm - prior
-        return oracle.value(mm) + _dot(diff, diff) / (2.0 * ck)
-
-    diff0 = m - prior
-    f0 = value + _dot(diff0, diff0) / (2.0 * ck)
-    ls = line_search(damped, m, dm, f0, ck)
-    m_new = m + ls.alpha * dm
-    diff_new = m_new - prior
-    misfit_new = ls.value - _dot(diff_new, diff_new) / (2.0 * ck)
-    p_new = denoiser.apply(m_new - q, ck * lam)
-    q_new = q + p_new - m_new
-    if not (np.all(np.isfinite(m_new)) and np.all(np.isfinite(p_new))):
-        raise NumericalError("splitting update produced non-finite values")
-
-    state.m, state.p, state.q = m_new, p_new, q_new
-    return Step(dm, ls.alpha, ls.accepted, misfit_new)
-
-
 # ---------------------------------------------------------------------------
 # outer driver
 
 
 @dataclass
 class OptConfig:
-    """Outer-loop settings shared by both direction solvers.
+    """Settings of the one outer loop, shared by both direction solvers.
 
     ``c_fixed`` is the step scale ck of every outer step; None picks
     C_SAFETY / sigma_max(H_k) each step (1.0 when sigma_max is not positive),
@@ -458,6 +382,15 @@ def proximal_newton_solve(
 ) -> SolveResult:
     """Outer proximal-Newton loop with either direction solver.
 
+    Each outer step builds a direction dm, the inner sweeps that found it, a
+    merit and its value f0 at m, accepts alpha * dm through ``line_search`` and
+    moves m to m + alpha * dm.  NISTA takes dm from ``nista_direction`` and the
+    composite objective f + lam * R as its merit.  NADMM solves
+    (ck*H + I) dm = -ck*g + (p + q - m) with ``solve_shifted`` (0 sweeps) and
+    takes the damped merit f(m) + ||m - (p+q)||^2 / (2 ck), from which it reads
+    the misfit at the new m back; it then sets p to the prox of m - q at scale
+    ck * lam and adds p - m to the scaled dual q.  p and q start at zero.
+
     Stops on the configured target, on three consecutive failed line searches
     (returning the best iterate seen), or when the step collapses to rounding
     level.  History rows carry (objective, misfit, reg, alpha, step, ck,
@@ -468,7 +401,8 @@ def proximal_newton_solve(
     config.validate()
     _check_hessian(config.hessian, oracle)
     lam = config.lam
-    state = InversionState.initial(m0)
+    m = np.asarray(m0, dtype=np.float64).copy()
+    p, q = np.zeros_like(m), np.zeros_like(m)  # NADMM's denoised and scaled dual variables
     lbfgs_hess = LbfgsHessian() if config.hessian == "lbfgs" else None
     pen = getattr(denoiser, "penalty", None)
 
@@ -483,22 +417,22 @@ def proximal_newton_solve(
     stagnation = 0
     status = "max-iter"
     history = []
-    best_obj, best_m = math.inf, state.m.copy()
+    best_obj, best_m = math.inf, m.copy()
 
     for k in range(config.max_outer):
         if hasattr(oracle, "begin_outer"):
-            oracle.begin_outer(state.m)
+            oracle.begin_outer(m)
         if (config.stop_metric is not None
-                and config.stop_metric(oracle, state.m) <= config.stop_target):
+                and config.stop_metric(oracle, m) <= config.stop_target):
             status = "target-reached"
             break
-        g = oracle.gradient(state.m)
-        val = oracle.value(state.m)
+        g = np.asarray(oracle.gradient(m), dtype=np.float64)
+        val = oracle.value(m)
         if lbfgs_hess is not None:
-            lbfgs_hess.observe(state.m, g, oracle.gradient)
+            lbfgs_hess.observe(m, g, oracle.gradient)
 
         h_apply, solve_shifted, sigma_max = _hessian_ops(
-            config.hessian, oracle, state.m, lbfgs_hess, config.seed
+            config.hessian, oracle, m, lbfgs_hess, config.seed
         )
         if config.c_fixed is not None:
             ck = config.c_fixed
@@ -509,35 +443,54 @@ def proximal_newton_solve(
             raise NumericalError(f"invalid step size ck={ck!r} at outer {k}")
 
         if method == "nista":
-            dm, sweeps = nista_direction(state.m, g, h_apply, denoiser, lam, ck, config.inner_iters)
-            f0, _ = composite(state.m, misfit=val)
-            ls = line_search(lambda mm: composite(mm)[0], state.m, dm, f0, ck)
-            state.m, obj = state.m + ls.alpha * dm, ls.value
-            _, reg = composite(state.m, misfit=obj)
-            step = Step(dm, ls.alpha, ls.accepted, obj - reg if math.isfinite(reg) else obj, sweeps)
+            dm, sweeps = nista_direction(m, g, h_apply, denoiser, lam, ck, config.inner_iters)
+            merit = lambda mm: composite(mm)[0]
+            f0, _ = composite(m, misfit=val)
         else:
-            step = nadmm_step(oracle, state, denoiser, lam, ck, solve_shifted, g, val)
-            obj, reg = composite(state.m, misfit=step.misfit)
+            prior = p + q
+            dm = np.asarray(solve_shifted(ck, -ck * g + (prior - m)), dtype=np.float64)
+            if not np.all(np.isfinite(dm)):
+                raise NumericalError("inner solver produced a non-finite direction")
+            sweeps = 0
 
-        step_norm = step.alpha * _norm(step.dm)
-        history.append(HistoryRow(k + 1, obj, step.misfit, reg, step.alpha, step_norm, ck,
-                                  step.inner_sweeps))
+            def damping(mm):
+                diff = mm - prior
+                return _dot(diff, diff) / (2.0 * ck)
+
+            merit = lambda mm: oracle.value(mm) + damping(mm)
+            f0 = val + damping(m)
+        ls = line_search(merit, m, dm, f0, ck)
+        m = m + ls.alpha * dm
+        if method == "nista":
+            obj = ls.value
+            _, reg = composite(m, misfit=obj)
+            misfit = obj - reg if math.isfinite(reg) else obj
+        else:
+            misfit = ls.value - damping(m)
+            p = denoiser.apply(m - q, ck * lam)
+            q = q + p - m
+            if not (np.all(np.isfinite(m)) and np.all(np.isfinite(p))):
+                raise NumericalError("splitting update produced non-finite values")
+            obj, reg = composite(m, misfit=misfit)
+
+        step_norm = ls.alpha * _norm(dm)
+        history.append(HistoryRow(k + 1, obj, misfit, reg, ls.alpha, step_norm, ck, sweeps))
         if obj < best_obj:
-            best_obj, best_m = obj, state.m.copy()
+            best_obj, best_m = obj, m.copy()
 
-        if not step.accepted:
+        if not ls.accepted:
             stagnation += 1
             if stagnation >= 3:
                 status = "stagnated"
-                state.m = best_m
+                m = best_m
                 break
         else:
             stagnation = 0
-            if step_norm <= STEP_FLOOR * (1.0 + _norm(state.m)):
+            if step_norm <= STEP_FLOOR * (1.0 + _norm(m)):
                 status = "step-floor"
                 break
 
-    return SolveResult(m=state.m, history=history, status=status, n_outer=len(history))
+    return SolveResult(m=m, history=history, status=status, n_outer=len(history))
 
 
 def history_to_csv(history, path):

@@ -172,6 +172,16 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"n_sources": 0}, "bad value for n_sources: 0 is not finite and at least 1"),
         ({"receiver_spacing": 0}, "bad value for receiver_spacing: 0 is not finite and at least 1"),
         ({"pml_cells": 3}, "bad value for pml_cells: need at least 5 absorbing cells, got 3"),
+        ({"denoiser": "tv3d"}, "bad value for denoiser: unknown denoiser kind 'tv3d'"),
+        ({"denoiser": "nlm:patch=0"},
+         "bad value for denoiser: denoiser parameter patch must be at least 1, got 0"),
+        ({"denoiser": "l2sq:iters=3"}, "bad value for denoiser: denoiser parameter 'iters'"),
+        ({"source_depth": 40}, "bad value for source_depth: source (40, 3) outside interior 21x21"),
+        ({"sources": "0:30", "receivers": "20:5"},
+         "bad value for sources: source (0, 30) outside interior 21x21"),
+        ({"receivers": "20:5;21:5", "sources": "0:10"},
+         "bad value for receivers: receiver (21, 5) outside interior 21x21"),
+        ({"receivers": "20:5"}, "bad value for receivers: sources and receivers must be given"),
     ],
 )
 def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, monkeypatch, keys,
@@ -449,6 +459,16 @@ def test_denoise_command_matches_the_in_process_denoiser(tmp_path, models, spec,
     entries = _manifest(manifest)
     assert [k for k in entries if k.startswith("input:")] == [f"input:{p}" for p in inputs]
     assert all(entries[f"input:{p}"] == _sha256(p) for p in inputs)
+
+
+@pytest.mark.parametrize("spec", ["nlm:patch=0", "tv2d:iters=-5"])
+def test_denoise_command_rejects_a_spec_that_does_nothing_or_crashes(tmp_path, models, capsys,
+                                                                    spec):
+    out = tmp_path / "den.grd"
+    argv = ["denoise", "--in", str(models[0]), "--out", str(out), "--denoiser", spec]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "error: denoiser parameter" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_metrics_command_prints_rmse_and_snr(tmp_path, models, capsys):

@@ -353,6 +353,26 @@ def test_make_denoiser_parsing():
             denoise.make_denoiser(spec)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("nlm:patch=0", "patch must be at least 1, got 0"),
+        ("nlm:search=-2", "search must be at least 1, got -2"),
+        ("tv2d:iters=-5", "iters must be at least 1, got -5"),
+        ("tv2d:iters=0", "iters must be at least 1, got 0"),
+        ("nlm:sigma=-1", "sigma must be nonnegative and finite, got -1.0"),
+        ("nlm:sigma=nan", "sigma must be nonnegative and finite, got nan"),
+        ("l2sq:iters=3", "'iters' is read by tv2d only, not by 'l2sq'"),
+        ("tv2d:sigma=0.1", "'sigma' is read by nlm only, not by 'tv2d'"),
+    ],
+)
+def test_make_denoiser_rejects_parameters_that_do_nothing_or_crash(spec, message):
+    # each would otherwise be accepted silently, leave the grid unchanged, or
+    # fail with a ValueError at the first prox
+    with pytest.raises(ConfigError, match=message):
+        denoise.make_denoiser(spec, ref=np.zeros((5, 5)))
+
+
 # ---------------------------------------------------------------------------
 # external denoiser pipe
 

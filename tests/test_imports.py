@@ -24,7 +24,9 @@ pool, names ``ThreadPoolExecutor``, ``Thread``, ``concurrent`` or
 ``threading``, except that ``linsys`` names ``threading.Lock`` for its order
 cache.  Every Hessian mode that reads an oracle method names one that some
 package oracle class (a class with ``value`` and ``gradient``) defines, so
-retiring an oracle method cannot leave a mode no oracle can run.
+retiring an oracle method cannot leave a mode no oracle can run.  Both
+solvers accept their step at one call of ``line_search``, inside
+``optim.proximal_newton_solve``, so no solver keeps a private copy of the rule.
 """
 
 import ast
@@ -559,3 +561,58 @@ def test_every_hessian_mode_reads_a_method_some_oracle_defines():
     needs = {need for need in optim._HESSIAN_NEEDS.values() if need is not None}
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert needs - _oracle_methods(sources) == set()
+
+
+STEP_RULE, STEP_RULE_OWNER = "line_search", "optim.proximal_newton_solve"
+
+
+def _step_rule_calls(sources: dict[str, str]) -> list[str]:
+    """``module.owner`` of each call of ``line_search``, by name or as an
+    attribute, where owner is the module-level function, ``Class.method`` or
+    class it sits in (``<module>`` for module-level code)."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            roots = [(getattr(node, "name", "<module>"), node)]
+            if isinstance(node, ast.ClassDef):
+                roots = [(f"{node.name}.{item.name}" if hasattr(item, "name") else node.name,
+                          item) for item in node.body]
+            for owner, root in roots:
+                for call in ast.walk(root):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    func = call.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == STEP_RULE:
+                        found.append(f"{module}.{owner}")
+    return sorted(found)
+
+
+def test_step_rule_scanner_flags_every_call_site():
+    sources = {
+        "optim": (
+            "def line_search(merit, m, dm, f0, ck):\n"
+            "    return merit(m + dm)\n"
+            "def proximal_newton_solve(oracle, m, dm):\n"
+            "    return line_search(oracle.value, m, dm, 0.0, 1.0)\n"
+            "def nadmm_step(oracle, m, dm):\n"
+            "    def damped(mm):\n"
+            "        return oracle.value(mm)\n"
+            "    return line_search(damped, m, dm, 0.0, 1.0)\n"
+            "class Solver:\n"
+            "    rule = staticmethod(line_search)\n"
+            "    def step(self, f, m, dm):\n"
+            "        return optim.line_search(f, m, dm, 0.0, 1.0)\n"
+            "search = line_search\n"
+        ),
+        "inversion": "from .optim import line_search\nls = line_search(f, m, dm, f0, ck)\n",
+    }
+    assert _step_rule_calls(sources) == [
+        "inversion.<module>", "optim.Solver.step", "optim.nadmm_step",
+        "optim.proximal_newton_solve",
+    ]
+
+
+def test_both_solvers_accept_their_step_at_one_line_search_call():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _step_rule_calls(sources) == [STEP_RULE_OWNER]

@@ -5,7 +5,7 @@ import pytest
 
 from proxfwi import optim, rosenbrock
 from proxfwi.denoise import Denoiser
-from proxfwi.errors import ConfigError
+from proxfwi.errors import ConfigError, NumericalError
 
 
 def _quadratic_oracle(q, b):
@@ -402,37 +402,72 @@ def test_nista_extrapolation_coefficients_exact():
     assert all(np.array_equal(a, b) for a, b in zip(recorded, expected))
 
 
-def test_nadmm_step_scalar_arithmetic():
-    # H = 2, c = 0.5, grad = 4, prior - m = 0  ->  dm = (1+1)^-1 (-2) = -1
-    oracle = SimpleNamespace(value=lambda m: float(m[0] ** 2 + 4.0 * m[0]))
-    state = optim.InversionState.initial(np.array([0.0]))
-    state.p = state.m.copy()  # prior = p + q = m
-    step = optim.nadmm_step(
-        oracle, state, Denoiser("identity"), 0.0, 0.5,
-        lambda c, rhs: rhs / (2.0 * c + 1.0), np.array([4.0]), 0.0,
-    )
-    assert np.allclose(step.dm, [-1.0], atol=1e-14)
+def _record_line_searches(monkeypatch) -> list:
+    """(m, dm, f0, merit at m) of each ``line_search`` call, which still runs."""
+    line_search, seen = optim.line_search, []
+
+    def recording(merit, m, dm, f0, ck):
+        seen.append((m.copy(), dm.copy(), f0, merit(m)))
+        return line_search(merit, m, dm, f0, ck)
+
+    monkeypatch.setattr(optim, "line_search", recording)
+    return seen
 
 
-def test_nadmm_identity_prox_reduction():
-    # with weight zero the auxiliaries collapse: q = 0, p = m, and the step
-    # solves the damped Newton system exactly
-    rng = np.random.default_rng(8)
+def test_nadmm_step_scalar_arithmetic(monkeypatch):
+    # H = 2, c = 0.5, grad = 4, prior - m = 0  ->  dm = (1+1)^-1 (-2) = -1; at m0 = 0
+    # the prior p0 + q0 = 0 already equals m
+    seen = _record_line_searches(monkeypatch)
+    oracle = SimpleNamespace(value=lambda m: float(m[0] ** 2 + 4.0 * m[0]),
+                             gradient=lambda m: 2.0 * m + 4.0,
+                             hessian_diag=lambda m: np.array([2.0]))
+    config = optim.OptConfig(c_fixed=0.5, hessian="diagonal", max_outer=1)
+    optim.proximal_newton_solve(oracle, Denoiser("identity"), config, np.array([0.0]), "nadmm")
+    assert len(seen) == 1
+    assert np.allclose(seen[0][1], [-1.0], atol=1e-14)
+
+
+def test_nadmm_identity_prox_reduction(monkeypatch):
+    # with weight zero the auxiliaries collapse after the first step: q = 0 and
+    # p = m, so the prox sees m itself, the merit at m is the misfit, and the
+    # step solves the damped Newton system exactly
+    seen = _record_line_searches(monkeypatch)
+    prox_inputs = []
+
+    def identity(x, scale):
+        prox_inputs.append(x.copy())
+        return x.copy()
+
     oracle = rosenbrock.RosenbrockOracle()
-    state = optim.InversionState.initial(np.array([-0.5, 0.4]))
     ck = 0.01
-    for _ in range(6):
-        m_k = state.m.copy()
-        grad = oracle.gradient(m_k)
+    config = optim.OptConfig(c_fixed=ck, max_outer=6)
+    denoiser = SimpleNamespace(apply=identity)
+    optim.proximal_newton_solve(oracle, denoiser, config, np.array([-0.5, 0.4]), "nadmm")
+    assert len(seen) == 6 and len(prox_inputs) == 6
+    for k, (m_k, dm, f0, merit_at_m) in enumerate(seen):
+        if k > 0:
+            assert np.array_equal(prox_inputs[k - 1], m_k)  # q = 0: the prox read m_new
+            assert f0 == merit_at_m == oracle.value(m_k)  # p + q = m
         hess = rosenbrock.rosenbrock_value_grad_hess(m_k)[2]
-        _, solve_shifted, _ = optim._hessian_ops("hvp", oracle, m_k, None, 0)
-        step = optim.nadmm_step(oracle, state, Denoiser("identity"), 0.0, ck, solve_shifted,
-                                grad, oracle.value(m_k))
-        assert np.array_equal(state.q, np.zeros(2))
-        assert np.array_equal(state.p, state.m)
-        if np.all(np.linalg.eigvalsh(hess) > 0):
-            expected = np.linalg.solve(ck * hess + np.eye(2), -ck * grad)
-            assert np.linalg.norm(step.dm - expected) < 1e-8
+        if k > 0 and np.all(np.linalg.eigvalsh(hess) > 0):
+            expected = np.linalg.solve(ck * hess + np.eye(2), -ck * oracle.gradient(m_k))
+            assert np.linalg.norm(dm - expected) < 1e-8
+
+
+def test_nadmm_non_finite_direction_is_a_numerical_error():
+    oracle = SimpleNamespace(value=lambda m: float(m @ m), gradient=lambda m: 2.0 * m,
+                             hessian_diag=lambda m: np.full(m.shape, np.nan))
+    config = optim.OptConfig(c_fixed=0.5, hessian="diagonal", max_outer=1)
+    with pytest.raises(NumericalError, match="non-finite direction"):
+        optim.proximal_newton_solve(oracle, Denoiser("identity"), config, np.ones(2), "nadmm")
+
+
+def test_nadmm_non_finite_prox_is_a_numerical_error():
+    oracle = _quadratic_oracle(np.eye(2), np.ones(2))
+    denoiser = SimpleNamespace(apply=lambda x, scale: np.full(x.shape, np.inf))
+    config = optim.OptConfig(c_fixed=0.5, max_outer=1)
+    with pytest.raises(NumericalError, match="splitting update produced non-finite values"):
+        optim.proximal_newton_solve(oracle, denoiser, config, np.zeros(2), "nadmm")
 
 
 # ---------------------------------------------------------------------------
