@@ -114,7 +114,7 @@ def cmd_invert(args, argv):
     if cfg.data:
         inputs.append(cfg.data)
     outputs = sorted(str(p) for p in out_dir.iterdir() if p.name != "manifest.txt")
-    write_manifest(out_dir / "manifest.txt", _argv_repr(argv), cfg.seed, inputs,
+    write_manifest(out_dir / "manifest.txt", _argv_repr(argv), cfg.opt.seed, inputs,
                    outputs, time.monotonic() - t0)
     last = summary.batches[-1]
     line = (f"{cfg.method}/{cfg.algorithm}: {len(summary.batches)} batch(es), "

@@ -13,7 +13,7 @@ synthesizes data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -242,16 +242,6 @@ def default_penalty_mu(background: ModelGrid, first_freq: float, pml_cells: int 
 # multiscale frequency-continuation driver
 
 
-@dataclass
-class BatchResult:
-    path_index: int
-    batch_index: int
-    m_final: np.ndarray
-    history: list
-    status: str
-    n_outer: int
-
-
 def multiscale_drive(
     m0,
     observed: FreqData,
@@ -272,9 +262,9 @@ def multiscale_drive(
 
     ``plan`` is a list of paths, each a list of batches, each a list of
     frequencies drawn from the acquisition.  Returns the final interior model
-    (squared slowness) and one BatchResult per batch run.  ``lam`` is never
-    read (``config.lam`` sets the strength); it stays only because the
-    benchmark passes the arguments by position.
+    (squared slowness) and the solver's ``SolveResult`` of each batch, in plan
+    order.  ``lam`` is never read (``config.lam`` sets the strength); it stays
+    only because the benchmark passes the arguments by position.
     """
     if method not in FORMULATIONS:
         raise ConfigError(f"unknown inversion method {method!r}")
@@ -282,10 +272,10 @@ def multiscale_drive(
         raise ConfigError(f"penalty method needs a positive mu, got {mu!r}")
     if not plan or not any(len(path) for path in plan):
         raise ConfigError("continuation plan is empty")
-    m = np.asarray(m0, dtype=np.float64).copy()
+    m = np.asarray(m0, dtype=np.float64)
     results = []
-    for pi, path in enumerate(plan):
-        for bi, batch in enumerate(path):
+    for path in plan:
+        for batch in path:
             batch = tuple(float(f) for f in batch)
             sub_acq = acq.subset(batch)
             sub_obs = observed.subset(batch)
@@ -297,10 +287,8 @@ def multiscale_drive(
                 oracle = WriOracle(
                     sub_acq, sub_obs, background, mu, f_peak, pml_cells, free_surface_top
                 )
-            result = proximal_newton_solve(oracle, denoiser, config, m, algorithm)
-            m = result.m
-            results.append(BatchResult(pi, bi, m.copy(), result.history, result.status,
-                                       result.n_outer))
+            results.append(proximal_newton_solve(oracle, denoiser, config, m, algorithm))
+            m = results[-1].m
     return m, results
 
 
@@ -315,19 +303,16 @@ class RunConfig:
     data: str = ""
     method: str = "irwri"  # one of FORMULATIONS
     algorithm: str = "nadmm"  # one of optim.SOLVERS
-    hessian: str = ""  # default chosen per method
+    # the solver settings: run_inversion runs them as they are, with its stopping pair
+    # added; parse_run_config sets the hessian the method defaults to
+    opt: OptConfig = field(default_factory=OptConfig)
     denoiser: str = "identity"
-    lam: float = 0.0
     mu: float | str = "auto"  # auto: default_penalty_mu
     frequencies: tuple = ()
     batches: tuple = ()  # tuple of tuples; empty means one batch of all
     paths: int = 1
-    max_outer: int = 70
-    inner_iters: int = 100
-    c_fixed: float | None = None  # None: C_SAFETY / sigma_max(H) each step
     stopping: tuple = ("max-iter", None)  # (rule, target); target None is auto or none
     snr_db: float | None = None
-    seed: int = 0
     f_peak: float = 10.0
     pml_cells: int = 10
     free_surface: bool = False
@@ -343,7 +328,9 @@ class RunConfig:
 STOPPING_RULES = ("max-iter", "data-residual", "model-error")
 # run-file keys that set the OptConfig field of the same name (lambda sets lam), with its type
 _OPT_KEYS = {"lambda": float, "max_outer": int, "inner_iters": int, "c_fixed": float,
-             "hessian": str}
+             "hessian": str, "seed": int}
+# every run-file key: each RunConfig field but opt and where is one, of the same name
+_KEYS = {f.name for f in fields(RunConfig)} - {"opt", "where"} | set(_OPT_KEYS)
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")  # free_surface's words
 
 
@@ -384,15 +371,6 @@ def _stopping(text: str) -> tuple:
     return rule, _in_range(float(target), 0.0)
 
 
-def _opt_value(field: str, value):
-    """``value`` if ``OptConfig`` takes it for ``field``, else ValueError with its reason."""
-    try:
-        OptConfig(**{field: value}).validate()
-    except ConfigError as exc:
-        raise ValueError(str(exc)) from None
-    return value
-
-
 def _bad_value(cfg: RunConfig, key: str, reason) -> ConfigError:
     """ConfigError naming ``key`` and, when a run file set it, the file and line."""
     where = f"{cfg.where[key]}: " if key in cfg.where else ""
@@ -410,11 +388,15 @@ def parse_run_config(path) -> RunConfig:
     ``#`` starts a comment and ``-`` in a key reads as ``_``.  An unknown key, or
     a value of the wrong type, out of range (a bounded number must also be
     finite), outside its choices or at odds with another key, is a ConfigError
-    naming the key and its line, at parse time; ``OptConfig.validate`` checks
-    the keys it shares.  Only what needs the model grids (source_depth, the
-    explicit sources and receivers, the denoiser) waits for ``run_inversion``,
-    which checks it before any modeling and names the key and its line the
-    same way.  Keys, as ``name (type, default): syntax``:
+    naming the key and its line, at parse time.  The keys lambda (which sets
+    ``lam``), max_outer, inner_iters, c_fixed, hessian and seed set the field
+    of ``cfg.opt`` that ``run_inversion`` runs, and ``OptConfig.validate``
+    checks each as it is read.  A file that leaves hessian unset gets its
+    method's default at the end of parsing, and the hessian is then checked
+    against the method's oracle.  Only what needs the model grids
+    (source_depth, the explicit sources and receivers, the denoiser) waits
+    for ``run_inversion``, which checks it before any modeling and names the
+    key and its line the same way.  Keys, as ``name (type, default): syntax``:
 
     - model_init (path, required), model_true (path, on model_init's grid),
       data (path): without data, the data is synthesized from model_true.
@@ -455,6 +437,8 @@ def parse_run_config(path) -> RunConfig:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         cfg.where[key] = f"{path}:{lineno}"
         try:
             if key in ("model_init", "model_true", "data", "denoiser", "out_dir"):
@@ -463,9 +447,6 @@ def parse_run_config(path) -> RunConfig:
                 cfg.method = _choice(value, FORMULATIONS)
             elif key == "algorithm":
                 cfg.algorithm = _choice(value, SOLVERS)
-            elif key in _OPT_KEYS:
-                field = "lam" if key == "lambda" else key
-                setattr(cfg, field, _opt_value(field, _OPT_KEYS[key](value)))
             elif key == "mu":
                 cfg.mu = value if value == "auto" else _in_range(float(value), 0.0, True)
             elif key == "stopping":
@@ -474,8 +455,6 @@ def parse_run_config(path) -> RunConfig:
                 cfg.frequencies = _frequencies(value)
             elif key == "batches":
                 cfg.batches = tuple(_frequencies(part) for part in value.split("|"))
-            elif key == "seed":
-                cfg.seed = _in_range(int(value), 0)
             elif key == "pml_cells":
                 cfg.pml_cells = wave.check_pml_cells(int(value))
             elif key in ("paths", "n_sources", "receiver_spacing"):
@@ -490,9 +469,10 @@ def parse_run_config(path) -> RunConfig:
                 cfg.free_surface = _choice(value.lower(), _TRUE + _FALSE) in _TRUE
             elif key in ("sources", "receivers"):
                 setattr(cfg, key, _parse_points(value))
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except ValueError as exc:
+            else:  # a key of _OPT_KEYS
+                setattr(cfg.opt, "lam" if key == "lambda" else key, _OPT_KEYS[key](value))
+                cfg.opt.validate()
+        except (ValueError, ConfigError) as exc:
             raise _bad_value(cfg, key, exc) from exc
 
     if not cfg.model_init:
@@ -501,11 +481,12 @@ def parse_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: frequencies are required")
     if not (cfg.data or cfg.model_true):
         raise ConfigError(f"{path}: either data or model_true is required")
-    if cfg.hessian:
-        try:
-            _check_hessian(cfg.hessian, FwiOracle if cfg.method == "fwi" else WriOracle)
-        except ConfigError as exc:
-            raise _bad_value(cfg, "hessian", f"{exc} (method {cfg.method})") from None
+    if "hessian" not in cfg.where:
+        cfg.opt.hessian = "diagonal" if cfg.method == "irwri" else "lbfgs"
+    try:
+        _check_hessian(cfg.opt.hessian, FwiOracle if cfg.method == "fwi" else WriOracle)
+    except ConfigError as exc:
+        raise _bad_value(cfg, "hessian", f"{exc} (method {cfg.method})") from None
     for batch in cfg.batches:
         if not batch or batch != tuple(f for f in cfg.frequencies if f in batch):
             raise _bad_value(cfg, "batches", f"{batch} is not some of the frequencies "
@@ -555,13 +536,12 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
     acq = survey_geometry(init.nz, init.nx, cfg.frequencies, cfg.sources, cfg.receivers,
                           cfg.n_sources, cfg.source_depth, cfg.receiver_spacing)
     try:
-        acq.validate_for(init.nz, init.nx, min_iz=1 if cfg.free_surface else 0)
+        survey = wave.Survey(init, acq, cfg.f_peak, cfg.pml_cells, cfg.free_surface)
     except GeometryError as exc:  # the surface layout's receivers always lie inside
         key = "source_depth"
         if cfg.sources:
             key = "sources" if str(exc).startswith("source") else "receivers"
         raise _bad_value(cfg, key, exc) from None
-    survey = wave.Survey(init, acq, cfg.f_peak, cfg.pml_cells, cfg.free_surface)
 
     noise_norm = None
     if cfg.data:
@@ -570,12 +550,11 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
         # the oracles' damping profile, so the data and the oracles share one operator
         clean = wave.forward(true, acq, cfg.f_peak, cfg.pml_cells, cfg.free_surface,
                              pml_velocity=survey.pml_velocity)
-        observed = wave.add_noise(clean, cfg.snr_db, cfg.seed)
+        observed = wave.add_noise(clean, cfg.snr_db, cfg.opt.seed)
         if cfg.snr_db not in (None, math.inf):
             noise = tuple(n - c for n, c in zip(observed.blocks, clean.blocks))
             noise_norm = FreqData(clean.frequencies, noise).norm()
 
-    hessian = cfg.hessian or ("diagonal" if cfg.method == "irwri" else "lbfgs")
     rule, target = cfg.stopping
     stop_target, stop_metric = None, None
     if rule == "data-residual":
@@ -587,25 +566,23 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
     mu = cfg.mu if cfg.method == "irwri" else None
     if mu == "auto":
         mu = default_penalty_mu(init, cfg.frequencies[0], cfg.pml_cells, cfg.free_surface)
-    config = OptConfig(lam=cfg.lam, c_fixed=cfg.c_fixed, max_outer=cfg.max_outer,
-                       inner_iters=cfg.inner_iters, hessian=hessian, stop_target=stop_target,
-                       stop_metric=stop_metric, seed=cfg.seed)
+    config = replace(cfg.opt, stop_target=stop_target, stop_metric=stop_metric)
 
     batches = cfg.batches if cfg.batches else (cfg.frequencies,)
     plan = [list(batches)] * cfg.paths
     m0 = as_slowness_squared(init).values
     m_final, batch_results = multiscale_drive(
-        m0, observed, acq, cfg.method, cfg.algorithm, denoiser, cfg.lam, mu,
+        m0, observed, acq, cfg.method, cfg.algorithm, denoiser, cfg.opt.lam, mu,
         plan, config, init, cfg.f_peak, cfg.pml_cells, cfg.free_surface,
     )
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    tags = [f"p{pi}_b{bi}" for pi, path in enumerate(plan) for bi in range(len(path))]
     models = {}
-    for res in batch_results:
-        tag = f"p{res.path_index}_b{res.batch_index}"
+    for tag, res in zip(tags, batch_results):
         history_to_csv(res.history, out / f"history_{tag}.csv")
-        models[f"batch_{tag}"] = res.m_final
+        models[f"batch_{tag}"] = res.m
     models["final"] = m_final
     for name, m in models.items():
         bad = int(np.count_nonzero(~(m > 0.0)))

@@ -272,7 +272,8 @@ class OptConfig:
     at the constant forcing term ``INNER_FORCING``.  ``LbfgsHessian`` keeps its
     own pairs, at most the constant ``LBFGS_MEMORY``.  The run stops early once
     ``stop_metric(oracle, m) <= stop_target``, checked at the start of each
-    outer step; set both or neither.
+    outer step; set both or neither.  ``seed`` (>= 0) seeds the sigma_max power
+    iteration.
     """
 
     lam: float = 0.0
@@ -297,6 +298,8 @@ class OptConfig:
             raise ConfigError(f"fixed step size must be positive and finite, got {self.c_fixed!r}")
         if (self.stop_target is None) != (self.stop_metric is None):
             raise ConfigError("stop_target and stop_metric must be set together")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
 
 
 class HistoryRow(NamedTuple):
@@ -315,7 +318,10 @@ class SolveResult:
     m: np.ndarray
     history: list
     status: str
-    n_outer: int
+
+    @property
+    def n_outer(self) -> int:
+        return len(self.history)
 
 
 def _cg_shifted(h_apply, c, rhs):
@@ -490,7 +496,7 @@ def proximal_newton_solve(
                 status = "step-floor"
                 break
 
-    return SolveResult(m=m, history=history, status=status, n_outer=len(history))
+    return SolveResult(m=m, history=history, status=status)
 
 
 def history_to_csv(history, path):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line and of ``run_inversion`` on a 21x21 grid."""
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +109,7 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
 
     def diverging(*args, **kwargs):
         m, batches = drive(*args, **kwargs)
-        for values in (m, batches[-1].m_final):
+        for values in (m, batches[-1].m):
             values[3, 4] = bad_value
         return m, batches
 
@@ -325,6 +326,29 @@ def test_run_inversion_model_error_target_stops(tmp_path, models, monkeypatch):
                     stopping="model-error:0")
     )
     assert summary.batches[-1].status == "max-iter"
+
+
+@pytest.mark.parametrize("method, keys, hessian", [
+    ("fwi", {}, "lbfgs"), ("irwri", {}, "diagonal"), ("fwi", {"hessian": "identity"}, "identity"),
+])
+def test_run_inversion_runs_the_parsed_solver_settings(tmp_path, models, monkeypatch, method,
+                                                       keys, hessian):
+    seen = []
+
+    def drive(m0, observed, acq, method, algorithm, denoiser, lam, mu, plan, config, *args):
+        seen.append(config)
+        return m0, [optim.SolveResult(m0.copy(), [], "max-iter")]
+
+    monkeypatch.setattr(inversion, "multiscale_drive", drive)
+    cfg = _run_config(tmp_path, models, method=method, mu=0.01, max_outer=7, inner_iters=9,
+                      c_fixed=2e-9, seed=4, stopping="model-error:1e9",
+                      **{"lambda": 0.5} | keys)
+    inversion.run_inversion(cfg)
+    (config,) = seen
+    assert config.stop_target == 1e9 and config.stop_metric is not None
+    assert config == replace(cfg.opt, stop_target=1e9, stop_metric=config.stop_metric)
+    assert (config.lam, config.max_outer, config.inner_iters, config.c_fixed, config.seed,
+            config.hessian) == (0.5, 7, 9, 2e-9, 4, hessian)
 
 
 def test_rosenbrock_command(tmp_path, capsys):

@@ -566,8 +566,8 @@ def test_multiscale_batches_warm_start(monkeypatch):
     m_final, results = _drive(batches=((6.0,), (9.0,)))
     assert len(results) == 2
     assert [freqs for freqs, _ in starts] == [(6.0,), (9.0,)]
-    assert np.array_equal(starts[1][1], results[0].m_final)
-    assert np.array_equal(m_final, results[1].m_final)
+    assert np.array_equal(starts[1][1], results[0].m)
+    assert np.array_equal(m_final, results[1].m)
 
 
 def test_multiscale_empty_plan_rejected():
@@ -676,13 +676,13 @@ out_dir = out
     path.write_text(text)
     cfg = inversion.parse_run_config(path)
     assert cfg.model_init == "init.grd"
-    assert cfg.lam == 1.5
+    assert cfg.opt.lam == 1.5
     assert cfg.frequencies == (5.0, 7.0, 10.0, 12.5)
     assert cfg.batches == ((5.0, 7.0), (10.0, 12.5))
     assert cfg.snr_db == 5.0
     assert cfg.stopping == ("data-residual", None)
-    assert cfg.c_fixed == 0.25
-    assert inversion.RunConfig().c_fixed is None
+    assert cfg.opt.c_fixed == 0.25
+    assert inversion.RunConfig().opt.c_fixed is None
 
 
 def test_parse_run_config_rejects_bad_lines(tmp_path):
