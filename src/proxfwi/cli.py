@@ -90,7 +90,8 @@ def cmd_forward(args, argv):
     t0 = time.monotonic()
     grid = read_grid(args.model)
     acq = model.survey_geometry(grid.nz, grid.nx, args.freqs, args.sources, args.receivers,
-                                args.n_sources, args.source_depth, args.receiver_spacing)
+                                args.n_sources, args.source_depth, args.receiver_spacing,
+                                args.free_surface)
     data = wave.forward(grid, acq, args.f_peak, args.pml_cells, args.free_surface)
     data = wave.add_noise(data, args.snr_db, args.seed)
     model.write_freq_data(data, args.out)
@@ -272,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=inversion._snr_db, default=None)
     p.add_argument("--seed", type=_integer(0), default=0)
     p.add_argument("--n-sources", type=_integer(1), default=5)
-    p.add_argument("--source-depth", type=int, default=0)
+    p.add_argument("--source-depth", type=int, default=None,
+                   help="source row (default 0, or 1 under --free-surface)")
     p.add_argument("--receiver-spacing", type=_integer(1), default=2)
     p.add_argument("--sources", type=inversion._parse_points, default="", help="iz:ix;iz:ix list")
     p.add_argument("--receivers", type=inversion._parse_points, default="")

@@ -317,7 +317,7 @@ class RunConfig:
     pml_cells: int = 10
     free_surface: bool = False
     n_sources: int = 5
-    source_depth: int = 0
+    source_depth: int | None = None  # None: the top row a source may use
     receiver_spacing: int = 2
     sources: tuple = ()  # optional explicit (iz, ix) pairs
     receivers: tuple = ()
@@ -420,9 +420,12 @@ def parse_run_config(path) -> RunConfig:
       seeds the noise and the sigma_max power iteration; f_peak (Hz > 0, 10);
       pml_cells (int >= wave.MIN_PML_CELLS = 5, 10); free_surface
       (``1 | true | yes | on`` or ``0 | false | no | off`` in any case, false).
-    - n_sources (int >= 1, 5), source_depth (int, 0), receiver_spacing (int >= 1, 2):
-      the surface layout, replaced by sources and receivers (``iz:ix;iz:ix``),
-      which go together (model.survey_geometry); out_dir (path, run_out).
+    - n_sources (int >= 1, 5), source_depth (int, 0; 1 under a free surface),
+      receiver_spacing (int >= 1, 2): the surface layout, whose side
+      receivers start at row 1 under a free surface, as no source or receiver
+      may sit on its Dirichlet row 0; replaced by sources and receivers
+      (``iz:ix;iz:ix``), which go together (model.survey_geometry); out_dir
+      (path, run_out).
     """
     cfg = RunConfig()
     try:
@@ -534,7 +537,7 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
         raise _bad_value(cfg, "denoiser", exc) from None
 
     acq = survey_geometry(init.nz, init.nx, cfg.frequencies, cfg.sources, cfg.receivers,
-                          cfg.n_sources, cfg.source_depth, cfg.receiver_spacing)
+                          cfg.n_sources, cfg.source_depth, cfg.receiver_spacing, cfg.free_surface)
     try:
         survey = wave.Survey(init, acq, cfg.f_peak, cfg.pml_cells, cfg.free_surface)
     except GeometryError as exc:  # the surface layout's receivers always lie inside

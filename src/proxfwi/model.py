@@ -374,22 +374,28 @@ def surface_boundary_geometry(
     nx: int,
     frequencies,
     n_sources: int = 5,
-    source_depth: int = 0,
+    source_depth: int | None = None,
     receiver_spacing: int = 2,
+    free_surface_top: bool = False,
 ) -> AcquisitionGeometry:
-    """Sources spread along the top row, receivers on the other three edges.
+    """Sources spread along one row near the top, receivers on the other three edges.
 
     Mirrors the desk-scale benchmark layout: a handful of surface sources and
-    regularly spaced receivers on the left, right, and bottom boundaries.
+    regularly spaced receivers on the left, right, and bottom boundaries.  A
+    free surface makes row 0 Dirichlet, so there the side receivers start at
+    row 1 and ``source_depth`` None puts the sources on row 1; without one it
+    puts them on row 0.
     """
     if n_sources < 1:
         raise GeometryError("need at least one source")
     if receiver_spacing < 1:
         raise GeometryError("receiver spacing must be >= 1 cell")
+    top = 1 if free_surface_top else 0  # the first row a source or receiver may use
     src_ix = np.linspace(0, nx - 1, n_sources + 2)[1:-1]
-    sources = [(source_depth, int(round(ix))) for ix in src_ix]
+    depth = top if source_depth is None else source_depth
+    sources = [(depth, int(round(ix))) for ix in src_ix]
     receivers = []
-    for iz in range(0, nz, receiver_spacing):
+    for iz in range(top, nz, receiver_spacing):
         receivers.append((iz, 0))
         receivers.append((iz, nx - 1))
     for ix in range(0, nx, receiver_spacing):
@@ -399,12 +405,13 @@ def surface_boundary_geometry(
 
 
 def survey_geometry(nz: int, nx: int, frequencies, sources=(), receivers=(), n_sources: int = 5,
-                    source_depth: int = 0, receiver_spacing: int = 2) -> AcquisitionGeometry:
+                    source_depth: int | None = None, receiver_spacing: int = 2,
+                    free_surface_top: bool = False) -> AcquisitionGeometry:
     """Explicit ``sources`` and ``receivers`` when both are given, else the
     surface layout; one list alone is a GeometryError naming both."""
     if not (sources or receivers):
         return surface_boundary_geometry(nz, nx, frequencies, n_sources, source_depth,
-                                         receiver_spacing)
+                                         receiver_spacing, free_surface_top)
     if not (sources and receivers):
         given = "sources" if sources else "receivers"
         raise GeometryError(f"sources and receivers must be given together, got {given} only")

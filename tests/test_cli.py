@@ -183,6 +183,8 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"receivers": "20:5;21:5", "sources": "0:10"},
          "bad value for receivers: receiver (21, 5) outside interior 21x21"),
         ({"receivers": "20:5"}, "bad value for receivers: sources and receivers must be given"),
+        ({"source_depth": 0, "free_surface": "true"},
+         "bad value for source_depth: source (0, 3) outside interior 21x21"),
     ],
 )
 def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, monkeypatch, keys,
@@ -253,6 +255,28 @@ def test_forward_half_geometry_exits_with_data_error(tmp_path, models, flags, ca
     argv = ["forward", "--model", str(true), "--freqs", FREQS, "--out", str(tmp_path / "d.dat")]
     assert cli.main(argv + flags) == cli.EXIT_DATA
     assert "sources and receivers must be given together" in capsys.readouterr().err
+
+
+def test_forward_under_a_free_surface_keeps_the_default_layout_off_row_0(tmp_path, models,
+                                                                       capsys):
+    true, _, _ = models
+    argv = ["forward", "--model", str(true), "--freqs", FREQS, "--free-surface",
+            "--out", str(tmp_path / "d.dat")]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(argv + ["--source-depth", "0"]) == cli.EXIT_DATA  # an explicit row 0
+    assert "source (0, 3) outside interior 21x21" in capsys.readouterr().err
+
+
+def test_invert_under_a_free_surface_runs_on_the_default_layout(tmp_path, models, monkeypatch):
+    seen = _record_drive(monkeypatch)
+    config = _write_config(tmp_path, models, method="fwi", algorithm="nista", c_fixed=1e-9,
+                           max_outer=1, free_surface="true")
+    assert cli.main(["invert", "--config", str(config)]) == cli.EXIT_OK
+    ((_, observed, acq, *_),) = seen
+    assert {iz for iz, _ in acq.sources} == {1}
+    assert min(iz for iz, _ in acq.receivers) == 1
+    assert (observed.n_receivers, observed.n_sources) == (acq.n_receivers, 5)
 
 
 def test_run_inversion_takes_explicit_sources_and_receivers(tmp_path, models, monkeypatch):

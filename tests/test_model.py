@@ -195,3 +195,18 @@ def test_surface_boundary_geometry_layout():
     # receivers only on left/right/bottom edges
     for iz, ix in acq.receivers:
         assert ix in (0, 80) or iz == 80
+
+
+def test_surface_boundary_geometry_keeps_off_a_free_surface():
+    # row 0 is Dirichlet under a free surface: the default sources move to
+    # row 1 and the side receivers start there; an explicit depth is kept
+    base = model.surface_boundary_geometry(21, 21, (5.0,))
+    acq = model.surface_boundary_geometry(21, 21, (5.0,), free_surface_top=True)
+    assert [ix for _, ix in acq.sources] == [ix for _, ix in base.sources]
+    assert {iz for iz, _ in acq.sources} == {1} and {iz for iz, _ in base.sources} == {0}
+    assert sorted(iz for iz, ix in acq.receivers if ix == 0) == [*range(1, 20, 2), 20]
+    assert sorted(iz for iz, ix in base.receivers if ix == 0) == [*range(0, 21, 2)]
+    acq.validate_for(21, 21, min_iz=1)
+    explicit = model.surface_boundary_geometry(21, 21, (5.0,), source_depth=0,
+                                               free_surface_top=True)
+    assert {iz for iz, _ in explicit.sources} == {0}
