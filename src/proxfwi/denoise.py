@@ -187,8 +187,9 @@ class Denoiser:
     sets the strength: l1/l2sq/tv2d take it as their prox weight, and nlm
     takes the bandwidth ``NLM_BANDWIDTH * scale``, a documented heuristic
     (stronger regularization smooths more).  ``inner_iters`` caps the FGP
-    iterations of the tv2d prox; it and nlm's radii must be at least 1, and
-    nlm's ``sigma`` nonnegative and finite, or construction is a ConfigError.
+    iterations of the tv2d prox; it and nlm's radii must be at least 1,
+    nlm's ``sigma`` nonnegative and finite, and nlm's patch window no wider
+    than ``ref`` when one is given, or construction is a ConfigError.
     """
 
     kind: str = "identity"
@@ -211,6 +212,11 @@ class Denoiser:
             raise ConfigError(
                 f"denoiser parameter sigma must be nonnegative and finite, got {self.sigma!r}"
             )
+        if self.kind == "nlm" and self.ref is not None:
+            nz, nx = np.shape(self.ref)
+            window = 2 * self.patch_radius + 1
+            if min(nz, nx) < window:
+                raise ConfigError(f"grid {nz}x{nx} smaller than the {window}-wide patch window")
 
     def apply(self, x: np.ndarray, scale: float) -> np.ndarray:
         if scale < 0.0:
@@ -297,7 +303,7 @@ def make_denoiser(spec: str, ref: np.ndarray | None = None, dz: float = 1.0, dx:
     patch/search (nlm's radii, >= 1) and sigma (nlm, >= 0); the strength is
     the prox scale, never a spec parameter.  A parameter the kind does not
     read, or a value out of range, is a ConfigError.  ``ref`` supplies the
-    l2sq reference field.  ``external:<template>`` builds an
+    l2sq reference field, and the grid that nlm's patch window must fit.  ``external:<template>`` builds an
     :class:`ExternalDenoiser` whose grid files carry spacing ``dz``/``dx`` and
     model ``kind``.
     """

@@ -348,8 +348,12 @@ def _choice(value: str, choices: tuple) -> str:
 
 
 def _frequencies(text: str) -> tuple:
-    """Comma-separated frequencies, each finite and above 0 Hz; empty items are skipped."""
-    return tuple(_in_range(float(v), 0.0, True) for v in text.split(",") if v.strip())
+    """Comma-separated frequencies, each finite and above 0 Hz and above the one before;
+    empty items are skipped."""
+    freqs = tuple(_in_range(float(v), 0.0, True) for v in text.split(",") if v.strip())
+    if any(b <= a for a, b in zip(freqs, freqs[1:])):
+        raise ValueError(f"{freqs} is not strictly increasing")
+    return freqs
 
 
 def _snr_db(text: str) -> float | None:
@@ -404,9 +408,9 @@ def parse_run_config(path) -> RunConfig:
       hessian (lbfgs | identity, hvp for fwi only or diagonal for irwri only;
       diagonal for irwri and lbfgs for fwi); denoiser (make_denoiser spec, identity);
       lambda (float >= 0, 0); mu (float > 0 | auto, auto): the WRI penalty weight.
-    - frequencies (Hz > 0, required): ``3,4.5``; batches (Hz > 0, one batch
-      of all): ``3,4 | 5,6``, each some frequencies in order; paths (int >= 1,
-      1): passes over the batches.
+    - frequencies (Hz > 0, strictly increasing, required): ``3,4.5``; batches
+      (Hz > 0, one batch of all): ``3,4 | 5,6``, each some frequencies in
+      order; paths (int >= 1, 1): passes over the batches.
     - max_outer (int >= 0, 70); inner_iters (int >= 1, 100): the cap on
       NISTA's inner sweeps, which stop earlier at optim.INNER_FORCING.
     - c_fixed (float > 0, unset): the step scale ck of every outer step;

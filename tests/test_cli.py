@@ -183,6 +183,10 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"receivers": "20:5;21:5", "sources": "0:10"},
          "bad value for receivers: receiver (21, 5) outside interior 21x21"),
         ({"receivers": "20:5"}, "bad value for receivers: sources and receivers must be given"),
+        ({"frequencies": "5,3"}, "bad value for frequencies: (5.0, 3.0) is not strictly increasing"),
+        ({"frequencies": "3,3"}, "bad value for frequencies: (3.0, 3.0) is not strictly increasing"),
+        ({"denoiser": "nlm:patch=15"},
+         "bad value for denoiser: grid 21x21 smaller than the 31-wide patch window"),
         ({"source_depth": 0, "free_surface": "true"},
          "bad value for source_depth: source (0, 3) outside interior 21x21"),
     ],
@@ -219,6 +223,7 @@ def test_free_surface_takes_the_documented_spellings_in_any_case(tmp_path, model
     "argv, flag",
     [
         (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3,abc"], "--freqs"),
+        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "5,3"], "--freqs"),
         (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--f-peak", "0"],
          "--f-peak"),
         (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3",

@@ -373,6 +373,14 @@ def test_make_denoiser_rejects_parameters_that_do_nothing_or_crash(spec, message
         denoise.make_denoiser(spec, ref=np.zeros((5, 5)))
 
 
+def test_nlm_patch_window_wider_than_the_reference_grid_is_a_config_error():
+    # caught when the denoiser is built, not at its first prox with a scale above 0
+    with pytest.raises(ConfigError, match="grid 21x9 smaller than the 11-wide patch window"):
+        denoise.make_denoiser("nlm:patch=5", ref=np.ones((21, 9)))
+    assert denoise.make_denoiser("nlm:patch=4", ref=np.ones((21, 9))).patch_radius == 4
+    assert denoise.make_denoiser("nlm:patch=5").patch_radius == 5  # no grid to check against
+
+
 # ---------------------------------------------------------------------------
 # external denoiser pipe
 
