@@ -11,7 +11,10 @@ one must be referenced in the package or the benchmark; tests do not count, so
 a name only a test reaches is dead code.  So is a field no run path reads:
 each field of a module-level dataclass or NamedTuple, and each attribute a
 module-level class sets on ``self``, must be read as an attribute (or named in
-a string constant) in the package or the benchmark.  The solve layering is
+a string constant) in the package or the benchmark.  So is a parameter only
+tests set: each defaulted parameter of a package function or method, an
+``__init__`` too, must be passed by keyword or by position in some call in the
+package or the benchmark.  The solve layering is
 linsys <- wave <- everything else: only ``linsys`` names SuperLU (``splu``,
 ``spilu``), only ``wave`` names ``linsys.factorize`` outside ``linsys``, and
 only the two of them import ``scipy.sparse``.  Only ``wave`` pads the grid with ``np.pad``, apart
@@ -31,6 +34,7 @@ solvers accept their step at one call of ``line_search``, inside
 
 import ast
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -314,6 +318,117 @@ UNREAD_FIELDS_ALLOWED = {"linsys.SpectralEstimate.converged"}
 
 def test_every_field_is_read_outside_the_tests():
     assert set(_unread_fields(*_package_and_users())) == UNREAD_FIELDS_ALLOWED
+
+
+def _defaulted_parameters(tree):
+    """``(owner, called as, parameter, position)`` of each defaulted parameter of
+    each function, method or nested function.  A method counts its positions
+    after ``self``; an ``__init__`` is called as its class, and a keyword-only
+    parameter has position None."""
+    found = []
+
+    def visit(node, owner, cls):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                visit(item, f"{owner}{item.name}.", item.name)
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = item.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in item.decorator_list)
+                skip = 1 if cls and not static else 0  # self or cls
+                called = cls if cls and item.name == "__init__" else item.name
+                first = len(positional) - len(args.defaults)
+                found.extend((f"{owner}{item.name}", called, arg.arg, i - skip)
+                             for i, arg in enumerate(positional) if i >= first)
+                found.extend((f"{owner}{item.name}", called, arg.arg, None)
+                             for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                             if default is not None)
+                visit(item, f"{owner}{item.name}.", None)
+            else:
+                visit(item, owner, cls)
+
+    visit(tree, "", None)
+    return found
+
+
+def _passed(trees) -> dict[str, tuple[set, int]]:
+    """For each name a call is made by (``f(...)`` or ``obj.f(...)``; a
+    ``super().__init__(...)`` is a call of any ``__init__``), the keywords
+    passed and the most positional arguments; ``**kwargs`` passes every
+    keyword and ``*args`` every position from where it stands."""
+    passed = {}
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords, count = passed.setdefault(name, (set(), 0))
+            keywords |= {kw.arg for kw in call.keywords}
+            starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+            count = max(count, math.inf if starred else len(call.args))
+            passed[name] = (keywords, count)
+    return passed
+
+
+def _unpassed_parameters(sources: dict[str, str], users: dict[str, str]) -> list[str]:
+    """``module.owner(parameter)`` of each defaulted parameter in ``sources`` that
+    no call in ``sources`` or ``users`` passes, by keyword or by position."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    passed = _passed(list(trees.values()) + [ast.parse(source) for source in users.values()])
+    inits = passed.get("__init__", (set(), 0))
+    unpassed = []
+    for module, tree in trees.items():
+        for owner, called, param, position in _defaulted_parameters(tree):
+            keywords, count = passed.get(called, (set(), 0))
+            if owner.endswith(".__init__"):
+                keywords, count = keywords | inits[0], max(count, inits[1])
+            if not ({param, None} & keywords or (position is not None and position < count)):
+                unpassed.append(f"{module}.{owner}({param})")
+    return unpassed
+
+
+def test_parameter_scanner_flags_defaults_no_call_passes():
+    sources = {
+        "a": (
+            "def f(x, scale=1.0, tol=1e-3, *, cap=5, fast=False):\n"
+            "    return x\n"
+            "def g(x, cache=None):\n"
+            "    def inner(y, step=2):\n"
+            "        return y\n"
+            "    return inner(x)\n"
+            "class Solver:\n"
+            "    def __init__(self, n, memory=10, seed=0):\n"
+            "        self.n = n\n"
+            "    def run(self, m, trials=3):\n"
+            "        return m\n"
+            "    @staticmethod\n"
+            "    def make(kind, ref=None):\n"
+            "        return kind\n"
+            "class Child(Solver):\n"
+            "    def __init__(self, n, spare=1):\n"
+            "        super().__init__(n, memory=5)\n"
+            "value = f(1, 2, cap=3)\n"
+        ),
+    }
+    users = {"run": "from proxfwi.a import Solver, g\n"
+                    "Solver(1).run(2, 4)\nSolver.make('x', None)\ng(*args)\n"}
+    assert _unpassed_parameters(sources, users) == [
+        "a.f(tol)", "a.f(fast)", "a.g.inner(step)", "a.Solver.__init__(seed)",
+        "a.Child.__init__(spare)",
+    ]
+    assert _unpassed_parameters(sources, {}) == [
+        "a.f(tol)", "a.f(fast)", "a.g(cache)", "a.g.inner(step)", "a.Solver.__init__(seed)",
+        "a.Solver.run(trials)", "a.Solver.make(ref)", "a.Child.__init__(spare)",
+    ]
+
+
+# a test seam: the command line reads sys.argv when no list is passed
+UNPASSED_PARAMETERS_ALLOWED = {"cli.main(argv)"}
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    assert set(_unpassed_parameters(*_package_and_users())) == UNPASSED_PARAMETERS_ALLOWED
 
 
 SUPERLU = {"splu", "spilu"}
