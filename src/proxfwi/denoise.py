@@ -303,9 +303,9 @@ def make_denoiser(spec: str, ref: np.ndarray | None = None, dz: float = 1.0, dx:
     patch/search (nlm's radii, >= 1) and sigma (nlm, >= 0); the strength is
     the prox scale, never a spec parameter.  A parameter the kind does not
     read, or a value out of range, is a ConfigError.  ``ref`` supplies the
-    l2sq reference field, and the grid that nlm's patch window must fit.  ``external:<template>`` builds an
-    :class:`ExternalDenoiser` whose grid files carry spacing ``dz``/``dx`` and
-    model ``kind``.
+    l2sq reference field, and the grid that nlm's patch window must fit.
+    ``external:<template>`` builds an :class:`ExternalDenoiser` whose grid
+    files carry spacing ``dz``/``dx`` and model ``kind``.
     """
     if spec.startswith("external:"):
         return ExternalDenoiser(spec[len("external:"):], dz=dz, dx=dx, kind=kind)

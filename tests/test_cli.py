@@ -183,8 +183,10 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"receivers": "20:5;21:5", "sources": "0:10"},
          "bad value for receivers: receiver (21, 5) outside interior 21x21"),
         ({"receivers": "20:5"}, "bad value for receivers: sources and receivers must be given"),
-        ({"frequencies": "5,3"}, "bad value for frequencies: (5.0, 3.0) is not strictly increasing"),
-        ({"frequencies": "3,3"}, "bad value for frequencies: (3.0, 3.0) is not strictly increasing"),
+        ({"frequencies": "5,3"},
+         "bad value for frequencies: (5.0, 3.0) is not strictly increasing"),
+        ({"frequencies": "3,3"},
+         "bad value for frequencies: (3.0, 3.0) is not strictly increasing"),
         ({"denoiser": "nlm:patch=15"},
          "bad value for denoiser: grid 21x21 smaller than the 31-wide patch window"),
         ({"source_depth": 0, "free_surface": "true"},
@@ -223,7 +225,6 @@ def test_free_surface_takes_the_documented_spellings_in_any_case(tmp_path, model
     "argv, flag",
     [
         (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3,abc"], "--freqs"),
-        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "5,3"], "--freqs"),
         (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--f-peak", "0"],
          "--f-peak"),
         (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3",
@@ -245,6 +246,7 @@ def test_free_surface_takes_the_documented_spellings_in_any_case(tmp_path, model
         (["rosenbrock", "--lambda", "-1"], "--lambda"),
         (["rosenbrock", "--max-outer", "-1"], "--max-outer"),
         (["rosenbrock", "--inner-iters", "0"], "--inner-iters"),
+        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "5,3"], "--freqs"),
     ],
 )
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(argv, flag, capsys):
@@ -364,9 +366,9 @@ def test_run_inversion_runs_the_parsed_solver_settings(tmp_path, models, monkeyp
                                                        keys, hessian):
     seen = []
 
-    def drive(m0, observed, acq, method, algorithm, denoiser, lam, mu, plan, config, *args):
-        seen.append(config)
-        return m0, [optim.SolveResult(m0.copy(), [], "max-iter")]
+    def drive(*args):
+        seen.append(args[9])  # multiscale_drive's OptConfig
+        return args[0], [optim.SolveResult(args[0].copy(), [], "max-iter")]
 
     monkeypatch.setattr(inversion, "multiscale_drive", drive)
     cfg = _run_config(tmp_path, models, method=method, mu=0.01, max_outer=7, inner_iters=9,
