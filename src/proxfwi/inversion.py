@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linsys, wave
+from . import wave
 from .denoise import make_denoiser
 from .errors import ConfigError, GeometryError, NumericalError, StateError
 from .model import (
@@ -35,7 +35,7 @@ from .model import (
 )
 from .optim import SOLVERS, OptConfig, _check_hessian, history_to_csv, proximal_newton_solve
 
-MU_RATIO = 1e-2  # default_penalty_mu's fraction of ||A||_2
+MU_RATIO = 1e-2  # default_penalty_mu's fraction of ||A||_inf
 FORMULATIONS = ("fwi", "irwri")  # multiscale_drive's misfits: reduced-space and penalty
 
 
@@ -220,22 +220,19 @@ class WriOracle(_OracleBase):
 
 def default_penalty_mu(background: ModelGrid, first_freq: float, pml_cells: int = 10,
                        free_surface_top: bool = False) -> float:
-    """Heuristic mu: ``MU_RATIO`` times the wave-operator spectral norm.
+    """Heuristic mu: ``MU_RATIO`` times ||A||_inf, the largest absolute row sum of A.
 
-    The Dirichlet ring rows of A are decoupled identity rows, so
-    ||A||_2 = max(1, ||A_off||_2) over the other rows.  On every benchmark grid
-    ||A_off||_2 is at most its largest absolute row sum: 0.137 (161^2 at 12.5 m,
-    4 Hz), 0.023 (81^2 at 25 m, 3 Hz), 0.0033 (41^2 at 50 m, 3 Hz).  There the
-    estimate is 1 and mu is ``MU_RATIO`` whatever the model (0.00999999999999993
-    at 81^2), not a measure of the model's operator.
+    A is complex-symmetric, so ||A||_2 <= ||A||_1 = ||A||_inf (Golub & Van
+    Loan 2013, 2.3): a bound on the spectral norm with no iteration.  A's
+    Dirichlet ring rows are identity rows, and on every benchmark grid at
+    2000 m/s the others sum below 1 (0.137 at 161^2, 12.5 m, 4 Hz; 0.023 at
+    81^2, 25 m, 3 Hz; 0.0033 at 41^2, 50 m, 3 Hz), so both norms are 1 and mu
+    is exactly ``MU_RATIO``.  Below about 10 m spacing the collar rows sum past
+    1, and mu exceeds ``MU_RATIO`` ||A||_2 by under 2 % (12^2 at 1 m: 356.2 to 351.6).
     """
     slowness = as_slowness_squared(background)
     a = wave.assemble(slowness, 2.0 * np.pi * first_freq, pml_cells, free_surface_top)
-    est = linsys.spectral_norm(
-        lambda v: a @ v, a.shape[0], apply_adjoint=lambda v: a.conjugate().transpose() @ v,
-        tol=1e-3, max_iter=200,
-    )
-    return MU_RATIO * est.value
+    return MU_RATIO * float(abs(a).sum(axis=1).max())
 
 
 # ---------------------------------------------------------------------------

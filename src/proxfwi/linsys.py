@@ -27,6 +27,9 @@ modeling samples each wavefield at the sources and receivers,
 the Schur-complement step of multifrontal solvers), and
 :meth:`Factorization.solve_last` reads point-source solutions on them from the
 small dense trailing block of L and U, with no full-length solve.
+
+:func:`spectral_norm` has one mode, a power iteration on a self-adjoint map:
+``optim`` runs it on a Hessian for the sigma_max of its step scale.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ DIAG_PIVOT_THRESH = 0.01
 MMD_CACHE_SIZE = 4
 _mmd_cache: dict = {}
 _mmd_lock = threading.Lock()  # held over lookup, ordering and insertion
+
+SPECTRAL_TOL = 1e-4  # spectral_norm stops once a step moves its estimate by at most this
+SPECTRAL_MAX_ITER = 500  # or after this many steps, flagged unconverged
 
 
 class Factorization:
@@ -195,21 +201,13 @@ class SpectralEstimate(NamedTuple):
     converged: bool
 
 
-def spectral_norm(
-    apply: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    tol: float = 1e-4,
-    max_iter: int = 500,
-    apply_adjoint: Callable[[np.ndarray], np.ndarray] | None = None,
-    seed: int = 0,
-) -> SpectralEstimate:
-    """Largest singular value of a linear map, by seeded power iteration.
+def spectral_norm(apply: Callable[[np.ndarray], np.ndarray], n: int,
+                  seed: int) -> SpectralEstimate:
+    """Spectral norm of a self-adjoint linear map, its dominant |eigenvalue|,
+    by power iteration from a seeded start, so runs are reproducible.
 
-    Without ``apply_adjoint`` the map is assumed self-adjoint and the dominant
-    |eigenvalue| is returned; with it, the iteration runs on the normal map
-    and returns the true spectral norm.  The fixed seed makes runs
-    reproducible; if the estimate has not settled to ``tol`` within
-    ``max_iter`` iterations the best value is returned flagged unconverged.
+    The estimate settles to ``SPECTRAL_TOL``, relative; if it has not within
+    ``SPECTRAL_MAX_ITER`` iterations, the last value is returned unconverged.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -217,17 +215,14 @@ def spectral_norm(
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     sigma_prev = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, SPECTRAL_MAX_ITER + 1):
         w = np.asarray(apply(v))
-        if apply_adjoint is not None:
-            w = np.asarray(apply_adjoint(w))
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             return SpectralEstimate(0.0, it, True)
-        rayleigh = np.vdot(v, w) / np.vdot(v, v)
-        sigma = float(np.sqrt(abs(rayleigh))) if apply_adjoint is not None else float(abs(rayleigh))
+        sigma = float(abs(np.vdot(v, w) / np.vdot(v, v)))
         v = w / norm_w
-        if it > 1 and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+        if it > 1 and abs(sigma - sigma_prev) <= SPECTRAL_TOL * max(sigma, 1e-300):
             return SpectralEstimate(sigma, it, True)
         sigma_prev = sigma
-    return SpectralEstimate(sigma_prev, max_iter, False)
+    return SpectralEstimate(sigma_prev, SPECTRAL_MAX_ITER, False)

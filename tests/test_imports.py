@@ -15,7 +15,9 @@ a string constant) in the package or the benchmark.  So is a parameter only
 tests set: each defaulted parameter of a package function or method, an
 ``__init__`` too, must be passed by keyword or by position in some call in the
 package or the benchmark.  The solve layering is
-linsys <- wave <- everything else: only ``linsys`` names SuperLU (``splu``,
+linsys <- wave <- everything else: only ``wave`` imports ``linsys``, apart
+from ``optim``, which reads the sigma_max of its step scale from
+``linsys.spectral_norm``; only ``linsys`` names SuperLU (``splu``,
 ``spilu``), only ``wave`` names ``linsys.factorize`` outside ``linsys``, and
 only the two of them import ``scipy.sparse``.  Only ``wave`` pads the grid with ``np.pad``, apart
 from ``denoise``'s patch margin, and only ``wave`` names the steps its
@@ -434,6 +436,7 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
 SUPERLU = {"splu", "spilu"}
 SUPERLU_OWNER = "linsys"
 SOLVE_OWNERS = {"linsys", "wave"}  # import scipy.sparse and name factorize
+LINSYS_READERS = {"wave", "optim"}  # optim reads sigma_max from linsys.spectral_norm
 PAD_OWNERS = {"wave", "denoise"}  # denoise pads nlm's patch margin, not the grid
 SURVEY_OWNER = "wave"
 SURVEY_STEPS = {"pad_collar", "assemble_padded", "ricker_amplitude"}  # wave.Survey's own steps
@@ -461,14 +464,30 @@ def _sparse_imports(node) -> list[str]:
     return [n for n in names if n == "scipy.sparse" or n.startswith("scipy.sparse.")]
 
 
+def _imports_linsys(node) -> bool:
+    """Whether an import node binds ``linsys`` or a name from it."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "proxfwi.linsys" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    if node.level == 0:
+        base = node.module or ""
+    else:  # relative to the package
+        base = "proxfwi" + (f".{node.module}" if node.module else "")
+    return "proxfwi.linsys" in [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
 def _owner_breaches(sources: dict[str, str]) -> list[str]:
     """``module:line: name`` of each SuperLU, ``factorize``, survey-step or
-    thread reference, ``scipy.sparse`` import or ``np.pad`` call outside its owner."""
+    thread reference, ``scipy.sparse`` or ``linsys`` import or ``np.pad`` call
+    outside its owner."""
     found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if module not in SOLVE_OWNERS:
                 found += [(module, node.lineno, n) for n in _sparse_imports(node)]
+            if module not in LINSYS_READERS and _imports_linsys(node):
+                found.append((module, node.lineno, "linsys"))
             names, dotted = [], []  # dotted: with the module it is read from
             if isinstance(node, ast.Name):
                 names = [node.id]
@@ -519,7 +538,7 @@ def test_owner_scanner_flags_only_calls_outside_the_owner():
     assert _owner_breaches(sources) == [
         "inversion:1: scipy.sparse.linalg.spilu", "inversion:1: spilu", "inversion:2: splu",
         "inversion:3: np.pad", "inversion:5: scipy.sparse", "inversion:6: scipy.sparse",
-        "inversion:7: factorize", "inversion:8: factorize",
+        "inversion:7: factorize", "inversion:8: factorize", "inversion:8: linsys",
     ]
 
 
@@ -566,6 +585,27 @@ def test_owner_scanner_flags_threads_outside_wave():
         "inversion:1: concurrent.futures", "inversion:2: ThreadPoolExecutor",
         "inversion:2: concurrent", "inversion:2: concurrent.futures",
         "inversion:3: threading.Lock", "linsys:3: Thread", "linsys:3: threading.Thread",
+    ]
+
+
+def test_owner_scanner_flags_linsys_imports_outside_wave_and_optim():
+    sources = {
+        "wave": "from . import linsys\nfact = linsys.factorize(a)\n",
+        "optim": "from .linsys import spectral_norm\n",
+        "inversion": (
+            "from . import linsys, wave\n"
+            "from .linsys import SpectralEstimate\n"
+            "import proxfwi.linsys\n"
+            "from proxfwi import linsys as ls\n"
+            "from proxfwi.linsys import spectral_norm\n"
+            "from . import model, wave\n"
+            "from .wave import Survey\n"
+            "import linsys_helpers\n"
+        ),
+    }
+    assert _owner_breaches(sources) == [
+        "inversion:1: linsys", "inversion:2: linsys", "inversion:3: linsys",
+        "inversion:4: linsys", "inversion:5: linsys",
     ]
 
 

@@ -362,6 +362,21 @@ def test_wri_rejects_bad_mu():
         _wri(acq, observed, grid, mu=0.0)
 
 
+def test_default_penalty_mu_is_mu_ratio_times_the_largest_row_sum():
+    # benchmark grids: every row off the Dirichlet ring sums below 1, so ||A||_inf = 1
+    for n, h, freq in ((21, 25.0, 3.0), (41, 50.0, 3.0), (81, 25.0, 3.0), (161, 12.5, 4.0)):
+        for background in (model.ModelGrid.from_values(np.full((n, n), 2000.0), h, h),
+                           model.make_inclusion_model("all-four", n, n, h, h, 2000.0, 2500.0)):
+            assert inversion.default_penalty_mu(background, freq, 10) == inversion.MU_RATIO
+    # at 1 m the absorbing-collar rows sum past 1, and ||A||_inf bounds ||A||_2 closely
+    background = model.ModelGrid.from_values(np.full((12, 12), 2000.0), 1.0, 1.0)
+    a = wave.assemble(model.as_slowness_squared(background), 2.0 * np.pi * 3.0, 10).toarray()
+    mu = inversion.default_penalty_mu(background, 3.0, 10)
+    assert mu == pytest.approx(inversion.MU_RATIO * np.abs(a).sum(axis=1).max(), rel=1e-12)
+    sigma_max = np.linalg.svd(a, compute_uv=False)[0]  # brute-force oracle
+    assert 1.0 < mu / (inversion.MU_RATIO * sigma_max) <= 1.02
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("method", ["fwi", "irwri"])
 def test_non_finite_model_raises(method, bad):
