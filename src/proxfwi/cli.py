@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import shlex
 import sys
@@ -209,22 +210,30 @@ def cmd_rosenbrock(args, argv):
 # wiring
 
 
+def _checked(parse):
+    """argparse type that runs ``parse`` and reports the reason of its ValueError.
+
+    argparse shows a ValueError as ``invalid <function name> value``; an
+    ArgumentTypeError it shows by its message, after ``argument --<flag>: ``.
+    """
+
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return checked
+
+
 def _number(low: float, strict: bool = False):
     """argparse type of a finite number at least (``strict``: above) ``low``."""
-
-    def number(text: str) -> float:
-        return inversion._in_range(float(text), low, strict)
-
-    return number
+    return _checked(lambda text: inversion._in_range(float(text), low, strict))
 
 
 def _integer(low: int):
     """argparse type of an int at least ``low``."""
-
-    def integer(text: str) -> int:
-        return inversion._in_range(int(text), low)
-
-    return integer
+    return _checked(lambda text: inversion._in_range(int(text), low))
 
 
 def _point_pair(text: str) -> np.ndarray:
@@ -265,19 +274,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forward", help="simulate frequency-domain receiver data")
     p.add_argument("--model", required=True)
-    p.add_argument("--freqs", type=inversion._frequencies, required=True, help="Hz, as 3,4.5")
+    p.add_argument("--freqs", type=_checked(inversion._frequencies), required=True,
+                   help="Hz, as 3,4.5")
     p.add_argument("--out", required=True)
     p.add_argument("--f-peak", type=_number(0.0, strict=True), default=10.0)
-    p.add_argument("--pml-cells", type=_integer(wave.MIN_PML_CELLS), default=10)
+    p.add_argument("--pml-cells", type=_checked(lambda text: wave.check_pml_cells(int(text))),
+                   default=10)
     p.add_argument("--free-surface", action="store_true")
-    p.add_argument("--snr-db", type=inversion._snr_db, default=None)
+    p.add_argument("--snr-db", type=_checked(inversion._snr_db), default=None)
     p.add_argument("--seed", type=_integer(0), default=0)
     p.add_argument("--n-sources", type=_integer(1), default=5)
     p.add_argument("--source-depth", type=int, default=None,
                    help="source row (default 0, or 1 under --free-surface)")
     p.add_argument("--receiver-spacing", type=_integer(1), default=2)
-    p.add_argument("--sources", type=inversion._parse_points, default="", help="iz:ix;iz:ix list")
-    p.add_argument("--receivers", type=inversion._parse_points, default="")
+    p.add_argument("--sources", type=_checked(inversion._parse_points), default="",
+                   help="iz:ix;iz:ix list")
+    p.add_argument("--receivers", type=_checked(inversion._parse_points), default="")
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("invert", help="run an inversion from a config file")
@@ -303,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preview", help="render a grid as an 8-bit binary PGM")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--vmin", type=float, default=None)
-    p.add_argument("--vmax", type=float, default=None)
+    p.add_argument("--vmin", type=_number(-math.inf), default=None)
+    p.add_argument("--vmax", type=_number(-math.inf), default=None)
     p.set_defaults(func=cmd_preview)
 
     p = sub.add_parser("rosenbrock", help="solve the analytic 2D toy problem")
@@ -312,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=optim.SOLVERS, default="nadmm")
     p.add_argument("--hessian", choices=("exact", "lbfgs", "identity"), default="exact",
                    help="exact: hvp mode on the exact Hessian, shifted where it is indefinite")
-    p.add_argument("--start", type=_point_pair, default="-1.2,1.0")
+    p.add_argument("--start", type=_checked(_point_pair), default="-1.2,1.0")
     p.add_argument("--max-outer", type=_integer(0), default=200)
     p.add_argument("--inner-iters", type=_integer(1), default=100,
                    help="cap on NISTA's inner sweeps per outer step")

@@ -221,39 +221,40 @@ def test_free_surface_takes_the_documented_spellings_in_any_case(tmp_path, model
 
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3,abc"], "--freqs"),
-        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--f-peak", "0"],
-         "--f-peak"),
-        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3",
-          "--sources", "1:a", "--receivers", "2:2"], "--sources"),
-        (["denoise", "--in", "a.grd", "--out", "b.grd", "--scale", "-1"], "--scale"),
-        (["rosenbrock", "--start", "1,abc"], "--start"),
-        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--seed", "-1",
-          "--snr-db", "20"], "--seed"),
-        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--snr-db", "nan"],
-         "--snr-db"),
-        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--snr-db=-inf"],
-         "--snr-db"),
-        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--pml-cells", "3"],
-         "--pml-cells"),
-        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3", "--n-sources", "0"],
-         "--n-sources"),
-        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "3",
-          "--receiver-spacing", "0"], "--receiver-spacing"),
-        (["rosenbrock", "--lambda", "-1"], "--lambda"),
-        (["rosenbrock", "--max-outer", "-1"], "--max-outer"),
-        (["rosenbrock", "--inner-iters", "0"], "--inner-iters"),
-        (["forward", "--model", "m.grd", "--out", "d.dat", "--freqs", "5,3"], "--freqs"),
-    ],
-)
-def test_bad_flag_value_is_a_usage_error_naming_the_flag(argv, flag, capsys):
+FORWARD = ["forward", "--model", "m.grd", "--out", "d.dat", "--freqs"]
+BAD_FLAG_VALUES = [  # (argv, flag, the reason printed after "argument <flag>: ")
+    (FORWARD + ["3,abc"], "--freqs", "could not convert string to float: 'abc'"),
+    (FORWARD + ["3", "--f-peak", "0"], "--f-peak", "0.0 is not finite and above 0"),
+    (FORWARD + ["3", "--sources", "1:a", "--receivers", "2:2"], "--sources",
+     "invalid literal for int() with base 10: 'a'"),
+    (["denoise", "--in", "a.grd", "--out", "b.grd", "--scale", "-1"], "--scale",
+     "-1.0 is not finite and at least 0"),
+    (["rosenbrock", "--start", "1,abc"], "--start", "could not convert string to float: 'abc'"),
+    (FORWARD + ["3", "--seed", "-1", "--snr-db", "20"], "--seed", "-1 is not finite and at least 0"),
+    (FORWARD + ["3", "--snr-db", "nan"], "--snr-db", "nan is not a number of dB or +inf"),
+    (FORWARD + ["3", "--snr-db=-inf"], "--snr-db", "-inf is not a number of dB or +inf"),
+    (FORWARD + ["3", "--pml-cells", "3"], "--pml-cells", "need at least 5 absorbing cells, got 3"),
+    (FORWARD + ["3", "--n-sources", "0"], "--n-sources", "0 is not finite and at least 1"),
+    (FORWARD + ["3", "--receiver-spacing", "0"], "--receiver-spacing",
+     "0 is not finite and at least 1"),
+    (["rosenbrock", "--lambda", "-1"], "--lambda", "-1.0 is not finite and at least 0"),
+    (["rosenbrock", "--max-outer", "-1"], "--max-outer", "-1 is not finite and at least 0"),
+    (["rosenbrock", "--inner-iters", "0"], "--inner-iters", "0 is not finite and at least 1"),
+    (FORWARD + ["5,3"], "--freqs", "(5.0, 3.0) is not strictly increasing"),
+    (["preview", "--in", "a.grd", "--out", "p.pgm", "--vmin", "nan"], "--vmin",
+     "nan is not finite"),
+    (["preview", "--in", "a.grd", "--out", "p.pgm", "--vmax", "inf"], "--vmax",
+     "inf is not finite"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, reason", BAD_FLAG_VALUES,
+                         ids=[f"argv{i}-{row[1]}" for i, row in enumerate(BAD_FLAG_VALUES)])
+def test_bad_flag_value_is_a_usage_error_naming_the_flag(argv, flag, reason, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_USAGE
-    assert f"argument {flag}: " in capsys.readouterr().err
+    assert f"argument {flag}: {reason}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--sources", "0:10"], ["--receivers", "20:5;20:15"]])
