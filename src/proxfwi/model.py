@@ -284,12 +284,16 @@ def make_inclusion_model(
     ``size`` is the primary dimension in meters (side for square, radius for
     disk, outer radius for ring, arm length for cross); secondary dimensions
     are fixed fractions of it.  Defaults suit a 2 km x 2 km domain at 25 m
-    spacing.  "all-four" places one of each shape per quadrant.
+    spacing.  "all-four" places one of each shape per quadrant.  The
+    spacings, both velocities and ``size`` (when given) must be finite and
+    above 0.
     """
     if shape not in INCLUSION_SHAPES:
         raise GeometryError(f"unknown inclusion shape {shape!r}")
-    if v_background <= 0.0 or v_inclusion <= 0.0:
-        raise GeometryError("velocities must be positive")
+    for name, value in (("dz", dz), ("dx", dx), ("v_background", v_background),
+                        ("v_inclusion", v_inclusion), ("size", size)):
+        if value is not None and not 0.0 < value < np.inf:
+            raise GeometryError(f"{name} must be finite and above 0, got {value!r}")
     lz, lx = (nz - 1) * dz, (nx - 1) * dx
     span = min(lz, lx)
 

@@ -81,6 +81,13 @@ def test_model_gen_and_forward_write_outputs_and_manifests(models):
     assert _manifest(data.with_name(data.name + ".manifest"))["seed"] == "1"
 
 
+def test_model_gen_rejects_a_meaningless_size_naming_it(tmp_path, capsys):
+    out = tmp_path / "m.grd"
+    assert cli.main(["model-gen", "--size", "-100", "--out", str(out)]) == cli.EXIT_DATA
+    assert "error: size must be finite and above 0, got -100.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invert_writes_run_directory(tmp_path, models, capsys):
     config = _write_config(tmp_path, models, method="fwi", algorithm="nista", c_fixed=1e-9)
     assert cli.main(["invert", "--config", str(config)]) == 0

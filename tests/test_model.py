@@ -140,6 +140,18 @@ def test_inclusion_too_large_rejected():
         model.make_inclusion_model("square", 81, 81, 25.0, 25.0, size=3000.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("size", -100.0), ("size", 0.0), ("size", np.nan), ("size", np.inf),
+    ("dz", np.nan), ("dz", -25.0), ("dx", 0.0), ("dx", np.inf),
+    ("v_background", 0.0), ("v_background", np.nan), ("v_inclusion", np.inf),
+    ("v_inclusion", -2500.0),
+])
+def test_inclusion_rejects_a_meaningless_parameter_naming_it(name, value):
+    # the disk and the ring square a negative size into a positive one
+    with pytest.raises(GeometryError, match=rf"^{name} must be finite and above 0, got "):
+        model.make_inclusion_model("all-four", **{name: value})
+
+
 def test_unknown_shape_rejected():
     with pytest.raises(GeometryError):
         model.make_inclusion_model("triangle")
