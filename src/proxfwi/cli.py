@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import shlex
 import sys
@@ -315,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preview", help="render a grid as an 8-bit binary PGM")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--vmin", type=_number(-math.inf), default=None)
-    p.add_argument("--vmax", type=_number(-math.inf), default=None)
+    p.add_argument("--vmin", type=_number(-np.inf), default=None)
+    p.add_argument("--vmax", type=_number(-np.inf), default=None)
     p.set_defaults(func=cmd_preview)
 
     p = sub.add_parser("rosenbrock", help="solve the analytic 2D toy problem")
