@@ -145,11 +145,14 @@ def cmd_metrics(args, argv):
     printed = False
     if args.est and args.true:
         est, true = read_grid(args.est), read_grid(args.true)
+        model.check_same("--est", f"{est.kind} {est.layout()}",
+                         "--true", f"{true.kind} {true.layout()}")
         print(f"rmse_percent={inversion.rmse(est, true):.10g}")
         printed = True
     if args.signal and args.noisy:
         signal = model.read_freq_data(args.signal)
         noisy = model.read_freq_data(args.noisy)
+        model.check_same("--signal", signal.layout(), "--noisy", noisy.layout())
         sig = np.concatenate([b.ravel() for b in signal.blocks])
         noise = np.concatenate(
             [n.ravel() - s.ravel() for n, s in zip(noisy.blocks, signal.blocks)]
@@ -166,9 +169,10 @@ def cmd_preview(args, argv):
     grid = read_grid(args.input)
     vmin = args.vmin if args.vmin is not None else float(grid.values.min())
     vmax = args.vmax if args.vmax is not None else float(grid.values.max())
-    if vmin >= vmax:
+    if vmin >= vmax and (args.vmin, args.vmax) != (None, None):
         raise ConfigError(f"vmin {vmin} must be below vmax {vmax}")
-    t = np.clip((grid.values - vmin) / (vmax - vmin), 0.0, 1.0)
+    # a constant grid under its own range is one gray level, 0
+    t = np.clip((grid.values - vmin) / ((vmax - vmin) or 1.0), 0.0, 1.0)
     pixels = np.floor(t * 255.0 + 0.5).astype(np.uint8)
     header = f"P5\n{grid.nx} {grid.nz}\n255\n".encode("ascii")
     with open(args.out, "wb") as fh:
@@ -261,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model-gen", help="generate an inclusion benchmark model")
     p.add_argument("--shape", choices=model.INCLUSION_SHAPES, default="all-four")
-    p.add_argument("--nz", type=int, default=81)
-    p.add_argument("--nx", type=int, default=81)
+    p.add_argument("--nz", type=_integer(model.MIN_CELLS), default=81)
+    p.add_argument("--nx", type=_integer(model.MIN_CELLS), default=81)
     p.add_argument("--dz", type=float, default=25.0)
     p.add_argument("--dx", type=float, default=25.0)
     p.add_argument("--v-background", type=float, default=2000.0)

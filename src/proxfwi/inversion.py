@@ -28,6 +28,7 @@ from .model import (
     ModelGrid,
     as_slowness_squared,
     as_velocity,
+    check_same,
     read_freq_data,
     read_grid,
     survey_geometry,
@@ -332,9 +333,14 @@ _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")  # free_
 
 
 def _in_range(value, low: float, strict: bool = False):
-    """``value`` if it is finite and at least ``low`` (above it if ``strict``), else ValueError."""
-    if not (math.isfinite(value) and (value > low if strict else value >= low)):
-        raise ValueError(f"{value!r} is not finite and {'above' if strict else 'at least'} {low:g}")
+    """``value`` if it is finite and at least ``low`` (above it if ``strict``), else
+    ValueError naming the one condition it fails."""
+    if isinstance(value, float) and not math.isfinite(value):  # an int may not fit a float
+        raise ValueError(f"{value!r} is not finite")
+    if strict and not value > low:
+        raise ValueError(f"{value!r} is not above {low:g}")
+    if value < low:
+        raise ValueError(f"{value!r} is below {low:g}")
     return value
 
 
@@ -524,12 +530,8 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
     """
     init = read_grid(cfg.model_init)
     true = read_grid(cfg.model_true) if cfg.model_true else None
-
-    def layout(g):  # str() of a float round-trips, so equal text means an equal grid
-        return f"{g.nz}x{g.nx} at dz={g.dz}, dx={g.dx}"
-
-    if true is not None and layout(true) != layout(init):
-        raise GeometryError(f"model_true is {layout(true)} but model_init is {layout(init)}")
+    if true is not None:
+        check_same("model_true", true.layout(), "model_init", init.layout())
     try:
         denoiser = make_denoiser(
             cfg.denoiser, ref=as_slowness_squared(init).values, dz=init.dz, dx=init.dx

@@ -21,6 +21,8 @@ KIND_SLOWNESS_SQ = "squared-slowness"
 _KIND_CODES = {KIND_VELOCITY: 0, KIND_SLOWNESS_SQ: 1}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
+MIN_CELLS = 3  # the fewest grid points a grid has along each axis
+
 GRID_MAGIC = b"GRD1"
 DATA_MAGIC = b"FDD1"
 
@@ -49,8 +51,7 @@ class ModelGrid:
     def __post_init__(self):
         if self.kind not in _KIND_CODES:
             raise GeometryError(f"unknown grid kind {self.kind!r}")
-        if self.nz < 3 or self.nx < 3:
-            raise GeometryError(f"grid must be at least 3x3, got {self.nz}x{self.nx}")
+        _check_dims(self.nz, self.nx)
         if not (self.dz > 0.0 and self.dx > 0.0):
             raise GeometryError(f"grid spacing must be positive, got dz={self.dz}, dx={self.dx}")
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -68,6 +69,10 @@ class ModelGrid:
             raise GeometryError(f"expected a 2D field, got shape {values.shape}")
         return cls(values.shape[0], values.shape[1], dz, dx, values, kind)
 
+    def layout(self) -> str:
+        """Shape and spacing; str() of a float round-trips, so equal text means an equal grid."""
+        return f"{self.nz}x{self.nx} at dz={self.dz}, dx={self.dx}"
+
     def with_values(self, values) -> "ModelGrid":
         """New grid with the same geometry/kind but different values."""
         return ModelGrid(self.nz, self.nx, self.dz, self.dx, np.asarray(values), self.kind)
@@ -83,6 +88,17 @@ class ModelGrid:
             and self.kind == other.kind
             and np.array_equal(self.values, other.values)
         )
+
+
+def _check_dims(nz: int, nx: int):
+    if nz < MIN_CELLS or nx < MIN_CELLS:
+        raise GeometryError(f"grid must be at least {MIN_CELLS}x{MIN_CELLS}, got {nz}x{nx}")
+
+
+def check_same(name_a: str, a: str, name_b: str, b: str):
+    """GeometryError naming both sides unless the descriptions ``a`` and ``b`` are equal."""
+    if a != b:
+        raise GeometryError(f"{name_a} is {a} but {name_b} is {b}")
 
 
 def _check_values(vals: np.ndarray):
@@ -170,6 +186,11 @@ class FreqData:
     @property
     def n_sources(self) -> int:
         return self.blocks[0].shape[1]
+
+    def layout(self) -> str:
+        """Block shape and frequencies; equal text means blocks that pair up one to one."""
+        freqs = ", ".join(str(f) for f in self.frequencies)
+        return f"{self.n_receivers} receivers x {self.n_sources} sources at {freqs} Hz"
 
     def block(self, freq: float) -> np.ndarray:
         for f, b in zip(self.frequencies, self.blocks):
@@ -285,11 +306,12 @@ def make_inclusion_model(
     disk, outer radius for ring, arm length for cross); secondary dimensions
     are fixed fractions of it.  Defaults suit a 2 km x 2 km domain at 25 m
     spacing.  "all-four" places one of each shape per quadrant.  The
-    spacings, both velocities and ``size`` (when given) must be finite and
-    above 0.
+    grid must be at least MIN_CELLS x MIN_CELLS, and the spacings, both
+    velocities and ``size`` (when given) must be finite and above 0.
     """
     if shape not in INCLUSION_SHAPES:
         raise GeometryError(f"unknown inclusion shape {shape!r}")
+    _check_dims(nz, nx)
     for name, value in (("dz", dz), ("dx", dx), ("v_background", v_background),
                         ("v_inclusion", v_inclusion), ("size", size)):
         if value is not None and not 0.0 < value < np.inf:

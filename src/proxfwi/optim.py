@@ -170,7 +170,6 @@ class LbfgsHessian:
 
 class LineSearchResult(NamedTuple):
     alpha: float
-    value: float
     accepted: bool
     trials: int
 
@@ -183,12 +182,12 @@ def line_search(merit: Callable, m, dm, f0: float, ck: float) -> LineSearchResul
     accepts the first with merit(m + alpha dm) <= f0 - SIGMA_LS alpha ||dm||^2 / ck
     (ties accept).  It never moves uphill: when no trial passes, the best trial
     is returned flagged if it beats f0, and otherwise the iterate is held
-    (alpha 0, value f0) and the caller decides what to do about it.  A zero
-    direction is an accepted null step (alpha 1, value f0, 0 trials) that never
-    evaluates the merit; the outer loop's step floor then stops the run.
+    (alpha 0) and the caller decides what to do about it.  A zero direction is
+    an accepted null step (alpha 1, 0 trials) that never evaluates the merit;
+    the outer loop's step floor then stops the run.
     """
     if _norm(dm) == 0.0:
-        return LineSearchResult(1.0, f0, True, 0)
+        return LineSearchResult(1.0, True, 0)
     if not math.isfinite(f0):
         raise NumericalError("line search started from a non-finite objective")
     decrease = SIGMA_LS * _dot(dm, dm) / ck
@@ -198,15 +197,13 @@ def line_search(merit: Callable, m, dm, f0: float, ck: float) -> LineSearchResul
         f_trial = float(merit(m + alpha * dm))
         if math.isfinite(f_trial):
             if f_trial <= f0 - alpha * decrease:
-                return LineSearchResult(alpha, f_trial, True, trial)
+                return LineSearchResult(alpha, True, trial)
             if f_trial < best[0]:
                 best = (f_trial, alpha)
         alpha *= BETA_LS
     if math.isinf(best[0]):
         raise NumericalError("line search found no finite objective value")
-    if best[0] < f0:
-        return LineSearchResult(best[1], best[0], False, MAX_TRIALS)
-    return LineSearchResult(0.0, f0, False, MAX_TRIALS)
+    return LineSearchResult(best[1] if best[0] < f0 else 0.0, False, MAX_TRIALS)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +390,10 @@ def proximal_newton_solve(
     moves m to m + alpha * dm.  NISTA takes dm from ``nista_direction`` and the
     composite objective f + lam * R as its merit.  NADMM solves
     (ck*H + I) dm = -ck*g + (p + q - m) with ``solve_shifted`` (0 sweeps) and
-    takes the damped merit f(m) + ||m - (p+q)||^2 / (2 ck), from which it reads
-    the misfit at the new m back; it then sets p to the prox of m - q at scale
-    ck * lam and adds p - m to the scaled dual q.  p and q start at zero.
+    takes the damped merit f(m) + ||m - (p+q)||^2 / (2 ck); it then sets p to
+    the prox of m - q at scale ck * lam and adds p - m to the scaled dual q.
+    p and q start at zero.  Both solvers record the misfit the oracle returns
+    at the new m, and the objective as that misfit plus lam * R(m).
 
     Stops on the configured target, on three consecutive failed line searches
     (returning the best iterate seen), or when the step collapses to rounding
@@ -412,12 +410,11 @@ def proximal_newton_solve(
     lbfgs_hess = LbfgsHessian() if config.hessian == "lbfgs" else None
     pen = getattr(denoiser, "penalty", None)
 
-    def composite(mm, misfit=None):
-        val = oracle.value(mm) if misfit is None else misfit
+    def composite(misfit, mm):
         r = None if pen is None else pen(mm)
         if r is None:
-            return val, math.nan
-        return val + lam * r, lam * r
+            return misfit, math.nan
+        return misfit + lam * r, lam * r
 
     ck = math.nan
     stagnation = 0
@@ -433,6 +430,7 @@ def proximal_newton_solve(
             status = "target-reached"
             break
         g = np.asarray(oracle.gradient(m), dtype=np.float64)
+        # read before observe: its probe's gradient replaces FwiOracle's cached factors at m
         val = oracle.value(m)
         if lbfgs_hess is not None:
             lbfgs_hess.observe(m, g, oracle.gradient)
@@ -450,8 +448,8 @@ def proximal_newton_solve(
 
         if method == "nista":
             dm, sweeps = nista_direction(m, g, h_apply, denoiser, lam, ck, config.inner_iters)
-            merit = lambda mm: composite(mm)[0]
-            f0, _ = composite(m, misfit=val)
+            merit = lambda mm: composite(oracle.value(mm), mm)[0]
+            f0, _ = composite(val, m)
         else:
             prior = p + q
             dm = np.asarray(solve_shifted(ck, -ck * g + (prior - m)), dtype=np.float64)
@@ -467,17 +465,13 @@ def proximal_newton_solve(
             f0 = val + damping(m)
         ls = line_search(merit, m, dm, f0, ck)
         m = m + ls.alpha * dm
-        if method == "nista":
-            obj = ls.value
-            _, reg = composite(m, misfit=obj)
-            misfit = obj - reg if math.isfinite(reg) else obj
-        else:
-            misfit = ls.value - damping(m)
+        if method == "nadmm":
             p = denoiser.apply(m - q, ck * lam)
             q = q + p - m
             if not (np.all(np.isfinite(m)) and np.all(np.isfinite(p))):
                 raise NumericalError("splitting update produced non-finite values")
-            obj, reg = composite(m, misfit=misfit)
+        misfit = oracle.value(m)
+        obj, reg = composite(misfit, m)
 
         step_norm = ls.alpha * _norm(dm)
         history.append(HistoryRow(k + 1, obj, misfit, reg, ls.alpha, step_norm, ck, sweeps))

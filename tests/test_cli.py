@@ -177,8 +177,8 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"batches": "3 |"}, "bad value for batches: ()"),
         ({"free_surface": "ture"}, "bad value for free_surface: 'ture' is not one of"),
         ({"hessian": "exact-dense"}, "bad value for hessian: unknown hessian mode 'exact-dense'"),
-        ({"n_sources": 0}, "bad value for n_sources: 0 is not finite and at least 1"),
-        ({"receiver_spacing": 0}, "bad value for receiver_spacing: 0 is not finite and at least 1"),
+        ({"n_sources": 0}, "bad value for n_sources: 0 is below 1"),
+        ({"receiver_spacing": 0}, "bad value for receiver_spacing: 0 is below 1"),
         ({"pml_cells": 3}, "bad value for pml_cells: need at least 5 absorbing cells, got 3"),
         ({"denoiser": "tv3d"}, "bad value for denoiser: unknown denoiser kind 'tv3d'"),
         ({"denoiser": "nlm:patch=0"},
@@ -231,27 +231,28 @@ def test_free_surface_takes_the_documented_spellings_in_any_case(tmp_path, model
 FORWARD = ["forward", "--model", "m.grd", "--out", "d.dat", "--freqs"]
 BAD_FLAG_VALUES = [  # (argv, flag, the reason printed after "argument <flag>: ")
     (FORWARD + ["3,abc"], "--freqs", "could not convert string to float: 'abc'"),
-    (FORWARD + ["3", "--f-peak", "0"], "--f-peak", "0.0 is not finite and above 0"),
+    (FORWARD + ["3", "--f-peak", "0"], "--f-peak", "0.0 is not above 0"),
     (FORWARD + ["3", "--sources", "1:a", "--receivers", "2:2"], "--sources",
      "invalid literal for int() with base 10: 'a'"),
     (["denoise", "--in", "a.grd", "--out", "b.grd", "--scale", "-1"], "--scale",
-     "-1.0 is not finite and at least 0"),
+     "-1.0 is below 0"),
     (["rosenbrock", "--start", "1,abc"], "--start", "could not convert string to float: 'abc'"),
-    (FORWARD + ["3", "--seed", "-1", "--snr-db", "20"], "--seed", "-1 is not finite and at least 0"),
+    (FORWARD + ["3", "--seed", "-1", "--snr-db", "20"], "--seed", "-1 is below 0"),
     (FORWARD + ["3", "--snr-db", "nan"], "--snr-db", "nan is not a number of dB or +inf"),
     (FORWARD + ["3", "--snr-db=-inf"], "--snr-db", "-inf is not a number of dB or +inf"),
     (FORWARD + ["3", "--pml-cells", "3"], "--pml-cells", "need at least 5 absorbing cells, got 3"),
-    (FORWARD + ["3", "--n-sources", "0"], "--n-sources", "0 is not finite and at least 1"),
-    (FORWARD + ["3", "--receiver-spacing", "0"], "--receiver-spacing",
-     "0 is not finite and at least 1"),
-    (["rosenbrock", "--lambda", "-1"], "--lambda", "-1.0 is not finite and at least 0"),
-    (["rosenbrock", "--max-outer", "-1"], "--max-outer", "-1 is not finite and at least 0"),
-    (["rosenbrock", "--inner-iters", "0"], "--inner-iters", "0 is not finite and at least 1"),
+    (FORWARD + ["3", "--n-sources", "0"], "--n-sources", "0 is below 1"),
+    (FORWARD + ["3", "--receiver-spacing", "0"], "--receiver-spacing", "0 is below 1"),
+    (["rosenbrock", "--lambda", "-1"], "--lambda", "-1.0 is below 0"),
+    (["rosenbrock", "--max-outer", "-1"], "--max-outer", "-1 is below 0"),
+    (["rosenbrock", "--inner-iters", "0"], "--inner-iters", "0 is below 1"),
     (FORWARD + ["5,3"], "--freqs", "(5.0, 3.0) is not strictly increasing"),
     (["preview", "--in", "a.grd", "--out", "p.pgm", "--vmin", "nan"], "--vmin",
      "nan is not finite"),
     (["preview", "--in", "a.grd", "--out", "p.pgm", "--vmax", "inf"], "--vmax",
      "inf is not finite"),
+    (["model-gen", "--nz", "-5", "--out", "m.grd"], "--nz", "-5 is below 3"),
+    (["model-gen", "--nx", "2", "--out", "m.grd"], "--nx", "2 is below 3"),
 ]
 
 
@@ -262,6 +263,12 @@ def test_bad_flag_value_is_a_usage_error_naming_the_flag(argv, flag, reason, cap
         cli.main(argv)
     assert exc.value.code == cli.EXIT_USAGE
     assert f"argument {flag}: {reason}" in capsys.readouterr().err
+
+
+def test_an_int_flag_too_large_for_a_float_is_in_range():
+    big = "1" + "0" * 400
+    args = cli.build_parser().parse_args(FORWARD + ["3", "--seed", big])
+    assert args.seed == int(big)
 
 
 @pytest.mark.parametrize("flags", [["--sources", "0:10"], ["--receivers", "20:5;20:15"]])
@@ -547,6 +554,37 @@ def test_metrics_command_prints_rmse_and_snr(tmp_path, models, capsys):
     assert key == "snr_db" and abs(float(value) - 20.0) <= 1e-9
 
 
+@pytest.mark.parametrize("flags, other, message", [
+    (["--est", "GRID", "--true"], ["model-gen", "--nz", "31", "--nx", "21"],
+     "--est is velocity 21x21 at dz=25.0, dx=25.0 but --true is velocity 31x21 at dz=25.0"),
+    (["--est", "GRID", "--true"], ["model-gen", "--nz", "21", "--nx", "21", "--dz", "20"],
+     "but --true is velocity 21x21 at dz=20.0, dx=25.0"),
+    (["--signal", "DATA", "--noisy"], ["forward", "--model", "GRID", "--freqs", "5,6"],
+     "--signal is 31 receivers x 5 sources at 3.0, 4.0 Hz but --noisy is 31 receivers x 5 "
+     "sources at 5.0, 6.0 Hz"),
+    (["--signal", "DATA", "--noisy"], ["forward", "--model", "GRID", "--freqs", "3"],
+     "but --noisy is 31 receivers x 5 sources at 3.0 Hz"),
+], ids=["shape", "spacing", "frequencies", "fewer-blocks"])
+def test_metrics_command_rejects_inputs_that_do_not_pair_up(tmp_path, models, capsys, flags,
+                                                             other, message):
+    true, _, data = models
+    paths = {"GRID": str(true), "DATA": str(data)}
+    out = tmp_path / "other"
+    assert cli.main([paths.get(a, a) for a in other] + ["--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["metrics"] + [paths.get(a, a) for a in flags] + [str(out)]) == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+def test_metrics_command_rejects_grids_of_different_kinds(tmp_path, models, capsys):
+    true, init, _ = models
+    slowness = tmp_path / "init_s2.grd"
+    model.write_grid(model.as_slowness_squared(model.read_grid(init)), slowness)
+    argv = ["metrics", "--est", str(slowness), "--true", str(true)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "--est is squared-slowness 21x21" in capsys.readouterr().err
+
+
 def test_metrics_command_without_inputs_exits_with_data_error(capsys):
     assert cli.main(["metrics"]) == cli.EXIT_DATA
     assert "metrics needs" in capsys.readouterr().err
@@ -562,6 +600,16 @@ def test_preview_command_writes_a_full_range_pgm(tmp_path, models):
     pixels = np.frombuffer(raw[len(header):], dtype=np.uint8)
     assert pixels.min() == 0 and pixels.max() == 255
     _assert_manifest_hashes(out.with_name(out.name + ".manifest"), [str(out)])
+
+
+def test_preview_command_writes_a_constant_grid_as_one_gray_level(tmp_path, models):
+    # a homogeneous starting model has vmin == vmax under its own range
+    _, init, _ = models
+    out = tmp_path / "init.pgm"
+    assert cli.main(["preview", "--in", str(init), "--out", str(out)]) == cli.EXIT_OK
+    raw = out.read_bytes()
+    header = b"P5\n21 21\n255\n"
+    assert raw == header + bytes(441)
 
 
 def test_preview_command_rejects_an_empty_value_range(tmp_path, models, capsys):

@@ -664,6 +664,25 @@ def test_fwi_line_search_trials_are_the_only_refactorizations(monkeypatch):
     assert len(calls) == len(acq.frequencies) * (1 + 1 + sum(trials))
 
 
+@pytest.mark.parametrize("algorithm", optim.SOLVERS)
+@pytest.mark.parametrize("formulation, hessian", [("fwi", "lbfgs"), ("irwri", "diagonal")])
+def test_history_records_the_oracle_misfit_and_the_composite_objective(formulation, hessian,
+                                                                       algorithm):
+    _, background, acq, observed = _tiny_problem()
+    m0 = model.as_slowness_squared(background).values
+    oracle = (_fwi if formulation == "fwi" else _wri)(acq, observed, background)
+    denoiser = make_denoiser("l2sq", ref=1.01 * m0)
+    lam = 1e6
+    config = optim.OptConfig(lam=lam, hessian=hessian, max_outer=3)
+    result = optim.proximal_newton_solve(oracle, denoiser, config, m0, algorithm)
+    assert result.status == "max-iter"
+    last = result.history[-1]
+    penalty = denoiser.penalty(result.m)
+    assert penalty > 0.0 and lam * penalty > 1e-6 * last.misfit
+    assert last.misfit == oracle.value(result.m)
+    assert last.objective == last.misfit + lam * penalty
+
+
 # ---------------------------------------------------------------------------
 # run config parsing
 

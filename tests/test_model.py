@@ -152,6 +152,12 @@ def test_inclusion_rejects_a_meaningless_parameter_naming_it(name, value):
         model.make_inclusion_model("all-four", **{name: value})
 
 
+@pytest.mark.parametrize("nz, nx", [(-5, 21), (0, 21), (2, 21), (21, 2)])
+def test_inclusion_rejects_a_grid_below_the_minimum_before_any_mask(nz, nx):
+    with pytest.raises(GeometryError, match=rf"^grid must be at least 3x3, got {nz}x{nx}$"):
+        model.make_inclusion_model("all-four", nz, nx)
+
+
 def test_unknown_shape_rejected():
     with pytest.raises(GeometryError):
         model.make_inclusion_model("triangle")

@@ -172,7 +172,7 @@ def test_line_search_matches_hand_enumerated_ladder():
     # by hand: f0 = 1, accept f(1 - 4a) <= 1 - 1e-4 * a * 16 / 0.5 = 1 - 3.2e-3 a
     # a=1: f=9 > 0.9968; a=0.5: f=1 > 0.9984, a tie with f0 that the decrease
     # term rejects; a=0.25: f=0 <= 0.9992 -> accept on the third trial
-    assert ls == (0.25, 0.0, True, 3)
+    assert ls == (0.25, True, 3)
 
 
 def test_line_search_postcondition():
@@ -187,34 +187,34 @@ def test_line_search_postcondition():
     ls = optim.line_search(oracle.value, m, dm, f0, ck)
     assert ls.accepted and 1 <= ls.trials <= optim.MAX_TRIALS
     assert ls.alpha == optim.BETA_LS ** (ls.trials - 1)
-    assert ls.value == oracle.value(m + ls.alpha * dm)
-    assert ls.value <= f0 - optim.SIGMA_LS * ls.alpha * float(dm @ dm) / ck
+    f_new = oracle.value(m + ls.alpha * dm)
+    assert f_new <= f0 - optim.SIGMA_LS * ls.alpha * float(dm @ dm) / ck
 
 
 def test_line_search_zero_direction_is_an_accepted_null_step():
     calls = []
     merit = lambda m: calls.append(1) or 0.0
     ls = optim.line_search(merit, np.array([1.0, 2.0]), np.zeros(2), 3.5, 1.0)
-    assert ls == (1.0, 3.5, True, 0) and calls == []
+    assert ls == (1.0, True, 0) and calls == []
 
 
 def test_line_search_flags_ascent_direction():
     # no trial of an ascent direction lowers the merit: the iterate is held
     f = lambda m: float(m[0] ** 2)
     ls = optim.line_search(f, np.array([1.0]), np.array([5.0]), 1.0, 1.0)
-    assert ls == (0.0, 1.0, False, optim.MAX_TRIALS)
+    assert ls == (0.0, False, optim.MAX_TRIALS)
     # a search that lowers the merit but never meets the rule returns its best trial
     # flagged: at ck = 1e-8 the rule asks for a decrease of 1e4 a, and a=1 reaches 0
     ls = optim.line_search(f, np.array([1.0]), np.array([-1.0]), 1.0, 1e-8)
-    assert ls == (1.0, 0.0, False, optim.MAX_TRIALS)
+    assert ls == (1.0, False, optim.MAX_TRIALS)
 
 
 def test_search_step_holds_iterate_on_ascent_direction():
-    # the held step is alpha 0 at value f0, so the solvers' m + alpha dm update is m
+    # the held step is alpha 0, so the solvers' m + alpha dm update is m
     f = lambda m: float(m[0] ** 2)
     m, dm = np.array([1.0]), np.array([5.0])
     ls = optim.line_search(f, m, dm, 1.0, 1.0)
-    assert (ls.alpha, ls.value, ls.accepted) == (0.0, 1.0, False)
+    assert (ls.alpha, ls.accepted) == (0.0, False)
     assert np.array_equal(m + ls.alpha * dm, m)
 
 
