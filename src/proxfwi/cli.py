@@ -267,11 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=model.INCLUSION_SHAPES, default="all-four")
     p.add_argument("--nz", type=_integer(model.MIN_CELLS), default=81)
     p.add_argument("--nx", type=_integer(model.MIN_CELLS), default=81)
-    p.add_argument("--dz", type=float, default=25.0)
-    p.add_argument("--dx", type=float, default=25.0)
-    p.add_argument("--v-background", type=float, default=2000.0)
-    p.add_argument("--v-inclusion", type=float, default=2500.0)
-    p.add_argument("--size", type=float, default=None, help="primary dimension in meters")
+    p.add_argument("--dz", type=_number(0.0, strict=True), default=25.0)
+    p.add_argument("--dx", type=_number(0.0, strict=True), default=25.0)
+    p.add_argument("--v-background", type=_number(0.0, strict=True), default=2000.0)
+    p.add_argument("--v-inclusion", type=_number(0.0, strict=True), default=2500.0)
+    p.add_argument("--size", type=_number(0.0, strict=True), default=None,
+                   help="primary dimension in meters")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_model_gen)
 

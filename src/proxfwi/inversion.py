@@ -105,29 +105,36 @@ class FwiOracle(_OracleBase):
     The gradient is computed by the adjoint-state method (the operator is
     complex-symmetric, so the forward factorization back-propagates the
     conjugated residual), and ``hvp`` applies the first-order (Gauss-Newton)
-    Hessian term matrix-free with two extra block solves per frequency.
+    Hessian term matrix-free with two extra block solves per frequency.  The
+    last model's forward solves, factors included, sit in the survey's keep
+    slots, and the oracle caches only that model and its misfit.
     """
 
     def __init__(self, acq, observed, background, f_peak=10.0, pml_cells=10,
                  free_surface_top=False):
         super().__init__(acq, observed, background, f_peak, pml_cells, free_surface_top)
         self._cache_key = None
-        self._cache = None
+        self._misfit = None
 
-    def _prepare(self, m: np.ndarray):
+    def _prepare(self, m) -> float:
+        """The misfit at m, with each frequency's forward solve at m kept in its slot."""
         m = np.asarray(m, dtype=np.float64)
         key = m.tobytes()
-        if key == self._cache_key:
-            return self._cache
-        # the factors outlive this call, so they are made on this thread (see wave.Survey.each)
-        per_freq = [self._forward(m, i) for i in range(len(self.observed.blocks))]
-        misfit = sum(0.5 * float(np.sum(np.abs(entry["resid"]) ** 2)) for entry in per_freq)
-        self._cache_key = key
-        self._cache = {"per_freq": per_freq, "misfit": misfit}
-        return self._cache
+        if key != self._cache_key:
+            self._cache_key = None  # the slots are being replaced
+
+            def solve(i):
+                self.survey.keep(i, None)  # the old factor goes before its replacement is made
+                entry = self._forward(m, i)
+                self.survey.keep(i, entry)
+                return 0.5 * float(np.sum(np.abs(entry["resid"]) ** 2))
+
+            self._misfit = sum(self.survey.each(solve))
+            self._cache_key = key
+        return self._misfit
 
     def value(self, m) -> float:
-        return self._prepare(m)["misfit"]
+        return self._prepare(m)
 
     def data_residual_norm(self, m) -> float:
         """The reduced-space data residual, read from the cached solve."""
@@ -142,19 +149,23 @@ class FwiOracle(_OracleBase):
         return (-(entry["omega"] ** 2) * np.sum((u * w).real, axis=1))[self.survey.interior_rows]
 
     def gradient(self, m) -> np.ndarray:
-        per_freq = self._prepare(m)["per_freq"]
-        return sum(self.survey.each(
-            lambda i: self._back_correlate(per_freq[i], per_freq[i]["resid"])))
+        self._prepare(m)
+
+        def back_correlate(i):
+            entry = self.survey.kept(i)
+            return self._back_correlate(entry, entry["resid"])
+
+        return sum(self.survey.each(back_correlate))
 
     def hvp(self, m, v) -> np.ndarray:
         """Gauss-Newton product J^T J v via forward-linearized and adjoint solves."""
-        cache = self._prepare(m)
+        self._prepare(m)
         v = np.asarray(v, dtype=np.float64)
         vp = np.zeros(self.survey.collar.size)  # v on the interior, zero on the collar
         vp[self.survey.interior_rows] = v.reshape(self.survey.interior_rows.shape)
 
         def product(i):
-            entry = cache["per_freq"][i]
+            entry = self.survey.kept(i)
             du = entry["fact"].solve(-entry["omega"] ** 2 * (vp[:, None] * entry["u"]))
             return self._back_correlate(entry, du[self.survey.rx, :])
 
@@ -285,7 +296,10 @@ def multiscale_drive(
                 oracle = WriOracle(
                     sub_acq, sub_obs, background, mu, f_peak, pml_cells, free_surface_top
                 )
-            results.append(proximal_newton_solve(oracle, denoiser, config, m, algorithm))
+            try:
+                results.append(proximal_newton_solve(oracle, denoiser, config, m, algorithm))
+            finally:
+                oracle.survey.close()
             m = results[-1].m
     return m, results
 

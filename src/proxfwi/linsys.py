@@ -14,10 +14,9 @@ fill the ordering planned for, unless an entry below it is 100 times larger.
 
 :func:`factorize` is safe to call from several threads at once, as a
 survey's frequencies do: SuperLU releases the GIL while it factors, and the
-order cache is locked, so each pattern is still ordered once.  SuperLU gives
-a factor's memory back only on the thread that made it, so a
-:class:`Factorization` made on a worker thread must be dropped there, or it
-is never freed; any thread may solve with it.
+order cache is locked, so each pattern is still ordered once.  Any thread
+may solve with a :class:`Factorization`, but only a drop on the thread that
+made it frees it; :mod:`wave` states the ownership rule that keeps to this.
 
 A factorization serves right-hand sides in two ways.  :meth:`Factorization.solve`
 runs full-length triangular solves, one per column, for callers that need

@@ -19,28 +19,41 @@ plain arrays, one column per source; a frequency is its index ``i``, and
 ``Survey.omegas[i]`` its omega.
 
 A survey's frequencies are independent factorizations, and :meth:`Survey.each`
-runs them concurrently, one thread per usable CPU up to one per frequency,
-while the calling thread only waits.  SuperLU releases the GIL while it
-factors, so the LUs overlap; each frequency's results come back in
-frequency order, and callers add them in that order, so a run gives the same
-numbers whatever the number of CPUs.  It is the one place in the package
-that starts threads.  A factor must be dropped on the thread that made it,
-so the FWI oracle, which keeps its factors between calls, makes them on the
-calling thread and only solves with them here.
+runs them on the survey's workers: min(n_freq, usable CPUs) long-lived
+threads, started by its first ``each`` and stopped by :meth:`Survey.close`, or
+when the survey is collected unclosed.  Every worker pulls the next frequency
+from one shared queue as it comes free, while the calling thread only waits.
+SuperLU releases the GIL while it factors, so the LUs overlap; each
+frequency's results come back in frequency order, and callers add them in
+that order, so a run gives the same numbers whatever the number of CPUs.  This
+is the one place in the package that starts threads, and a task must not call
+``each`` on its own survey.
+
+SuperLU gives a factor's memory back only on the thread that made it (scipy
+records each allocation per thread), so a factor dropped on any other thread
+is never freed.  The ownership rule that keeps every factor freed: a factor
+lives inside one task, or in its frequency's keep slot (:meth:`Survey.keep`),
+and never leaves a task in its result.  A kept value is dropped on the worker
+that made it.  A task that replaces a value another worker kept hands the old
+value to that worker's inbox, every worker empties its inbox before each task
+and before it exits, and :meth:`Survey.close` hands every kept value back the
+same way.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import linsys
-from .errors import GeometryError, NumericalError
+from .errors import GeometryError, NumericalError, StateError
 from .model import (
     KIND_SLOWNESS_SQ,
     AcquisitionGeometry,
@@ -236,6 +249,73 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_worker = threading.local()  # .crew and .inbox of the survey worker running a task
+
+
+def _attempt(fn, i: int) -> tuple:
+    """``(fn(i), None)``, or ``(None, exc)`` if it raised ``exc``."""
+    try:
+        return fn(i), None
+    except BaseException as exc:  # Survey.each re-raises it on the calling thread
+        return None, exc
+
+
+class _Crew:
+    """A survey's worker threads, their shared task queue and the keep slots.
+
+    It holds no reference to its survey, so a survey never closed is still
+    collected, and its finalizer stops the crew.  Each worker's inbox is a
+    list; the lock is held over every hand-back and every emptying, so a
+    handed-back value is never referenced anywhere but in its maker's inbox
+    when the maker drops it.
+    """
+
+    def __init__(self, n_workers: int, n_slots: int):
+        self.tasks = queue.SimpleQueue()
+        self.lock = threading.Lock()
+        self.slots = [(None, None)] * n_slots  # (kept value, its maker's inbox)
+        self.threads = [threading.Thread(target=self._serve, args=([],), daemon=True,
+                                         name=f"proxfwi-survey-{w}") for w in range(n_workers)]
+        for thread in self.threads:
+            thread.start()
+
+    def _serve(self, inbox: list):
+        _worker.crew, _worker.inbox = self, inbox
+        while True:
+            task = self.tasks.get()
+            with self.lock:
+                inbox.clear()  # the values handed back to this worker drop here
+            if task is None:
+                return
+            fn, i, outcomes, done = task
+            del task
+            outcomes[i] = _attempt(fn, i)
+            # the closure goes before the result is posted: once each returns, no
+            # worker holds a reference to the survey, so no finalizer runs here
+            del fn, outcomes
+            done.put(i)
+
+    def replace(self, i: int, value, inbox: list | None):
+        """Keep ``value`` in slot i as made by the worker of ``inbox``; the value it
+        replaces drops here if that worker made it, else goes to its maker's inbox."""
+        with self.lock:
+            old, maker = self.slots[i]
+            self.slots[i] = (value, inbox)
+            if maker is not None and maker is not inbox:
+                maker.append(old)
+            del old
+
+    def stop(self):
+        """Hand every kept value back to its maker, then end the workers and join them."""
+        for i in range(len(self.slots)):
+            self.replace(i, None, None)
+        for _ in self.threads:
+            self.tasks.put(None)
+        for thread in self.threads:
+            if thread is not threading.current_thread():  # a collection on a worker runs this
+                thread.join()
+
+
 class Survey:
     """An acquisition on the padded grid, with the collar frozen at a background.
 
@@ -245,6 +325,9 @@ class Survey:
     top speed, for every m, so A is exactly affine in m; an explicit
     ``pml_velocity`` must be positive and finite.  Under a free surface no
     source or receiver may sit on the Dirichlet top row.
+
+    A survey that solves owns worker threads and the values its tasks keep
+    until :meth:`close`; a survey that never solves starts no thread.
     """
 
     def __init__(self, background: ModelGrid, acq: AcquisitionGeometry, f_peak: float = 10.0,
@@ -267,28 +350,80 @@ class Survey:
         self.interior_rows = np.arange(self.collar.size).reshape(self.collar.shape)[self.interior]
         self.src = self._rows(acq.sources)
         self.rx = self._rows(acq.receivers)
+        self._crew = None  # started by the first each
+        self._stop = None  # the crew's finalizer
+        self._closed = False
 
     def _rows(self, points) -> np.ndarray:
         iz, ix = np.asarray(points, dtype=np.int64).reshape(-1, 2).T
         return self.interior_rows[iz, ix]
 
     def each(self, fn) -> list:
-        """``[fn(i) for i in frequency indices]``, run concurrently in a thread pool.
+        """``[fn(i) for i in frequency indices]``, each ``fn(i)`` a task on the workers.
 
-        One worker per CPU this process may run on, up to one per frequency,
-        so with one CPU the frequencies run one at a time.  The results keep
-        frequency order, the first exception raised is re-raised here, and
-        every worker has exited when this returns.
-
-        ``fn`` must not return a factorization: SuperLU gives a factor's
-        memory back only on the thread that made it (scipy records each
-        allocation per thread), so a factor that outlives ``fn`` and is
-        dropped elsewhere is never freed.  Factors that a caller keeps are
-        made on the calling thread; their solves may run here.
+        The first call starts one worker per CPU this process may run on, up
+        to one per frequency, so with one CPU the frequencies run one at a
+        time; the same workers serve every later call until :meth:`close`.
+        Tasks are queued in frequency order and each free worker takes the
+        next, first free, first served.  The results keep frequency order.  If
+        tasks raise, the exception of the lowest frequency is re-raised once
+        every task of the call has finished, and the survey still serves later
+        calls.  A task may keep a value for later tasks in its frequency's
+        slot (:meth:`keep`), but may return no factor, and must not call
+        ``each`` on this survey: that is a StateError.
         """
+        if self._closed:
+            raise StateError("the survey is closed")
         n = len(self.omegas)
-        with ThreadPoolExecutor(max_workers=min(n, _usable_cpus())) as pool:
-            return list(pool.map(fn, range(n)))
+        if self._crew is None:
+            self._crew = _Crew(min(n, _usable_cpus()), n)
+            self._stop = weakref.finalize(self, self._crew.stop)
+        if getattr(_worker, "crew", None) is self._crew:
+            raise StateError("a task may not call each on its own survey")
+        outcomes, done = [None] * n, queue.SimpleQueue()
+        for i in range(n):
+            self._crew.tasks.put((fn, i, outcomes, done))
+        for _ in range(n):
+            done.get()
+        exc = next((exc for _, exc in outcomes if exc is not None), None)
+        if exc is not None:
+            try:
+                raise exc
+            finally:  # the traceback holds this frame: no cycle through its locals
+                del exc, outcomes
+        return [value for value, _ in outcomes]
+
+    def _inbox(self) -> list:
+        """The inbox of this survey's worker that runs the calling task."""
+        if self._crew is None or getattr(_worker, "crew", None) is not self._crew:
+            raise StateError("keep slots are for the tasks of this survey's each")
+        return _worker.inbox
+
+    def keep(self, i: int, value) -> None:
+        """Keep ``value`` in frequency i's slot, from a task of :meth:`each`.
+
+        The value it replaces is dropped on the worker that made it: at once
+        if that is this task's worker, else handed back to that worker's
+        inbox, which it empties before its next task and before it exits.
+        ``keep(i, None)`` only drops the kept value.
+        """
+        inbox = self._inbox()
+        self._crew.replace(i, value, inbox)
+
+    def kept(self, i: int):
+        """The value kept in frequency i's slot, or None, read by a task of
+        :meth:`each`; the task must not let it outlive the call."""
+        self._inbox()
+        return self._crew.slots[i][0]
+
+    def close(self) -> None:
+        """Drop every kept value on the worker that made it, then stop and join
+        the workers.  A closed survey solves nothing more; a second close does
+        nothing.  A survey collected unclosed is closed by its finalizer.
+        """
+        self._closed = True
+        if self._stop is not None:
+            self._stop()  # a finalizer runs once
 
     def system(self, m, i: int) -> sp.csr_matrix:
         """A(m) at frequency i, assembled with ``m`` inside the frozen collar."""
@@ -349,7 +484,10 @@ def forward(model: ModelGrid, acq: AcquisitionGeometry, f_peak: float = 10.0,
     """Receiver data of ``model``: :meth:`Survey.data` with the model as background."""
     slowness = as_slowness_squared(model)
     survey = Survey(slowness, acq, f_peak, pml_cells, free_surface_top, pml_velocity)
-    return survey.data(slowness.values)
+    try:
+        return survey.data(slowness.values)
+    finally:
+        survey.close()
 
 
 def add_noise(data: FreqData, snr_db: float | None, seed: int = 0) -> FreqData:

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line and of ``run_inversion`` on a 21x21 grid."""
 
 import hashlib
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -81,11 +82,19 @@ def test_model_gen_and_forward_write_outputs_and_manifests(models):
     assert _manifest(data.with_name(data.name + ".manifest"))["seed"] == "1"
 
 
-def test_model_gen_rejects_a_meaningless_size_naming_it(tmp_path, capsys):
-    out = tmp_path / "m.grd"
-    assert cli.main(["model-gen", "--size", "-100", "--out", str(out)]) == cli.EXIT_DATA
-    assert "error: size must be finite and above 0, got -100.0" in capsys.readouterr().err
-    assert not out.exists()
+def test_run_inversion_starts_threads_only_to_solve(tmp_path, models, monkeypatch):
+    # wave.forward closes its survey, and the survey that checks the layout
+    # never solves, so the solve starts from the thread count of the caller
+    start, drive, at_drive = threading.active_count(), inversion.multiscale_drive, []
+
+    def counting(*args):
+        at_drive.append(threading.active_count())
+        return drive(*args)
+
+    monkeypatch.setattr(inversion, "multiscale_drive", counting)
+    inversion.run_inversion(_run_config(tmp_path, models, method="fwi", algorithm="nista",
+                                        c_fixed=1e-9, max_outer=1))
+    assert at_drive == [start] and threading.active_count() == start
 
 
 def test_invert_writes_run_directory(tmp_path, models, capsys):
@@ -253,6 +262,13 @@ BAD_FLAG_VALUES = [  # (argv, flag, the reason printed after "argument <flag>: "
      "inf is not finite"),
     (["model-gen", "--nz", "-5", "--out", "m.grd"], "--nz", "-5 is below 3"),
     (["model-gen", "--nx", "2", "--out", "m.grd"], "--nx", "2 is below 3"),
+    (["model-gen", "--dz", "0", "--out", "m.grd"], "--dz", "0.0 is not above 0"),
+    (["model-gen", "--dx=-25", "--out", "m.grd"], "--dx", "-25.0 is not above 0"),
+    (["model-gen", "--v-background", "nan", "--out", "m.grd"], "--v-background",
+     "nan is not finite"),
+    (["model-gen", "--v-inclusion", "inf", "--out", "m.grd"], "--v-inclusion",
+     "inf is not finite"),
+    (["model-gen", "--size", "-100", "--out", "m.grd"], "--size", "-100.0 is not above 0"),
 ]
 
 

@@ -24,14 +24,15 @@ from ``denoise``'s patch margin, and only ``wave`` names the steps its
 ``Survey`` owns: ``pad_collar``, ``assemble_padded`` and ``ricker_amplitude``.
 Every LU runs on the cached order: only ``linsys._mmd_order`` names
 ``MMD_AT_PLUS_A``, and every ``splu`` call passes ``permc_spec="NATURAL"``.
-Only ``wave``, whose ``Survey.each`` runs a survey's frequencies in a thread
-pool, names ``ThreadPoolExecutor``, ``Thread``, ``concurrent`` or
-``threading``, except that ``linsys`` names ``threading.Lock`` for its order
-cache.  Every Hessian mode that reads an oracle method names one that some
-package oracle class (a class with ``value`` and ``gradient``) defines, so
-retiring an oracle method cannot leave a mode no oracle can run.  Both
-solvers accept their step at one call of ``line_search``, inside
-``optim.proximal_newton_solve``, so no solver keeps a private copy of the rule.
+Only ``wave``, whose ``Survey`` runs a survey's frequencies on its own
+long-lived worker threads, names ``ThreadPoolExecutor``, ``Thread``,
+``concurrent``, ``threading`` or ``queue``, except that ``linsys`` names
+``threading.Lock`` for its order cache.  Every Hessian mode that reads an
+oracle method names one that some package oracle class (a class with
+``value`` and ``gradient``) defines, so retiring an oracle method cannot
+leave a mode no oracle can run.  Both solvers accept their step at one call
+of ``line_search``, inside ``optim.proximal_newton_solve``, so no solver
+keeps a private copy of the rule.
 """
 
 import ast
@@ -440,17 +441,19 @@ LINSYS_READERS = {"wave", "optim"}  # optim reads sigma_max from linsys.spectral
 PAD_OWNERS = {"wave", "denoise"}  # denoise pads nlm's patch margin, not the grid
 SURVEY_OWNER = "wave"
 SURVEY_STEPS = {"pad_collar", "assemble_padded", "ricker_amplitude"}  # wave.Survey's own steps
-THREAD_OWNER = "wave"  # Survey.each, the one place that starts threads
+THREAD_OWNER = "wave"  # Survey's workers, the one place that starts threads
 THREAD_NAMES = {"ThreadPoolExecutor", "Thread"}
+THREAD_MODULES = ("concurrent", "threading", "queue")
 LOCK_OWNER, LOCK_NAMES = "linsys", {"threading", "threading.Lock"}  # the order cache's lock
 
 
 def _thread_breach(module: str, name: str) -> bool:
-    """Whether ``module`` may not name ``name``: a thread pool, a thread or the
-    modules that make them, outside ``wave``; ``linsys`` may name its lock."""
+    """Whether ``module`` may not name ``name``: a thread pool, a thread, a task
+    queue or the modules that make them, outside ``wave``; ``linsys`` may name
+    its lock."""
     if module == THREAD_OWNER or (module == LOCK_OWNER and name in LOCK_NAMES):
         return False
-    return name in THREAD_NAMES or name.split(".")[0] in ("concurrent", "threading")
+    return name in THREAD_NAMES or name.split(".")[0] in THREAD_MODULES
 
 
 def _sparse_imports(node) -> list[str]:
@@ -568,23 +571,30 @@ def test_owner_scanner_flags_threads_outside_wave():
         "wave": (
             "from concurrent.futures import ThreadPoolExecutor\n"
             "pool = ThreadPoolExecutor(max_workers=2)\n"
+            "import queue\n"
+            "tasks = queue.SimpleQueue()\n"
         ),
         "linsys": (
             "import threading\n"
             "_lock = threading.Lock()\n"
             "worker = threading.Thread(target=f)\n"
+            "from queue import Queue\n"
         ),
         "inversion": (
             "import concurrent.futures\n"
             "pool = concurrent.futures.ThreadPoolExecutor(2)\n"
             "from threading import Lock\n"
             "values = survey.each(solve)\n"
+            "import queue\n"
+            "done = queue.SimpleQueue()\n"
         ),
     }
     assert _owner_breaches(sources) == [
         "inversion:1: concurrent.futures", "inversion:2: ThreadPoolExecutor",
         "inversion:2: concurrent", "inversion:2: concurrent.futures",
-        "inversion:3: threading.Lock", "linsys:3: Thread", "linsys:3: threading.Thread",
+        "inversion:3: threading.Lock", "inversion:5: queue", "inversion:6: queue",
+        "inversion:6: queue.SimpleQueue", "linsys:3: Thread", "linsys:3: threading.Thread",
+        "linsys:4: queue.Queue",
     ]
 
 

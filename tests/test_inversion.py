@@ -1,6 +1,8 @@
 import gc
 import os
+import sys
 import threading
+import time
 import warnings
 import weakref
 
@@ -391,7 +393,7 @@ def test_non_finite_model_raises(method, bad):
 
 
 # ---------------------------------------------------------------------------
-# the survey's frequencies in a thread pool
+# the survey's frequencies on its worker threads
 
 
 def _cpus(monkeypatch, n):
@@ -399,27 +401,43 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+class _Kept:
+    """A value a task keeps, which records whether it is dropped on its maker."""
+
+    def __init__(self, same: list):
+        self.maker = threading.get_ident()
+        weakref.finalize(self, lambda ident: same.append(threading.get_ident() == ident),
+                         self.maker)
+
+
 def test_survey_runs_one_worker_per_cpu_up_to_one_per_frequency(monkeypatch):
     _, background, acq, _ = _tiny_problem(freqs=(5.0, 6.0, 9.0))
-    survey = wave.Survey(background, acq, pml_cells=5)
     start = threading.active_count()
-    _cpus(monkeypatch, 8)
     barrier = threading.Barrier(3, timeout=30.0)  # passes only if all three run at once
 
     def meet(i):
         barrier.wait()
         return i, threading.get_ident()
 
-    order, idents = zip(*survey.each(meet))
-    assert order == (0, 1, 2) and len(set(idents)) == 3
-    assert threading.get_ident() not in idents
+    def workers(task) -> int:
+        survey = wave.Survey(background, acq, pml_cells=5)  # its first each fixes its workers
+        try:
+            order, idents = zip(*survey.each(task))
+            assert order == (0, 1, 2) and threading.get_ident() not in idents
+            assert threading.active_count() == start + len(set(idents))
+            again = {ident for _, ident in survey.each(lambda i: (i, threading.get_ident()))}
+            assert again <= set(idents)  # the same workers serve the next call
+            return len(set(idents))
+        finally:
+            survey.close()
+
+    _cpus(monkeypatch, 8)
+    assert workers(meet) == 3
     _cpus(monkeypatch, 1)
-    order, idents = zip(*survey.each(lambda i: (i, threading.get_ident())))
-    assert order == (0, 1, 2) and len(set(idents)) == 1
+    assert workers(lambda i: (i, threading.get_ident())) == 1
     monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS: count the machine's CPUs
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    order, idents = zip(*survey.each(lambda i: (i, threading.get_ident())))
-    assert order == (0, 1, 2) and len(set(idents)) == 1
+    assert workers(lambda i: (i, threading.get_ident())) == 1
     assert threading.active_count() == start
 
 
@@ -432,9 +450,13 @@ def test_oracles_are_bit_identical_with_one_and_three_workers(monkeypatch):
     def outputs(n_cpus):
         _cpus(monkeypatch, n_cpus)
         fwi, wri = _fwi(acq, observed, background), _wri(acq, observed, background)
-        wri.update_wavefields(m)
-        out = [*fwi.survey.data(m).blocks, fwi.value(m), fwi.gradient(m), fwi.hvp(m, v),
-               wri._w, wri._e, wri._outside_sq, wri.data_residual_norm(m)]
+        try:
+            wri.update_wavefields(m)
+            out = [*fwi.survey.data(m).blocks, fwi.value(m), fwi.gradient(m), fwi.hvp(m, v),
+                   wri._w, wri._e, wri._outside_sq, wri.data_residual_norm(m)]
+        finally:
+            fwi.survey.close()
+            wri.survey.close()
         assert threading.active_count() == start
         return [np.asarray(x).tobytes() for x in out]
 
@@ -467,6 +489,93 @@ def test_every_factor_is_dropped_on_the_thread_that_made_it(monkeypatch):
     assert len(same) == len(made) == 5 * 3 and all(same)
 
 
+def test_a_value_replaced_on_another_worker_is_dropped_on_its_maker(monkeypatch):
+    _, background, acq, _ = _tiny_problem(freqs=(5.0, 6.0))
+    _cpus(monkeypatch, 2)
+    survey = wave.Survey(background, acq, pml_cells=5)
+    barrier, same = threading.Barrier(2, timeout=30.0), []  # two tasks at once: two workers
+
+    def make(i):
+        barrier.wait()
+        survey.keep(i, _Kept(same))
+
+    def replace_the_others(i):
+        barrier.wait()
+        j = next(j for j in range(2) if survey.kept(j).maker != threading.get_ident())
+        barrier.wait()  # both have read the makers before either replaces
+        survey.keep(j, _Kept(same))
+
+    survey.each(make)
+    survey.each(replace_the_others)
+    assert same == []  # neither maker has taken a task since its value was handed back
+    survey.close()
+    assert same == [True] * 4
+
+
+def test_an_fwi_oracle_collected_unclosed_frees_its_factors_on_their_makers(monkeypatch):
+    _, background, acq, observed = _tiny_problem(freqs=(5.0, 6.0, 9.0))
+    m = model.as_slowness_squared(background).values
+    start = threading.active_count()
+    _cpus(monkeypatch, 2)  # three frequencies on two workers, so some factors change hands
+    factorize, same = linsys.factorize, []
+
+    def tracked(a, last=()):
+        fact = factorize(a, last=last)
+        weakref.finalize(fact, lambda ident: same.append(threading.get_ident() == ident),
+                         threading.get_ident())
+        return fact
+
+    monkeypatch.setattr(linsys, "factorize", tracked)
+    fwi = _fwi(acq, observed, background)
+    for scale in (1.0, 0.9, 0.8, 0.9):
+        fwi.gradient(scale * m)
+    assert threading.active_count() == start + 2
+    del fwi
+    gc.collect()
+    assert same == [True] * 4 * 3
+    assert threading.active_count() == start
+
+
+def test_a_survey_starts_threads_at_its_first_solve_and_closes_twice(monkeypatch):
+    _, background, acq, _ = _tiny_problem(freqs=(5.0, 6.0, 9.0))
+    start = threading.active_count()
+    _cpus(monkeypatch, 3)
+    survey = wave.Survey(background, acq, pml_cells=5)
+    assert threading.active_count() == start
+    with pytest.raises(StateError, match="tasks of this survey"):
+        survey.keep(0, "kept off a worker")
+    assert survey.each(lambda i: i) == [0, 1, 2]
+    assert threading.active_count() == start + 3
+    with pytest.raises(StateError, match="its own survey"):
+        survey.each(lambda i: survey.each(lambda j: j))
+    survey.close()
+    survey.close()
+    assert threading.active_count() == start
+    with pytest.raises(StateError, match="closed"):
+        survey.each(lambda i: i)
+
+
+def test_no_finalizer_runs_on_a_worker_thread(monkeypatch):
+    # a task releases its closure before it posts its result, so once each
+    # returns only the caller holds the survey, and dropping it runs the
+    # finalizer, and the join of the workers, on the caller
+    _, background, acq, _ = _tiny_problem(freqs=(5.0, 6.0, 9.0))
+    start = threading.active_count()
+    _cpus(monkeypatch, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            survey, ran = wave.Survey(background, acq, pml_cells=5), []
+            weakref.finalize(survey, lambda: ran.append(threading.get_ident()))
+            survey.each(lambda i, held=survey: i)
+            del survey
+            assert ran == [threading.get_ident()]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == start
+
+
 def test_a_nan_model_raises_from_the_worker_threads(monkeypatch):
     _, background, acq, observed = _tiny_problem(freqs=(5.0, 6.0, 9.0))
     m = model.as_slowness_squared(background).values.copy()
@@ -477,7 +586,26 @@ def test_a_nan_model_raises_from_the_worker_threads(monkeypatch):
     for call in (wri.survey.data, wri.update_wavefields, wri.data_residual_norm):
         with pytest.raises(NumericalError, match=r"\(5, 5\)"):
             call(m)
-        assert threading.active_count() == start
+    finished = []
+
+    def task(i):  # frequency 2 fails first, while 0 and 1 still run
+        if i < 2:
+            time.sleep(0.2)
+            finished.append(i)
+        if i != 1:
+            raise NumericalError(f"frequency {i}")
+        return i
+
+    with pytest.raises(NumericalError, match="frequency 0"):
+        wri.survey.each(task)
+    assert sorted(finished) == [0, 1]
+    assert wri.survey.each(lambda i: i) == [0, 1, 2]
+    wri.survey.close()
+    fwi = _fwi(acq, observed, background)
+    with pytest.raises(NumericalError, match=r"\(5, 5\)"):
+        fwi.value(m)
+    del fwi  # the raise left no reference cycle, so its workers stop at once
+    assert threading.active_count() == start
 
 
 def test_wri_field_update_decreases_joint_objective():
