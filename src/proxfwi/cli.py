@@ -241,7 +241,7 @@ def _integer(low: int):
 
 def _point_pair(text: str) -> np.ndarray:
     x, y = text.split(",")
-    return np.array([float(x), float(y)])
+    return np.array([inversion._in_range(float(v), -np.inf) for v in (x, y)])
 
 
 def _join_point_values(argv: list) -> list:
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=_checked(inversion._snr_db), default=None)
     p.add_argument("--seed", type=_integer(0), default=0)
     p.add_argument("--n-sources", type=_integer(1), default=5)
-    p.add_argument("--source-depth", type=int, default=None,
+    p.add_argument("--source-depth", type=_integer(0), default=None,
                    help="source row (default 0, or 1 under --free-surface)")
     p.add_argument("--receiver-spacing", type=_integer(1), default=2)
     p.add_argument("--sources", type=_checked(inversion._parse_points), default="",

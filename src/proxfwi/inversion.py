@@ -87,16 +87,11 @@ class _OracleBase:
             raise GeometryError("observed data shape does not match the acquisition")
         self.observed = observed
 
-    def _forward(self, m: np.ndarray, i: int) -> dict:
-        """Reduced-space solve at frequency i: the fields u = A(m)^-1 b and P u - d."""
-        fact, u = self.survey.solve_sources(m, i)
-        resid = u[self.survey.rx, :] - self.observed.blocks[i]
-        return {"omega": self.survey.omegas[i], "fact": fact, "u": u, "resid": resid}
-
     def data_residual_norm(self, m) -> float:
-        """Reduced-space data residual ||P A(m)^-1 b - d||; one LU of A(m) per frequency."""
-        return math.sqrt(sum(self.survey.each(
-            lambda i: float(np.sum(np.abs(self._forward(m, i)["resid"]) ** 2)))))
+        """Reduced-space data residual ||P A(m)^-1 b - d|| of :meth:`wave.Survey.data` at m."""
+        data = self.survey.data(m)
+        return math.sqrt(sum(float(np.sum(np.abs(p - d) ** 2))
+                             for p, d in zip(data.blocks, self.observed.blocks)))
 
 
 class FwiOracle(_OracleBase):
@@ -117,7 +112,8 @@ class FwiOracle(_OracleBase):
         self._misfit = None
 
     def _prepare(self, m) -> float:
-        """The misfit at m, with each frequency's forward solve at m kept in its slot."""
+        """The misfit at m, with each frequency's forward solve at m kept in its slot
+        as the tuple (factor, fields u = A(m)^-1 b, residual P u - d)."""
         m = np.asarray(m, dtype=np.float64)
         key = m.tobytes()
         if key != self._cache_key:
@@ -125,9 +121,10 @@ class FwiOracle(_OracleBase):
 
             def solve(i):
                 self.survey.keep(i, None)  # the old factor goes before its replacement is made
-                entry = self._forward(m, i)
-                self.survey.keep(i, entry)
-                return 0.5 * float(np.sum(np.abs(entry["resid"]) ** 2))
+                fact, u = self.survey.solve_sources(m, i)
+                resid = u[self.survey.rx, :] - self.observed.blocks[i]
+                self.survey.keep(i, (fact, u, resid))
+                return 0.5 * float(np.sum(np.abs(resid) ** 2))
 
             self._misfit = sum(self.survey.each(solve))
             self._cache_key = key
@@ -140,22 +137,17 @@ class FwiOracle(_OracleBase):
         """The reduced-space data residual, read from the cached solve."""
         return math.sqrt(2.0 * self.value(m))
 
-    def _back_correlate(self, entry, r) -> np.ndarray:
-        """-omega^2 sum_s Re(u_s * A^-1 P^T conj(r_s)) on the interior."""
-        u = entry["u"]
+    def _back_correlate(self, i, fact, u, r) -> np.ndarray:
+        """-omega_i^2 sum_s Re(u_s * A^-1 P^T conj(r_s)) on the interior."""
         adj_src = np.zeros_like(u)
         adj_src[self.survey.rx, :] = np.conj(r)
-        w = entry["fact"].solve(adj_src)
-        return (-(entry["omega"] ** 2) * np.sum((u * w).real, axis=1))[self.survey.interior_rows]
+        w = fact.solve(adj_src)
+        omega = self.survey.omegas[i]
+        return (-(omega**2) * np.sum((u * w).real, axis=1))[self.survey.interior_rows]
 
     def gradient(self, m) -> np.ndarray:
         self._prepare(m)
-
-        def back_correlate(i):
-            entry = self.survey.kept(i)
-            return self._back_correlate(entry, entry["resid"])
-
-        return sum(self.survey.each(back_correlate))
+        return sum(self.survey.each(lambda i: self._back_correlate(i, *self.survey.kept(i))))
 
     def hvp(self, m, v) -> np.ndarray:
         """Gauss-Newton product J^T J v via forward-linearized and adjoint solves."""
@@ -165,9 +157,9 @@ class FwiOracle(_OracleBase):
         vp[self.survey.interior_rows] = v.reshape(self.survey.interior_rows.shape)
 
         def product(i):
-            entry = self.survey.kept(i)
-            du = entry["fact"].solve(-entry["omega"] ** 2 * (vp[:, None] * entry["u"]))
-            return self._back_correlate(entry, du[self.survey.rx, :])
+            fact, u, _ = self.survey.kept(i)
+            du = fact.solve(-self.survey.omegas[i] ** 2 * (vp[:, None] * u))
+            return self._back_correlate(i, fact, u, du[self.survey.rx, :])
 
         return sum(self.survey.each(product)).reshape(v.shape)
 

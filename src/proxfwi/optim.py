@@ -358,14 +358,13 @@ def _hessian_ops(mode, oracle, m, lbfgs_hess, seed):
     identity.
     """
     m = np.asarray(m, dtype=np.float64)
-    if mode == "identity":
-        return (lambda v: np.asarray(v)), (lambda c, rhs: np.asarray(rhs) / (c + 1.0)), lambda: 1.0
-    if mode == "diagonal":
-        d = np.maximum(np.asarray(oracle.hessian_diag(m), dtype=np.float64), 0.0)
+    if mode in ("identity", "diagonal"):  # the identity is the diagonal d = 1
+        d = 1.0 if mode == "identity" else np.maximum(
+            np.asarray(oracle.hessian_diag(m), dtype=np.float64), 0.0)
         return (
             lambda v: d * np.asarray(v),
             lambda c, rhs: np.asarray(rhs) / (c * d + 1.0),
-            lambda: float(np.max(d)) if d.size else 0.0,
+            lambda: float(np.max(d)),
         )
     if mode == "lbfgs":
         h_apply, solve_shifted = lbfgs_hess.apply, lbfgs_hess.solve_shifted

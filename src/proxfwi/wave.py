@@ -10,7 +10,7 @@ free surface, the top row are homogeneous Dirichlet.
 :class:`Survey` is the one home of every survey decision: the padded layout
 with its collar frozen at a background model, the speed the damping profile
 is tuned for, the free-surface check on the top row, each frequency's
-omega and Ricker amplitude, and the padded source, receiver and interior
+omega and point-source strength, and the padded source, receiver and interior
 index maps.  Modeling (:func:`forward`) and both inversion oracles solve
 through it, and it runs all three solves through :func:`linsys.factorize`:
 point-source blocks (modeling, FWI), the penalty normal equations (WRI) and
@@ -345,7 +345,8 @@ class Survey:
         top_speed = 1.0 / math.sqrt(float(np.min(self.collar)))
         self.pml_velocity = top_speed if pml_velocity is None else float(pml_velocity)
         self.omegas = tuple(2.0 * np.pi * f for f in acq.frequencies)
-        self.amplitudes = tuple(ricker_amplitude(f, float(f_peak)) for f in acq.frequencies)
+        self.strengths = tuple(ricker_amplitude(f, float(f_peak)) / (self.dz * self.dx)
+                               for f in acq.frequencies)  # point-source strength per cell area
         # padded linear index of each interior node, shaped like the background
         self.interior_rows = np.arange(self.collar.size).reshape(self.collar.shape)[self.interior]
         self.src = self._rows(acq.sources)
@@ -436,9 +437,9 @@ class Survey:
                                self.free_surface_top, pml_velocity=self.pml_velocity)
 
     def point_sources(self, i: int) -> np.ndarray:
-        """Column block b of nearest-node point sources at frequency i, scaled by 1/(dz*dx)."""
+        """Column block b of nearest-node point sources at frequency i, of ``strengths[i]``."""
         b = np.zeros((self.collar.size, self.src.size), dtype=np.complex128)
-        b[self.src, np.arange(self.src.size)] = self.amplitudes[i] / (self.dz * self.dx)
+        b[self.src, np.arange(self.src.size)] = self.strengths[i]
         return b
 
     def solve_sources(self, m, i: int):
@@ -451,7 +452,7 @@ class Survey:
         """Fields u minimizing ||A u - b||^2 + mu^2 ||P u - d||^2 at frequency i for
         every source, by one LU of A^H A + mu^2 P^T P: the arrays (u, b - A u)."""
         a = self.system(m, i).tocsc()
-        ah = a.conjugate().transpose().tocsc()
+        ah = a.conjugate()  # A is complex-symmetric, so A^H = conj(A)
         penalty = sp.coo_matrix((np.full(self.rx.size, mu**2), (self.rx, self.rx)), shape=a.shape)
         b = self.point_sources(i)
         rhs = ah @ b
@@ -471,7 +472,7 @@ class Survey:
             if self.src.size < CONDENSE_MIN_SOURCES:
                 return self.solve_sources(m, i)[1][self.rx, :]
             last, at = np.unique(np.concatenate([self.rx, self.src]), return_inverse=True)
-            values = np.full(self.src.size, self.amplitudes[i] / (self.dz * self.dx))
+            values = np.full(self.src.size, self.strengths[i])
             fact = linsys.factorize(self.system(m, i), last=last)
             return fact.solve_last(at[self.rx.size:], values)[at[:self.rx.size], :]
 

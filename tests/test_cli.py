@@ -269,6 +269,10 @@ BAD_FLAG_VALUES = [  # (argv, flag, the reason printed after "argument <flag>: "
     (["model-gen", "--v-inclusion", "inf", "--out", "m.grd"], "--v-inclusion",
      "inf is not finite"),
     (["model-gen", "--size", "-100", "--out", "m.grd"], "--size", "-100.0 is not above 0"),
+    (FORWARD + ["3", "--source-depth", "-1"], "--source-depth", "-1 is below 0"),
+    (["rosenbrock", "--start", "nan,0"], "--start", "nan is not finite"),
+    (["rosenbrock", "--start", "inf,1"], "--start", "inf is not finite"),
+    (["rosenbrock", "--start", "1,-inf"], "--start", "-inf is not finite"),
 ]
 
 

@@ -279,15 +279,30 @@ def test_wri_materialized_hessian_is_diagonal():
     assert np.allclose(np.diag(hess), oracle.hessian_diag(m).ravel(), rtol=1e-6)
 
 
-def test_data_residual_norm_is_the_reduced_residual_for_both_oracles():
-    true, background, acq, observed = _tiny_problem(snr=20.0, seed=2)
-    m = model.as_slowness_squared(background).values
-    blocks = wave.forward(background, acq, f_peak=10.0, pml_cells=5, pml_velocity=2000.0).blocks
-    expected = np.sqrt(sum(np.sum(np.abs(p - d) ** 2) for p, d in zip(blocks, observed.blocks)))
-    wri = _wri(acq, observed, background)
-    wri.update_wavefields(m)
-    for oracle in (_fwi(acq, observed, background), wri):
-        assert oracle.data_residual_norm(m) == pytest.approx(expected, rel=1e-10)
+def test_data_residual_norm_is_the_reduced_residual_for_both_oracles(monkeypatch):
+    # from CONDENSE_MIN_SOURCES sources on, WRI's residual reads the condensed data,
+    # while FWI's reads its cached full-field solve
+    factorize, condensed = linsys.factorize, []
+
+    def tracked(a, last=()):
+        condensed.append(len(last) > 0)
+        return factorize(a, last=last)
+
+    monkeypatch.setattr(linsys, "factorize", tracked)
+    for n, n_src in ((12, 2), (20, wave.CONDENSE_MIN_SOURCES)):
+        true, background, acq, observed = _tiny_problem(n=n, n_src=n_src, snr=20.0, seed=2)
+        assert len(set(acq.sources)) == n_src
+        m = model.as_slowness_squared(background).values
+        blocks = wave.forward(background, acq, f_peak=10.0, pml_cells=5,
+                              pml_velocity=2000.0).blocks
+        expected = np.sqrt(sum(np.sum(np.abs(p - d) ** 2) for p, d in zip(blocks, observed.blocks)))
+        wri = _wri(acq, observed, background)
+        wri.update_wavefields(m)
+        for oracle in (_fwi(acq, observed, background), wri):
+            condensed.clear()
+            assert oracle.data_residual_norm(m) == pytest.approx(expected, rel=1e-10)
+            assert condensed == [oracle is wri and n_src >= wave.CONDENSE_MIN_SOURCES] * 2
+            oracle.survey.close()
 
 
 def test_wri_small_mu_fields_match_plain_forward():
