@@ -31,6 +31,7 @@ from .model import (
     check_same,
     read_freq_data,
     read_grid,
+    surface_boundary_geometry,
     survey_geometry,
     write_grid,
 )
@@ -226,7 +227,9 @@ def default_penalty_mu(background: ModelGrid, first_freq: float, pml_cells: int 
                        free_surface_top: bool = False) -> float:
     """Heuristic mu: ``MU_RATIO`` times ||A||_inf, the largest absolute row sum of A.
 
-    A is complex-symmetric, so ||A||_2 <= ||A||_1 = ||A||_inf (Golub & Van
+    A is the operator at ``first_freq`` from :meth:`wave.Survey.system` over
+    the background, so its collar and damping profile are the inversion's.  A
+    is complex-symmetric, so ||A||_2 <= ||A||_1 = ||A||_inf (Golub & Van
     Loan 2013, 2.3): a bound on the spectral norm with no iteration.  A's
     Dirichlet ring rows are identity rows, and on every benchmark grid at
     2000 m/s the others sum below 1 (0.137 at 161^2, 12.5 m, 4 Hz; 0.023 at
@@ -234,8 +237,10 @@ def default_penalty_mu(background: ModelGrid, first_freq: float, pml_cells: int 
     is exactly ``MU_RATIO``.  Below about 10 m spacing the collar rows sum past
     1, and mu exceeds ``MU_RATIO`` ||A||_2 by under 2 % (12^2 at 1 m: 356.2 to 351.6).
     """
-    slowness = as_slowness_squared(background)
-    a = wave.assemble(slowness, 2.0 * np.pi * first_freq, pml_cells, free_surface_top)
+    layout = surface_boundary_geometry(background.nz, background.nx, (first_freq,),
+                                       free_surface_top=free_surface_top)  # A ignores it
+    survey = wave.Survey(background, layout, pml_cells=pml_cells, free_surface_top=free_surface_top)
+    a = survey.system(as_slowness_squared(background).values, 0)
     return MU_RATIO * float(abs(a).sum(axis=1).max())
 
 

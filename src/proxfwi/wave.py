@@ -11,12 +11,12 @@ free surface, the top row are homogeneous Dirichlet.
 with its collar frozen at a background model, the speed the damping profile
 is tuned for, the free-surface check on the top row, each frequency's
 omega and point-source strength, and the padded source, receiver and interior
-index maps.  Modeling (:func:`forward`) and both inversion oracles solve
-through it, and it runs all three solves through :func:`linsys.factorize`:
-point-source blocks (modeling, FWI), the penalty normal equations (WRI) and
-condensed modeling.  Its operators are plain CSR matrices and its fields
-plain arrays, one column per source; a frequency is its index ``i``, and
-``Survey.omegas[i]`` its omega.
+index maps.  Every operator A(m) comes from :meth:`Survey.system`.  Modeling
+(:func:`forward`) and both inversion oracles solve through it, and it runs
+all three solves through :func:`linsys.factorize`: point-source blocks
+(modeling, FWI), the penalty normal equations (WRI) and condensed modeling.
+Its operators are plain CSR matrices and its fields plain arrays, one column
+per source; a frequency is its index ``i``, and ``Survey.omegas[i]`` its omega.
 
 A survey's frequencies are independent factorizations, and :meth:`Survey.each`
 runs them on the survey's workers: min(n_freq, usable CPUs) long-lived
@@ -55,7 +55,6 @@ import scipy.sparse as sp
 from . import linsys
 from .errors import GeometryError, NumericalError, StateError
 from .model import (
-    KIND_SLOWNESS_SQ,
     AcquisitionGeometry,
     FreqData,
     ModelGrid,
@@ -126,25 +125,6 @@ def _pml_sigma(coord: np.ndarray, pad_lo: int, pad_hi: int, n_total: int, h: flo
     return sigma
 
 
-def assemble(
-    model: ModelGrid,
-    omega: float,
-    pml_cells: int = 10,
-    free_surface_top: bool = False,
-) -> sp.csr_matrix:
-    """A(m) for a squared-slowness model, padded by edge replication, as a CSR matrix.
-
-    The damping profile is tuned for the model's top speed; :class:`Survey`
-    freezes that speed instead, to keep A exactly affine in m across assemblies.
-    """
-    if model.kind != KIND_SLOWNESS_SQ:
-        raise GeometryError("assemble expects a squared-slowness model")
-    if omega <= 0.0:
-        raise ValueError("angular frequency must be positive")
-    padded, _ = pad_collar(model.values, pml_cells, free_surface_top)
-    return assemble_padded(padded, model.dz, model.dx, omega, pml_cells, free_surface_top)
-
-
 def assemble_padded(
     m_padded: np.ndarray,
     dz: float,
@@ -152,26 +132,22 @@ def assemble_padded(
     omega: float,
     pml_cells: int,
     free_surface_top: bool,
-    pml_velocity: float | None = None,
+    pml_velocity: float,
 ) -> sp.csr_matrix:
     """A(m) from a squared-slowness field laid out as :func:`pad_collar` pads it.
 
-    :class:`Survey` assembles through this entry point to keep the absorbing collar
-    (both its model values and its damping profile) frozen at the background
-    while the interior varies.  The damping profile is tuned for a boundary
-    reflection coefficient of ``PML_REFLECTION``.
+    :meth:`Survey.system` is the one caller, so every operator keeps the
+    absorbing collar (both its model values and its damping profile) frozen at
+    the survey's background while the interior varies.  The damping profile
+    is tuned for speed ``pml_velocity`` and a boundary reflection coefficient
+    of ``PML_REFLECTION``.
     """
     pad_top = _pad_top(pml_cells, free_surface_top)
     nzp, nxp = m_padded.shape
-    nz = nzp - pad_top - pml_cells
-    nx = nxp - 2 * pml_cells
-    if nz < 3 or nx < 3:
-        raise GeometryError("padded field too small for the stated collar")
     if not np.all(np.isfinite(m_padded)):
         iz, ix = np.argwhere(~np.isfinite(m_padded))[0] - (pad_top, pml_cells)
         raise NumericalError(f"non-finite model value at interior cell ({iz}, {ix})")
 
-    v_max = pml_velocity if pml_velocity is not None else 1.0 / np.sqrt(np.min(m_padded))
     v_min = 1.0 / np.sqrt(np.max(m_padded))
     freq = omega / (2.0 * np.pi)
     ppw = (v_min / freq) / max(dz, dx)
@@ -182,7 +158,7 @@ def assemble_padded(
             stacklevel=2,
         )
 
-    sigma_amp = -3.0 * np.log(PML_REFLECTION) * v_max / 2.0  # divided by width below
+    sigma_amp = -3.0 * np.log(PML_REFLECTION) * pml_velocity / 2.0  # divided by width below
     sig_z = lambda c: _pml_sigma(
         c, pad_top, pml_cells, nzp, dz,
         sigma_amp / (pad_top * dz) if pad_top else 0.0,
@@ -324,7 +300,8 @@ class Survey:
     profile is tuned for ``pml_velocity`` if given, else for the background's
     top speed, for every m, so A is exactly affine in m; an explicit
     ``pml_velocity`` must be positive and finite.  Under a free surface no
-    source or receiver may sit on the Dirichlet top row.
+    source or receiver may sit on the Dirichlet top row.  :meth:`system` is
+    where every operator in the package is assembled.
 
     A survey that solves owns worker threads and the values its tasks keep
     until :meth:`close`; a survey that never solves starts no thread.

@@ -379,6 +379,13 @@ def test_wri_rejects_bad_mu():
         _wri(acq, observed, grid, mu=0.0)
 
 
+def _system(background, freq, free_surface_top):
+    """A at ``freq`` over ``background`` with a 10-cell collar, from a one-point survey."""
+    acq = model.AcquisitionGeometry(((5, 5),), ((5, 5),), (freq,))
+    survey = wave.Survey(background, acq, pml_cells=10, free_surface_top=free_surface_top)
+    return survey.system(model.as_slowness_squared(background).values, 0)
+
+
 def test_default_penalty_mu_is_mu_ratio_times_the_largest_row_sum():
     # benchmark grids: every row off the Dirichlet ring sums below 1, so ||A||_inf = 1
     for n, h, freq in ((21, 25.0, 3.0), (41, 50.0, 3.0), (81, 25.0, 3.0), (161, 12.5, 4.0)):
@@ -387,11 +394,17 @@ def test_default_penalty_mu_is_mu_ratio_times_the_largest_row_sum():
             assert inversion.default_penalty_mu(background, freq, 10) == inversion.MU_RATIO
     # at 1 m the absorbing-collar rows sum past 1, and ||A||_inf bounds ||A||_2 closely
     background = model.ModelGrid.from_values(np.full((12, 12), 2000.0), 1.0, 1.0)
-    a = wave.assemble(model.as_slowness_squared(background), 2.0 * np.pi * 3.0, 10).toarray()
+    a = _system(background, 3.0, False).toarray()
     mu = inversion.default_penalty_mu(background, 3.0, 10)
     assert mu == pytest.approx(inversion.MU_RATIO * np.abs(a).sum(axis=1).max(), rel=1e-12)
     sigma_max = np.linalg.svd(a, compute_uv=False)[0]  # brute-force oracle
     assert 1.0 < mu / (inversion.MU_RATIO * sigma_max) <= 1.02
+    # under a free surface the top row is Dirichlet and holds no source
+    rng = np.random.default_rng(3)
+    background = model.ModelGrid.from_values(2000.0 * (1.0 + 0.2 * rng.random((30, 30))), 2.0, 2.0)
+    a = _system(background, 3.0, True)
+    mu = inversion.default_penalty_mu(background, 3.0, 10, free_surface_top=True)
+    assert mu == inversion.MU_RATIO * float(abs(a).sum(axis=1).max()) > inversion.MU_RATIO
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

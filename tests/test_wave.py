@@ -53,15 +53,10 @@ def test_ricker_rejects_nonpositive():
 
 def test_assemble_rejects_thin_collar():
     with pytest.raises(GeometryError):
-        wave.assemble(_slowness(11, 25.0), 2 * np.pi * 5.0, pml_cells=0)
+        _survey(_slowness(11, 25.0), 0, freq=5.0)
     for pml_cells in (-2, 0, 4):  # pad_collar, which every run path pads through, checks
         with pytest.raises(GeometryError, match=f"got {pml_cells}$"):
             wave.pad_collar(np.ones((11, 11)), pml_cells, False)
-
-
-def test_assemble_rejects_velocity_kind():
-    with pytest.raises(GeometryError):
-        wave.assemble(_homogeneous(11, 25.0), 2 * np.pi * 5.0)
 
 
 def test_interior_stencil_row():
@@ -95,7 +90,7 @@ def test_interior_stencil_row():
 
 def test_matrix_exactly_complex_symmetric():
     grid = _slowness(15, 20.0)
-    a = wave.assemble(grid, 2 * np.pi * 8.0, pml_cells=5)
+    a = _survey(grid, 5, freq=8.0).system(grid.values, 0)
     diff = (a - a.T).tocoo()
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
 
@@ -129,7 +124,7 @@ def test_assembly_affine_in_model_on_interior():
 def test_low_sampling_warns():
     grid = _slowness(11, 100.0)  # 2 km/s at 100 m spacing, 10 Hz -> 2 ppw
     with pytest.warns(UserWarning, match="points per minimum wavelength"):
-        wave.assemble(grid, 2 * np.pi * 10.0, pml_cells=5)
+        _survey(grid, 5, freq=10.0).system(grid.values, 0)
 
 
 @pytest.mark.parametrize("free_surface", [False, True])
@@ -148,7 +143,8 @@ def test_pad_collar_replicates_edges_around_the_interior(free_surface):
 @pytest.mark.parametrize("free_surface", [False, True])
 def test_system_layout_matches_pad_collar(free_surface):
     grid = _slowness(11, 10.0)
-    a = wave.assemble(grid, 2 * np.pi * 12.0, pml_cells=5, free_surface_top=free_surface)
+    survey = _survey(grid, 5, free_surface)
+    a = survey.system(grid.values, 0)
     padded, interior = wave.pad_collar(grid.values, 5, free_surface)
     assert padded.shape[0] - 11 - 5 == (0 if free_surface else 5) == interior[0].start
     assert a.shape == (padded.size, padded.size)
@@ -158,12 +154,12 @@ def test_system_layout_matches_pad_collar(free_surface):
     ring[1:-1, 1:-1] = False
     assert np.all(np.diff(a.indptr)[lin[ring]] == 1) and np.all(a.diagonal()[lin[ring]] == 1.0)
     assert np.all(np.diff(a.indptr)[lin[~ring]] > 1)
-    assert np.array_equal(_survey(grid, 5, free_surface).interior_rows, lin[interior])
+    assert np.array_equal(survey.interior_rows, lin[interior])
 
 
 def test_free_surface_top_row_is_dirichlet():
     grid = _slowness(11, 10.0)
-    a = wave.assemble(grid, 2 * np.pi * 12.0, pml_cells=5, free_surface_top=True)
+    a = _survey(grid, 5, True).system(grid.values, 0)
     nxp = 11 + 2 * 5
     assert a.shape[0] == (11 + 5) * nxp  # no collar rows above the surface
     row = 0 * nxp + nxp // 2  # surface row
@@ -178,9 +174,9 @@ def test_free_surface_top_row_is_dirichlet():
 
 def test_zero_amplitude_source_gives_zero_field():
     grid = _slowness(11, 10.0)
-    a = wave.assemble(grid, 2 * np.pi * 12.0, pml_cells=5)
-    b = 0.0 * _survey(grid, 5, points=((5, 5),)).point_sources(0)
-    assert np.all(linsys.factorize(a).solve(b) == 0.0)
+    survey = _survey(grid, 5, points=((5, 5),))
+    b = 0.0 * survey.point_sources(0)
+    assert np.all(linsys.factorize(survey.system(grid.values, 0)).solve(b) == 0.0)
 
 
 @pytest.mark.parametrize("heterogeneous", [False, True])
@@ -228,11 +224,11 @@ def _survey_41(n_sources, freqs=(6.0, 9.0)):
 def _plain_blocks(grid, acq, pml_cells=10):
     """Reference data: one full-length solve per source, sampled at the receivers."""
     survey = wave.Survey(grid, acq, pml_cells=pml_cells)
+    m = model.as_slowness_squared(grid).values
     blocks = []
-    for i, f in enumerate(acq.frequencies):
-        a = wave.assemble(model.as_slowness_squared(grid), 2 * np.pi * f, pml_cells)
-        b = survey.point_sources(i)
-        blocks.append(linsys.factorize(a).solve(b)[survey.rx])
+    for i in range(len(acq.frequencies)):
+        a = survey.system(m, i)
+        blocks.append(linsys.factorize(a).solve(survey.point_sources(i))[survey.rx])
     return blocks
 
 
@@ -279,8 +275,7 @@ def _greens_error(n, h, pml):
     offsets = np.arange(15, 31) * (10.0 / h)  # fixed physical range 150..300 m
     rxs = [(mid, mid + int(round(d))) for d in offsets]
     survey = wave.Survey(grid, model.AcquisitionGeometry(((mid, mid),), rxs, (f,)), f, pml)
-    a = wave.assemble(grid, 2 * np.pi * f, pml)
-    field = linsys.factorize(a).solve(survey.point_sources(0))
+    field = linsys.factorize(survey.system(grid.values, 0)).solve(survey.point_sources(0))
     u = field[survey.rx, 0]
     k = 2 * np.pi * f / v
     r = np.array([(rx[1] - mid) * h for rx in rxs])
