@@ -157,7 +157,10 @@ def cmd_metrics(args, argv):
         noise = np.concatenate(
             [n.ravel() - s.ravel() for n, s in zip(noisy.blocks, signal.blocks)]
         )
-        print(f"snr_db={inversion.snr_db(sig, noise):.10g}")
+        try:
+            print(f"snr_db={inversion.snr_db(sig, noise):.10g}")
+        except ValueError as exc:  # --noisy equals --signal, or the signal is all zero
+            raise ConfigError(f"no SNR of --noisy against --signal: {exc}") from None
         printed = True
     if not printed:
         raise ConfigError("metrics needs --est/--true grids or --signal/--noisy data")

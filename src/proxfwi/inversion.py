@@ -534,10 +534,11 @@ class RunSummary:
 def run_inversion(cfg: RunConfig) -> RunSummary:
     """Execute a configured inversion run and write its outputs.
 
-    Observed data comes from ``data`` when given, otherwise it is synthesized
-    from ``model_true`` (with optional seeded noise at ``snr_db``).  The
-    histories are written first; a batch or final model with any cell m <= 0
-    or NaN then raises NumericalError, and no grid is written.
+    Observed data comes from ``data`` when given, and must hold every run
+    frequency in the run's receivers x sources shape; otherwise it is
+    synthesized from ``model_true`` (with optional seeded noise at
+    ``snr_db``).  The histories are written first; a batch or final model with
+    any cell m <= 0 or NaN then raises NumericalError, and no grid is written.
     """
     init = read_grid(cfg.model_init)
     true = read_grid(cfg.model_true) if cfg.model_true else None
@@ -563,6 +564,12 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
     noise_norm = None
     if cfg.data:
         observed = read_freq_data(cfg.data)
+        run = (f"{acq.n_receivers} receivers x {acq.n_sources} sources at "
+               f"{', '.join(str(f) for f in acq.frequencies)} Hz")
+        if (not set(acq.frequencies) <= set(observed.frequencies)  # batches may subset extras
+                or (observed.n_receivers, observed.n_sources) != (acq.n_receivers, acq.n_sources)):
+            raise _bad_value(cfg, "data", f"{Path(cfg.data).name} holds {observed.layout()}, "
+                                          f"but the run has {run}")
     else:
         # the oracles' damping profile, so the data and the oracles share one operator
         clean = wave.forward(true, acq, cfg.f_peak, cfg.pml_cells, cfg.free_surface,

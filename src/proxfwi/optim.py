@@ -396,8 +396,9 @@ def proximal_newton_solve(
 
     Stops on the configured target, on three consecutive failed line searches
     (returning the best iterate seen), or when the step collapses to rounding
-    level.  History rows carry (objective, misfit, reg, alpha, step, ck,
-    inner sweeps).
+    level.  A non-finite misfit or gradient at an iterate is a NumericalError
+    before any Hessian work.  History rows carry (objective, misfit, reg,
+    alpha, step, ck, inner sweeps).
     """
     if method not in SOLVERS:
         raise ConfigError(f"unknown method {method!r}")
@@ -431,6 +432,8 @@ def proximal_newton_solve(
         g = np.asarray(oracle.gradient(m), dtype=np.float64)
         # read before observe: its probe's gradient replaces FwiOracle's cached factors at m
         val = oracle.value(m)
+        if not (math.isfinite(val) and np.all(np.isfinite(g))):
+            raise NumericalError(f"non-finite objective or gradient at outer step {k + 1}")
         if lbfgs_hess is not None:
             lbfgs_hess.observe(m, g, oracle.gradient)
 

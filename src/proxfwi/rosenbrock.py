@@ -7,6 +7,8 @@ optimization tests use as ground truth.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -15,7 +17,10 @@ def rosenbrock_value_grad_hess(m):
     """Value, gradient, and exact 2x2 Hessian of the valley misfit."""
     m1, m2 = float(m[0]), float(m[1])
     gap = m2 - m1 * m1
-    value = 75.0 * gap * gap + (1.0 - m1) ** 2
+    try:
+        value = 75.0 * gap * gap + (1.0 - m1) ** 2
+    except OverflowError:  # a float ** raises where a product would give inf
+        value = math.inf
     grad = np.array([-300.0 * m1 * gap - 2.0 * (1.0 - m1), 150.0 * gap])
     hess = np.array(
         [

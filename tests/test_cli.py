@@ -207,6 +207,12 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
          "bad value for denoiser: grid 21x21 smaller than the 31-wide patch window"),
         ({"source_depth": 0, "free_surface": "true"},
          "bad value for source_depth: source (0, 3) outside interior 21x21"),
+        ({"data": "DATA", "frequencies": "3,4,5"},
+         "bad value for data: obs.dat holds 31 receivers x 5 sources at 3.0, 4.0 Hz, "
+         "but the run has 31 receivers x 5 sources at 3.0, 4.0, 5.0 Hz"),
+        ({"data": "DATA", "n_sources": 4},
+         "bad value for data: obs.dat holds 31 receivers x 5 sources at 3.0, 4.0 Hz, "
+         "but the run has 31 receivers x 4 sources at 3.0, 4.0 Hz"),
     ],
 )
 def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, monkeypatch, keys,
@@ -470,6 +476,18 @@ def test_rosenbrock_exact_nista_reaches_the_minimizer_from_indefinite_starts(sta
     assert distance < 1e-3
 
 
+@pytest.mark.parametrize("start", ["1e200,1e200", "1e100,0", "1e160,1", "-1e300,5"])
+@pytest.mark.parametrize("hessian", ["exact", "lbfgs", "identity"])
+def test_rosenbrock_huge_start_is_a_numerical_error(start, hessian, capsys):
+    # the value overflows (by an OverflowError at 1e200) before any Hessian or
+    # direction work, which would warn of numpy overflow first
+    for method in optim.SOLVERS:
+        argv = ["rosenbrock", f"--start={start}", "--hessian", hessian, "--method", method]
+        assert cli.main(argv) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "error: non-finite objective or gradient at outer step 1\n")
+
+
 @pytest.mark.parametrize("start", [["--start", "-0.5,0.4"], ["--start=-0.5,0.4"]])
 def test_rosenbrock_start_takes_a_negative_pair_after_a_space_or_equals(start, capsys):
     assert cli.main(["rosenbrock", *start, "--max-outer", "0"]) == cli.EXIT_NUMERIC
@@ -603,6 +621,19 @@ def test_metrics_command_rejects_grids_of_different_kinds(tmp_path, models, caps
     argv = ["metrics", "--est", str(slowness), "--true", str(true)]
     assert cli.main(argv) == cli.EXIT_DATA
     assert "--est is squared-slowness 21x21" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signal_scale", [1.0, 0.0], ids=["zero-noise", "zero-signal"])
+def test_metrics_command_rejects_a_zero_rms_snr(tmp_path, models, capsys, signal_scale):
+    data = models[2]
+    observed = model.read_freq_data(data)
+    signal = tmp_path / "signal.dat"
+    model.write_freq_data(model.FreqData(observed.frequencies,
+                                         [signal_scale * b for b in observed.blocks]), signal)
+    assert cli.main(["metrics", "--signal", str(signal), "--noisy", str(data)]) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: no SNR of --noisy against --signal: zero RMS in SNR computation\n")
 
 
 def test_metrics_command_without_inputs_exits_with_data_error(capsys):

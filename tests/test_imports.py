@@ -24,6 +24,8 @@ from ``denoise``'s patch margin, and only ``wave`` names the steps its
 ``Survey`` owns: ``pad_collar``, ``assemble_padded`` and ``ricker_amplitude``.
 Every LU runs on the cached order: only ``linsys._mmd_order`` names
 ``MMD_AT_PLUS_A``, and every ``splu`` call passes ``permc_spec="NATURAL"``.
+Every operator is assembled in one place: only ``wave.Survey.system`` names
+``assemble_padded``, so no path can tune the damping profile for another speed.
 Only ``wave``, whose ``Survey`` runs a survey's frequencies on its own
 long-lived worker threads, names ``ThreadPoolExecutor``, ``Thread``,
 ``concurrent``, ``threading`` or ``queue``, except that ``linsys`` names
@@ -673,6 +675,69 @@ def test_ordering_scanner_flags_only_a_second_ordering_path():
 def test_every_lu_runs_on_the_cached_order():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _ordering_breaches(sources) == []
+
+
+ASSEMBLY_STEP, ASSEMBLY_OWNER = "assemble_padded", ("wave", "Survey", "system")
+
+
+def _assembly_breaches(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of each ``assemble_padded`` named outside ``wave.Survey.system``:
+    called, read as an attribute, imported or spelled as a string constant."""
+    owner_module, owner_class, owner_method = ASSEMBLY_OWNER
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owned = {id(node) for cls in tree.body
+                 if module == owner_module and isinstance(cls, ast.ClassDef)
+                 and cls.name == owner_class
+                 for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == owner_method
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            else:
+                names = [getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "value", None)]
+            if ASSEMBLY_STEP in names and id(node) not in owned:
+                found.append((module, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_assembly_scanner_flags_only_a_second_assembly_path():
+    sources = {
+        "wave": (
+            "def assemble_padded(m, dz, dx, omega, pml, top, speed):\n"
+            "    return m\n"
+            "class Survey:\n"
+            "    def system(self, m, i):\n"
+            "        return assemble_padded(m, 1.0, 1.0, 2.0, 10, False, self.speed)\n"
+            "    def normal(self, m, i):\n"
+            "        return assemble_padded(m, 1.0, 1.0, 2.0, 10, False, 2000.0)\n"
+            "def assemble(m, omega):\n"
+            "    return assemble_padded(m, 1.0, 1.0, omega, 10, False, 2000.0)\n"
+            "class Other:\n"
+            "    def system(self, m, i):\n"
+            "        return assemble_padded\n"
+        ),
+        "inversion": (
+            "a = wave.assemble_padded(m, 1.0, 1.0, w, 10, False, 2000.0)\n"
+            "from .wave import Survey, assemble_padded\n"
+            "build = getattr(wave, 'assemble_padded')\n"
+            "a = wave.Survey(background, layout).system(m, 0)\n"
+            "def system(m):\n"
+            "    return wave.assemble_padded(m)\n"
+        ),
+    }
+    assert _assembly_breaches(sources) == [
+        "inversion:1", "inversion:2", "inversion:3", "inversion:6",
+        "wave:7", "wave:9", "wave:12",
+    ]
+
+
+def test_every_operator_comes_from_survey_system():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _assembly_breaches(sources) == []
 
 
 def test_benchmark_wrap_points_name_existing_attributes(monkeypatch):
