@@ -20,7 +20,7 @@ import numpy as np
 
 from . import wave
 from .denoise import make_denoiser
-from .errors import ConfigError, GeometryError, NumericalError, StateError
+from .errors import ConfigError, FormatError, GeometryError, NumericalError, StateError
 from .model import (
     KIND_SLOWNESS_SQ,
     AcquisitionGeometry,
@@ -403,18 +403,21 @@ def _parse_points(text: str) -> tuple:
 def parse_run_config(path) -> RunConfig:
     """Read a ``key = value`` run file into a RunConfig, checking every key.
 
-    ``#`` starts a comment and ``-`` in a key reads as ``_``.  An unknown key, or
-    a value of the wrong type, out of range (a bounded number must also be
-    finite), outside its choices or at odds with another key, is a ConfigError
-    naming the key and its line, at parse time.  The keys lambda (which sets
-    ``lam``), max_outer, inner_iters, c_fixed, hessian and seed set the field
-    of ``cfg.opt`` that ``run_inversion`` runs, and ``OptConfig.validate``
-    checks each as it is read.  A file that leaves hessian unset gets its
-    method's default at the end of parsing, and the hessian is then checked
-    against the method's oracle.  Only what needs the model grids
-    (source_depth, the explicit sources and receivers, the denoiser) waits
-    for ``run_inversion``, which checks it before any modeling and names the
-    key and its line the same way.  Keys, as ``name (type, default): syntax``:
+    ``#`` starts a comment and ``-`` in a key reads as ``_``.  A relative path
+    (model_init, model_true, data, out_dir) is taken from the run file's
+    directory, and an absolute one as it is.  An unknown key, a key set twice
+    (the error names both lines), or a value of the wrong type, out of range
+    (a bounded number must also be finite), outside its choices or at odds
+    with another key, is a ConfigError naming the key and its line, at parse
+    time.  The keys lambda (which sets ``lam``), max_outer, inner_iters,
+    c_fixed, hessian and seed set the field of ``cfg.opt`` that
+    ``run_inversion`` runs, and ``OptConfig.validate`` checks each as it is
+    read.  A file that leaves hessian unset gets its method's default at the
+    end of parsing, and the hessian is then checked against the method's
+    oracle.  Only what needs the model grids (source_depth's upper bound, the
+    explicit sources and receivers, the denoiser) and the input files wait
+    for ``run_inversion``, which checks them before any modeling and names
+    the key and its line the same way.  Keys, as ``name (type, default): syntax``:
 
     - model_init (path, required), model_true (path, on model_init's grid),
       data (path): without data, the data is synthesized from model_true.
@@ -438,12 +441,12 @@ def parse_run_config(path) -> RunConfig:
       seeds the noise and the sigma_max power iteration; f_peak (Hz > 0, 10);
       pml_cells (int >= wave.MIN_PML_CELLS = 5, 10); free_surface
       (``1 | true | yes | on`` or ``0 | false | no | off`` in any case, false).
-    - n_sources (int >= 1, 5), source_depth (int, 0; 1 under a free surface),
+    - n_sources (int >= 1, 5), source_depth (int >= 0, 0; 1 under a free surface),
       receiver_spacing (int >= 1, 2): the surface layout, whose side
       receivers start at row 1 under a free surface, as no source or receiver
       may sit on its Dirichlet row 0; replaced by sources and receivers
       (``iz:ix;iz:ix``), which go together (model.survey_geometry); out_dir
-      (path, run_out).
+      (path, run_out in the working directory).
     """
     cfg = RunConfig()
     try:
@@ -460,10 +463,14 @@ def parse_run_config(path) -> RunConfig:
         key, value = key.strip().replace("-", "_"), value.strip()
         if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in cfg.where:
+            raise ConfigError(f"{path}:{lineno}: {key} is set again, first at {cfg.where[key]}")
         cfg.where[key] = f"{path}:{lineno}"
         try:
-            if key in ("model_init", "model_true", "data", "denoiser", "out_dir"):
-                setattr(cfg, key, value)
+            if key in ("model_init", "model_true", "data", "out_dir"):
+                setattr(cfg, key, value and str(Path(path).parent / value))
+            elif key == "denoiser":
+                cfg.denoiser = value
             elif key == "method":
                 cfg.method = _choice(value, FORMULATIONS)
             elif key == "algorithm":
@@ -481,7 +488,7 @@ def parse_run_config(path) -> RunConfig:
             elif key in ("paths", "n_sources", "receiver_spacing"):
                 setattr(cfg, key, _in_range(int(value), 1))
             elif key == "source_depth":
-                cfg.source_depth = int(value)
+                cfg.source_depth = _in_range(int(value), 0)
             elif key == "f_peak":
                 cfg.f_peak = _in_range(float(value), 0.0, True)
             elif key == "snr_db":
@@ -531,6 +538,15 @@ class RunSummary:
     final_rmse: float | None
 
 
+def _read_input(cfg: RunConfig, key: str, reader):
+    """``reader`` of the file at key ``key``; a file missing or unreadable is a
+    ConfigError naming the key and its line."""
+    try:
+        return reader(getattr(cfg, key))
+    except (OSError, FormatError) as exc:
+        raise _bad_value(cfg, key, exc) from None
+
+
 def run_inversion(cfg: RunConfig) -> RunSummary:
     """Execute a configured inversion run and write its outputs.
 
@@ -540,8 +556,8 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
     ``snr_db``).  The histories are written first; a batch or final model with
     any cell m <= 0 or NaN then raises NumericalError, and no grid is written.
     """
-    init = read_grid(cfg.model_init)
-    true = read_grid(cfg.model_true) if cfg.model_true else None
+    init = _read_input(cfg, "model_init", read_grid)
+    true = _read_input(cfg, "model_true", read_grid) if cfg.model_true else None
     if true is not None:
         check_same("model_true", true.layout(), "model_init", init.layout())
     try:
@@ -563,7 +579,7 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
 
     noise_norm = None
     if cfg.data:
-        observed = read_freq_data(cfg.data)
+        observed = _read_input(cfg, "data", read_freq_data)
         run = (f"{acq.n_receivers} receivers x {acq.n_sources} sources at "
                f"{', '.join(str(f) for f in acq.frequencies)} Hz")
         if (not set(acq.frequencies) <= set(observed.frequencies)  # batches may subset extras

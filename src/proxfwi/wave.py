@@ -5,7 +5,9 @@ in squared slowness so that A is affine in the model.  Complex coordinate
 stretching (time convention e^{-i omega t}, s = 1 + i sigma/omega with a
 quadratic damping profile) is folded into symmetric edge coefficients, so A
 is complex-symmetric by construction; the outermost padded ring and, with a
-free surface, the top row are homogeneous Dirichlet.
+free surface, the top row are homogeneous Dirichlet.  A is banded with five
+diagonals: ring rows are identity rows, and no off-ring row couples to a ring
+node.
 
 :class:`Survey` is the one home of every survey decision: the padded layout
 with its collar frozen at a background model, the speed the damping profile
@@ -110,18 +112,14 @@ def pad_collar(values: np.ndarray, pml_cells: int, free_surface_top: bool):
 
 
 def _pml_sigma(coord: np.ndarray, pad_lo: int, pad_hi: int, n_total: int, h: float,
-               sigma_lo: float, sigma_hi: float) -> np.ndarray:
-    """Quadratic damping profile along one axis at (possibly half) coordinates."""
+               amp: float) -> np.ndarray:
+    """Quadratic damping profile along one axis at (possibly half) coordinates,
+    rising to ``amp / w`` at the outer edge of each padded side of width w."""
     sigma = np.zeros_like(coord, dtype=np.float64)
-    if pad_lo > 0:
-        depth = np.maximum(pad_lo - coord, 0.0) * h
-        width = pad_lo * h
-        sigma += sigma_lo * (depth / width) ** 2
-    if pad_hi > 0:
-        start = n_total - 1 - pad_hi
-        depth = np.maximum(coord - start, 0.0) * h
-        width = pad_hi * h
-        sigma += sigma_hi * (depth / width) ** 2
+    for pad, depth in ((pad_lo, pad_lo - coord), (pad_hi, coord - (n_total - 1 - pad_hi))):
+        if pad > 0:
+            width = pad * h
+            sigma += amp / width * (np.maximum(depth, 0.0) * h / width) ** 2
     return sigma
 
 
@@ -140,7 +138,9 @@ def assemble_padded(
     absorbing collar (both its model values and its damping profile) frozen at
     the survey's background while the interior varies.  The damping profile
     is tuned for speed ``pml_velocity`` and a boundary reflection coefficient
-    of ``PML_REFLECTION``.
+    of ``PML_REFLECTION``.  Node (iz, ix) is row ``iz * nxp + ix``, so A has
+    five diagonals, at offsets 0, +-1 and +-nxp: ring rows are identity rows,
+    and no off-ring row couples to a ring node, so no zero is stored.
     """
     pad_top = _pad_top(pml_cells, free_surface_top)
     nzp, nxp = m_padded.shape
@@ -158,17 +158,9 @@ def assemble_padded(
             stacklevel=2,
         )
 
-    sigma_amp = -3.0 * np.log(PML_REFLECTION) * pml_velocity / 2.0  # divided by width below
-    sig_z = lambda c: _pml_sigma(
-        c, pad_top, pml_cells, nzp, dz,
-        sigma_amp / (pad_top * dz) if pad_top else 0.0,
-        sigma_amp / (pml_cells * dz),
-    )
-    sig_x = lambda c: _pml_sigma(
-        c, pml_cells, pml_cells, nxp, dx,
-        sigma_amp / (pml_cells * dx),
-        sigma_amp / (pml_cells * dx),
-    )
+    amp = -3.0 * np.log(PML_REFLECTION) * pml_velocity / 2.0  # peak damping x side width
+    sig_z = lambda c: _pml_sigma(c, pad_top, pml_cells, nzp, dz, amp)
+    sig_x = lambda c: _pml_sigma(c, pml_cells, pml_cells, nxp, dx, amp)
     s_z = 1.0 + 1j * sig_z(np.arange(nzp, dtype=np.float64)) / omega
     s_x = 1.0 + 1j * sig_x(np.arange(nxp, dtype=np.float64)) / omega
     s_z_half = 1.0 + 1j * sig_z(np.arange(nzp - 1) + 0.5) / omega
@@ -179,41 +171,19 @@ def assemble_padded(
     cx = (s_z[:, None] / s_x_half[None, :]) / dx**2  # (nzp, nxp-1)
 
     diag = omega**2 * m_padded * (s_z[:, None] * s_x[None, :])
-    diag = diag.astype(np.complex128)
     diag[1:, :] -= cz
     diag[:-1, :] -= cz
     diag[:, 1:] -= cx
     diag[:, :-1] -= cx
+    diag[[0, -1], :] = diag[:, [0, -1]] = 1.0  # the Dirichlet ring: identity rows
 
-    ring = np.zeros((nzp, nxp), dtype=bool)
-    ring[0, :] = ring[-1, :] = True
-    ring[:, 0] = ring[:, -1] = True
-    lin = np.arange(nzp * nxp).reshape(nzp, nxp)
-
-    rows = [lin[~ring], lin[ring]]
-    cols = [lin[~ring], lin[ring]]
-    data = [diag[~ring], np.ones(int(ring.sum()), dtype=np.complex128)]
-
-    # vertical edges with both endpoints off the ring: i in [1, nzp-3], j in [1, nxp-2]
-    vi = lin[1:-2, 1:-1]
-    vj = lin[2:-1, 1:-1]
-    vval = cz[1:-1, 1:-1]
-    rows += [vi.ravel(), vj.ravel()]
-    cols += [vj.ravel(), vi.ravel()]
-    data += [vval.ravel(), vval.ravel()]
-
-    hi = lin[1:-1, 1:-2]
-    hj = lin[1:-1, 2:-1]
-    hval = cx[1:-1, 1:-1]
-    rows += [hi.ravel(), hj.ravel()]
-    cols += [hj.ravel(), hi.ravel()]
-    data += [hval.ravel(), hval.ravel()]
-
-    n = nzp * nxp
-    matrix = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    # couplings between off-ring nodes only, zero across row ends
+    z_off, x_off = np.zeros_like(cz), np.zeros_like(diag)
+    z_off[1:-1, 1:-1] = cz[1:-1, 1:-1]
+    x_off[1:-1, 1:-2] = cx[1:-1, 1:-1]
+    z_off, x_off = z_off.ravel(), x_off.ravel()[:-1]
+    matrix = sp.diags([z_off, x_off, diag.ravel(), x_off, z_off], [-nxp, -1, 0, 1, nxp],
+                      format="csr")  # drops the zeros
     matrix.sort_indices()
     return matrix
 

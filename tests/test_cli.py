@@ -213,6 +213,11 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
         ({"data": "DATA", "n_sources": 4},
          "bad value for data: obs.dat holds 31 receivers x 5 sources at 3.0, 4.0 Hz, "
          "but the run has 31 receivers x 4 sources at 3.0, 4.0 Hz"),
+        ({"source_depth": -4}, "bad value for source_depth: -4 is below 0"),
+        ({"model_init": "missing.grd"},
+         "bad value for model_init: [Errno 2] No such file or directory"),
+        ({"data": "missing.dat", "method": "fwi"},
+         "bad value for data: [Errno 2] No such file or directory"),
     ],
 )
 def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, monkeypatch, keys,
@@ -232,6 +237,29 @@ def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, monke
     if "bad value for" in message:  # named with the line that set the key
         lineno = config.read_text().splitlines().index(f"{key} = {keys[key]}") + 1
         assert f"{config}:{lineno}: bad value for {key}: " in err
+
+
+def test_invert_reads_relative_paths_from_the_run_file(tmp_path, models, monkeypatch):
+    # the run file's relative paths are read from its directory and an absolute one as
+    # it is, while the --out-dir flag is read from the working directory
+    true, init, data = models
+    run_dir = tmp_path / "cli"
+    run_dir.mkdir()
+    for path in (init, data):
+        (run_dir / path.name).write_bytes(path.read_bytes())
+    config = run_dir / "run.cfg"
+    config.write_text(f"model_init = {init.name}\nmodel_true = {true}\ndata = {data.name}\n"
+                      f"method = fwi\nfrequencies = {FREQS}\nmax_outer = 0\nout_dir = out\n")
+    cfg = inversion.parse_run_config(config)
+    assert (cfg.model_init, cfg.model_true) == (str(run_dir / init.name), str(true))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["invert", "--config", "cli/run.cfg"]) == 0
+    assert (run_dir / "out" / "final.grd").is_file()
+    assert cli.main(["invert", "--config", "cli/run.cfg", "--out-dir", "flag_out"]) == 0
+    assert (tmp_path / "flag_out" / "final.grd").is_file()
+    monkeypatch.chdir(run_dir)
+    assert cli.main(["invert", "--config", "run.cfg"]) == 0
+    _assert_manifest_hashes(run_dir / "out" / "manifest.txt", ["out/final.grd"])
 
 
 @pytest.mark.parametrize("text, value", [("TRUE", True), ("on", True), ("Yes", True),

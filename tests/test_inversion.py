@@ -13,8 +13,6 @@ from proxfwi import inversion, linsys, model, optim, wave
 from proxfwi.denoise import Denoiser, make_denoiser
 from proxfwi.errors import ConfigError, NumericalError, StateError
 
-warnings.filterwarnings("ignore", message=".*points per minimum wavelength.*")
-
 
 def _tiny_problem(n=12, freqs=(6.0, 9.0), n_src=2, v_inc=2200.0, snr=None, seed=0):
     """12x12 benchmark: centered inclusion, homogeneous background."""
@@ -865,7 +863,9 @@ out_dir = out
     path = tmp_path / "run.cfg"
     path.write_text(text)
     cfg = inversion.parse_run_config(path)
-    assert cfg.model_init == "init.grd"
+    # relative paths are read from the run file's directory
+    assert cfg.model_init == str(tmp_path / "init.grd")
+    assert cfg.out_dir == str(tmp_path / "out")
     assert cfg.opt.lam == 1.5
     assert cfg.frequencies == (5.0, 7.0, 10.0, 12.5)
     assert cfg.batches == ((5.0, 7.0), (10.0, 12.5))
@@ -887,3 +887,18 @@ def test_parse_run_config_rejects_bad_lines(tmp_path):
     path.write_text("model_init = a.grd\nfrequencies = 5\nc_rule = fixed:0.5\n")
     with pytest.raises(ConfigError, match="unknown key 'c_rule'"):
         inversion.parse_run_config(path)
+
+
+def test_parse_run_config_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "run.cfg"
+    # the second case sets the key again under its other spelling
+    for text, message in [
+        ("model_init = a.grd\nlambda = 1\nfrequencies = 5\nlambda = 5\n",
+         f"{path}:4: lambda is set again, first at {path}:2"),
+        ("model_init = a.grd\nmax_outer = 3\nmax-outer = 4\n",
+         f"{path}:3: max_outer is set again, first at {path}:2"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            inversion.parse_run_config(path)
+        assert str(err.value) == message

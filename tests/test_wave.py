@@ -157,6 +157,61 @@ def test_system_layout_matches_pad_collar(free_surface):
     assert np.array_equal(survey.interior_rows, lin[interior])
 
 
+def _stretch(coord, pad_lo, pad_hi, n_total, h, pml_velocity, omega):
+    """1 + i sigma / omega at one padded coordinate, sigma the quadratic damping profile."""
+    amp = -1.5 * np.log(wave.PML_REFLECTION) * pml_velocity
+    sigma = 0.0
+    if pad_lo:
+        sigma += amp / (pad_lo * h) * (max(pad_lo - coord, 0.0) / pad_lo) ** 2
+    if pad_hi:
+        sigma += amp / (pad_hi * h) * (max(coord - (n_total - 1 - pad_hi), 0.0) / pad_hi) ** 2
+    return 1.0 + 1j * sigma / omega
+
+
+@pytest.mark.parametrize("free_surface", [False, True])
+def test_operator_matches_a_per_node_reference(free_surface):
+    dz, dx, pml, freq = 10.0, 15.0, 5, 5.0
+    values = np.random.default_rng(4).uniform(1500.0, 3000.0, (7, 9))
+    grid = model.as_slowness_squared(
+        model.ModelGrid.from_values(values, dz, dx, model.KIND_VELOCITY))
+    survey = _survey(grid, pml, free_surface, freq=freq)
+    a = survey.system(grid.values, 0).tocoo()
+    m, _ = wave.pad_collar(grid.values, pml, free_surface)
+    nzp, nxp = m.shape
+    top, omega, v = (0 if free_surface else pml), 2 * np.pi * freq, survey.pml_velocity
+    s_z = lambda c: _stretch(c, top, pml, nzp, dz, v, omega)
+    s_x = lambda c: _stretch(c, pml, pml, nxp, dx, v, omega)
+    on_ring = lambda iz, ix: iz in (0, nzp - 1) or ix in (0, nxp - 1)
+
+    ref, n_ring, n_couplings = {}, 0, 0
+    for iz in range(nzp):
+        for ix in range(nxp):
+            row = iz * nxp + ix
+            if on_ring(iz, ix):  # an identity row
+                ref[row, row], n_ring = 1.0, n_ring + 1
+                continue
+            diag = omega**2 * m[iz, ix] * s_z(iz) * s_x(ix)
+            for jz, jx in ((iz - 1, ix), (iz + 1, ix), (iz, ix - 1), (iz, ix + 1)):
+                if jz != iz:
+                    c = s_x(ix) / s_z((iz + jz) / 2) / dz**2
+                else:
+                    c = s_z(iz) / s_x((ix + jx) / 2) / dx**2
+                diag -= c
+                if not on_ring(jz, jx):  # couples to off-ring neighbours only
+                    ref[row, jz * nxp + jx] = c
+                    n_couplings += 1
+            ref[row, row] = diag
+
+    n_off = nzp * nxp - n_ring
+    assert a.nnz == len(ref) == n_ring + n_off + n_couplings  # each coupling seen from both ends
+    assert n_couplings == 2 * ((nzp - 3) * (nxp - 2) + (nzp - 2) * (nxp - 3))
+    got = {(int(r), int(c)): val for r, c, val in zip(a.row, a.col, a.data)}
+    assert set(got) == set(ref) and np.all(a.data != 0)
+    keys = sorted(ref)
+    np.testing.assert_allclose([got[k] for k in keys], [ref[k] for k in keys],
+                               rtol=1e-13, atol=0)
+
+
 def test_free_surface_top_row_is_dirichlet():
     grid = _slowness(11, 10.0)
     a = _survey(grid, 5, True).system(grid.values, 0)
