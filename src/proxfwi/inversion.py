@@ -169,11 +169,12 @@ class WriOracle(_OracleBase):
     """Penalty-formulation misfit 0.5 sum ||b - A(m) u||^2 at frozen data-assimilated fields u.
 
     ``update_wavefields`` (run by ``begin_outer``) solves for u at m_ref = m with
-    ``wave.Survey.solve_penalty`` and freezes, with the (frequency, source) columns
-    stacked last, m_ref, the interior fields W = omega^2 u of shape (nz, nx, n_freq * n_src),
-    the interior residual E = b - A(m_ref) u, its energy outside the interior, and
-    sum |W|^2.  Inside, A(m) - A(m_ref) = omega^2 diag(m - m_ref), so b - A(m) u is
-    r = E + (m_ref - m) W, with gradient -sum Re(conj(W) r) and exact Hessian diag sum |W|^2.
+    ``wave.Survey.solve_penalty``.  Inside, A(m) - A(m_ref) = omega^2 diag(m - m_ref), so with
+    W = omega^2 u, E = b - A(m_ref) u and d = m_ref - m on the interior, b - A(m) u is E + d W
+    there, and on the collar it does not depend on m.  The misfit is c + sum d g + 0.5 sum d^2 h
+    with c = 0.5 ||b - A(m_ref) u||^2 (collar rows included), g = sum Re(conj(W) E) and
+    h = sum |W|^2 over every (frequency, source) column.  The oracle freezes m_ref and these
+    (nz, nx) coefficients: the gradient is -(g + d h) and the exact Hessian diag(h).
     """
 
     def __init__(self, acq, observed, background, mu, f_peak=10.0, pml_cells=10,
@@ -182,45 +183,43 @@ class WriOracle(_OracleBase):
         if not 0.0 < mu < math.inf:
             raise ValueError(f"penalty parameter mu must be positive and finite, got {mu!r}")
         self.mu = float(mu)
-        self._hdiag = None  # frozen with the rest by update_wavefields
+        self._frozen = None  # (m_ref, c, g, h), set by update_wavefields
 
     def update_wavefields(self, m):
-        """Solve for the penalty fields of every source and frequency at m and freeze them."""
-        interior = self.survey.interior_rows.ravel()
+        """Solve for every penalty field at m; each frequency reduces its own to (c, g, h)."""
+        interior = self.survey.interior_rows
 
-        def fields(i):
+        def coefficients(i):
             u, e = self.survey.solve_penalty(m, i, self.observed.blocks[i], self.mu)
-            outside = float(np.sum(np.abs(e) ** 2)) - float(np.sum(np.abs(e[interior]) ** 2))
-            return self.survey.omegas[i] ** 2 * u[interior], e[interior], outside
+            w = self.survey.omegas[i] ** 2 * u[interior]
+            return (0.5 * float(np.sum(np.abs(e) ** 2)),
+                    np.sum((np.conj(w) * e[interior]).real, axis=2),
+                    np.sum(np.abs(w) ** 2, axis=2))
 
-        weighted, resid, outside = zip(*self.survey.each(fields))
-        shape = self.survey.interior_rows.shape + (-1,)
-        self._m_ref = np.array(m, dtype=np.float64)
-        self._w = np.hstack(weighted).reshape(shape)
-        self._e = np.hstack(resid).reshape(shape)
-        self._outside_sq = sum(outside)
-        self._hdiag = np.sum(np.abs(self._w) ** 2, axis=2)
+        c, g, h = (sum(terms) for terms in zip(*self.survey.each(coefficients)))
+        self._frozen = (np.array(m, dtype=np.float64), c, g, h)
         return self
 
     def begin_outer(self, m):
         self.update_wavefields(m)
 
-    def _residual(self, m) -> np.ndarray:
-        """r = E + (m_ref - m) W, the interior part of b - A(m) u at the frozen fields."""
-        if self._hdiag is None:
+    def _at(self, m):
+        """(d, c, g, h): d = m_ref - m and the frozen coefficients."""
+        if self._frozen is None:
             raise StateError("wavefields not initialized; call update_wavefields first")
-        return self._e + (self._m_ref - np.asarray(m, dtype=np.float64))[:, :, None] * self._w
+        m_ref, c, g, h = self._frozen
+        return m_ref - np.asarray(m, dtype=np.float64), c, g, h
 
     def value(self, m) -> float:
-        return 0.5 * (float(np.sum(np.abs(self._residual(m)) ** 2)) + self._outside_sq)
+        d, c, g, h = self._at(m)
+        return c + float(np.sum(d * (g + 0.5 * d * h)))
 
     def gradient(self, m) -> np.ndarray:
-        return -np.sum((np.conj(self._w) * self._residual(m)).real, axis=2)
+        d, _, g, h = self._at(m)
+        return -(g + d * h)
 
     def hessian_diag(self, m) -> np.ndarray:
-        if self._hdiag is None:
-            raise StateError("wavefields not initialized; call update_wavefields first")
-        return self._hdiag.copy()
+        return self._at(m)[3].copy()
 
 
 def default_penalty_mu(background: ModelGrid, first_freq: float, pml_cells: int = 10,

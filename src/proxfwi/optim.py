@@ -16,9 +16,10 @@ Gauss-Newton products (``hvp``), its diagonal (``hessian_diag``), a
 limited-memory quasi-Newton approximation built from outer gradient pairs, or
 the identity.  Every operator must be positive semidefinite, since both inner
 loops need a convex model; an oracle whose Hessian can be indefinite shifts it
-in its own ``hvp``.  ``_hessian_ops`` is the only place a Hessian mode is
-chosen: it builds the per-outer (apply, shifted solve, sigma_max) triple, and
-sigma_max is computed only when the outer loop calls it to set ck.
+in its own ``hvp``, and a ``hessian_diag`` must be nonnegative, as it is used
+unclipped.  ``_hessian_ops`` is the only place a Hessian mode is chosen: it
+builds the per-outer (apply, shifted solve, sigma_max) triple, and sigma_max
+is computed only when the outer loop calls it to set ck.
 ``LbfgsHessian`` keeps its own curvature pairs, at most the constant
 ``LBFGS_MEMORY`` of them, and NADMM's direction takes ``solve_shifted``.
 
@@ -359,8 +360,7 @@ def _hessian_ops(mode, oracle, m, lbfgs_hess, seed):
     """
     m = np.asarray(m, dtype=np.float64)
     if mode in ("identity", "diagonal"):  # the identity is the diagonal d = 1
-        d = 1.0 if mode == "identity" else np.maximum(
-            np.asarray(oracle.hessian_diag(m), dtype=np.float64), 0.0)
+        d = 1.0 if mode == "identity" else np.asarray(oracle.hessian_diag(m), dtype=np.float64)
         return (
             lambda v: d * np.asarray(v),
             lambda c, rhs: np.asarray(rhs) / (c * d + 1.0),

@@ -471,6 +471,7 @@ def test_oracles_are_bit_identical_with_one_and_three_workers(monkeypatch):
     _, background, acq, observed = _tiny_problem(freqs=(5.0, 6.0, 9.0))
     m = model.as_slowness_squared(background).values
     v = np.random.default_rng(4).standard_normal(m.shape)
+    shifted = m * (1.0 + 1e-2 * v)
     start = threading.active_count()
 
     def outputs(n_cpus):
@@ -479,7 +480,9 @@ def test_oracles_are_bit_identical_with_one_and_three_workers(monkeypatch):
         try:
             wri.update_wavefields(m)
             out = [*fwi.survey.data(m).blocks, fwi.value(m), fwi.gradient(m), fwi.hvp(m, v),
-                   wri._w, wri._e, wri._outside_sq, wri.data_residual_norm(m)]
+                   *(call(x) for x in (m, shifted)
+                     for call in (wri.value, wri.gradient, wri.hessian_diag)),
+                   wri.data_residual_norm(m)]
         finally:
             fwi.survey.close()
             wri.survey.close()
@@ -652,25 +655,28 @@ def test_wri_field_update_decreases_joint_objective():
     assert after <= before + 1e-12 * max(1.0, abs(before))
 
 
-def test_wri_value_after_zeroing_fields():
-    # substituting u = 0 must reduce the misfit to half the source energy
+def test_wri_value_after_zeroing_fields(monkeypatch):
+    # substituting u = 0 must reduce the misfit to half the source energy at any model
     true, background, acq, observed = _tiny_problem(freqs=(6.0,), n_src=1)
     oracle = _wri(acq, observed, background)
     m = model.as_slowness_squared(background).values
+    b = oracle.survey.point_sources(0)
+    monkeypatch.setattr(oracle.survey, "solve_penalty",
+                        lambda mm, i, d, mu: (np.zeros_like(b), b.copy()))
     oracle.update_wavefields(m)
-    ((_, b, _, _),) = _penalty_fields(oracle, m)
-    oracle._w[:] = 0.0
-    oracle._e[:] = b[oracle.survey.interior_rows, :]
-    oracle._outside_sq = 0.0  # point sources live strictly in the interior
     b_sq = float(np.sum(np.abs(b) ** 2))
-    assert oracle.value(m) == pytest.approx(0.5 * b_sq, rel=1e-12)
-    assert np.all(oracle.gradient(m) == 0.0)
+    for mm in (m, model.as_slowness_squared(true).values):
+        assert oracle.value(mm) == pytest.approx(0.5 * b_sq, rel=1e-12)
+        assert np.all(oracle.gradient(mm) == 0.0)
+        assert np.all(oracle.hessian_diag(mm) == 0.0)
 
 
 def test_wri_value_matches_an_independent_assembly_at_a_new_model():
-    # 0.5 sum_f ||b_f - A_f(m1) u_f||^2 with A_f(m1) assembled anew and
-    # u_f frozen at m_ref: pins the omega^2 weighting of the stacked state,
-    # which the finite-difference and Hessian checks read back unchecked
+    # 0.5 sum_f ||b_f - A_f(m1) u_f||^2 and its gradient
+    # -sum_f Re(conj(omega_f^2 u_f) (b_f - A_f(m1) u_f)) on the interior, with
+    # A_f(m1) assembled anew and u_f frozen at m_ref: pins the omega^2 weighting
+    # of the frozen coefficients, which the finite-difference and Hessian
+    # checks read back unchecked
     true, background, acq, observed = _tiny_problem()
     oracle = _wri(acq, observed, background)
     m_ref = model.as_slowness_squared(background).values
@@ -681,15 +687,41 @@ def test_wri_value_matches_an_independent_assembly_at_a_new_model():
     padded[interior] = m1
     pml_velocity = 1.0 / np.sqrt(np.min(collar))
     survey = wave.Survey(background, acq, 10.0, 5)
-    expected = 0.0
+    expected, gradient = 0.0, np.zeros_like(m1)
     for i, (f, d) in enumerate(zip(acq.frequencies, observed.blocks)):
         u, _ = survey.solve_penalty(m_ref, i, d, oracle.mu)
-        a1 = wave.assemble_padded(padded, background.dz, background.dx, 2.0 * np.pi * f, 5,
+        omega = 2.0 * np.pi * f
+        a1 = wave.assemble_padded(padded, background.dz, background.dx, omega, 5,
                                   False, pml_velocity=pml_velocity)
-        b = survey.point_sources(i)
-        expected += 0.5 * float(np.sum(np.abs(b - a1 @ u) ** 2))
+        r = survey.point_sources(i) - a1 @ u
+        expected += 0.5 * float(np.sum(np.abs(r) ** 2))
+        rows = survey.interior_rows
+        gradient -= np.sum((np.conj(omega**2 * u[rows]) * r[rows]).real, axis=2)
     assert not np.array_equal(m1, m_ref)
     assert oracle.value(m1) == pytest.approx(expected, rel=1e-10)
+    g1 = oracle.gradient(m1)
+    assert np.linalg.norm(g1 - gradient) <= 1e-10 * np.linalg.norm(gradient)
+    assert not np.allclose(g1, oracle.gradient(m_ref))  # the gradient moved with the model
+
+
+def test_wri_keeps_no_array_larger_than_the_model():
+    # update_wavefields freezes (nz, nx) coefficients, not the (frequency, source)
+    # fields: apart from its inputs, every array the oracle keeps is model-sized
+    true, background, acq, observed = _tiny_problem(freqs=(5.0, 6.0, 9.0))
+    oracle = _wri(acq, observed, background)
+    oracle.update_wavefields(model.as_slowness_squared(background).values)
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+
+    kept = [a for name, value in vars(oracle).items() if name not in ("survey", "observed")
+            for a in arrays(value)]
+    assert kept and max(a.size for a in kept) <= background.nz * background.nx
+    oracle.survey.close()
 
 
 # ---------------------------------------------------------------------------
