@@ -92,8 +92,11 @@ def cmd_forward(args, argv):
     acq = model.survey_geometry(grid.nz, grid.nx, args.freqs, args.sources, args.receivers,
                                 args.n_sources, args.source_depth, args.receiver_spacing,
                                 args.free_surface)
-    data = wave.forward(grid, acq, args.f_peak, args.pml_cells, args.free_surface)
-    data = wave.add_noise(data, args.snr_db, args.seed)
+    try:
+        data = wave.forward(grid, acq, args.f_peak, args.pml_cells, args.free_surface)
+        data = wave.add_noise(data, args.snr_db, args.seed)
+    except ValueError as exc:  # a wavelet zero at a frequency, or no finite noise level
+        raise ConfigError(str(exc)) from None
     model.write_freq_data(data, args.out)
     write_manifest(f"{args.out}.manifest", _argv_repr(argv), args.seed, [args.model],
                    [args.out], time.monotonic() - t0)

@@ -2,12 +2,13 @@
 
 Both oracles parameterize the model by squared slowness on the interior grid,
 which keeps the wave operator affine in the unknowns: adjoint gradients need
-only diagonal correlation terms, and the penalty-formulation Hessian is
-exactly diagonal.  Each oracle solves through one :class:`wave.Survey` over
-its background, the one home of the survey decisions: the absorbing collar
-and its damping profile are frozen there, so interior derivatives are clean,
-and ``run_inversion`` takes the speed of that profile from it when it
-synthesizes data.
+only diagonal correlation terms, and the penalty-formulation misfit at frozen
+fields is a quadratic with an exactly diagonal Hessian, which ``WriOracle``
+keeps as three model-sized coefficients, not as the fields.  Each oracle
+solves through one :class:`wave.Survey` over its background, the one home of
+the survey decisions: the absorbing collar and its damping profile are frozen
+there, so interior derivatives are clean, and ``run_inversion`` takes the
+speed of that profile from it when it synthesizes data.
 """
 
 from __future__ import annotations
@@ -238,7 +239,8 @@ def default_penalty_mu(background: ModelGrid, first_freq: float, pml_cells: int 
     """
     layout = surface_boundary_geometry(background.nz, background.nx, (first_freq,),
                                        free_surface_top=free_surface_top)  # A ignores it
-    survey = wave.Survey(background, layout, pml_cells=pml_cells, free_surface_top=free_surface_top)
+    # A ignores the wavelet too; one peaking at first_freq is nonzero there
+    survey = wave.Survey(background, layout, first_freq, pml_cells, free_surface_top)
     a = survey.system(as_slowness_squared(background).values, 0)
     return MU_RATIO * float(abs(a).sum(axis=1).max())
 
@@ -436,10 +438,13 @@ def parse_run_config(path) -> RunConfig:
       reduced-space residual ||P A(m)^-1 b - d|| <= 1.01 EPS, and auto takes
       EPS from the noise synthesized at a finite snr_db; model-error stops at
       ||v - v_true|| <= VAL (m/s), which a model with any cell m <= 0 never meets.
-    - snr_db (float, not nan or -inf | none | inf, none); seed (int >= 0, 0):
-      seeds the noise and the sigma_max power iteration; f_peak (Hz > 0, 10);
-      pml_cells (int >= wave.MIN_PML_CELLS = 5, 10); free_surface
-      (``1 | true | yes | on`` or ``0 | false | no | off`` in any case, false).
+    - snr_db (float, not nan or -inf | none | inf, none), whose
+      ``wave.noise_level`` against a unit signal must be finite, so not below
+      about -6165 dB; seed (int >= 0, 0): seeds the noise and the sigma_max
+      power iteration; f_peak (Hz > 0, 10), whose source wavelet must be
+      nonzero at every frequency (``wave.check_f_peak``); pml_cells
+      (int >= wave.MIN_PML_CELLS = 5, 10); free_surface (``1 | true | yes |
+      on`` or ``0 | false | no | off`` in any case, false).
     - n_sources (int >= 1, 5), source_depth (int >= 0, 0; 1 under a free surface),
       receiver_spacing (int >= 1, 2): the surface layout, whose side
       receivers start at row 1 under a free surface, as no source or receiver
@@ -492,6 +497,8 @@ def parse_run_config(path) -> RunConfig:
                 cfg.f_peak = _in_range(float(value), 0.0, True)
             elif key == "snr_db":
                 cfg.snr_db = _snr_db(value)
+                if cfg.snr_db is not None:  # a level that overflows at unit signal fits no data
+                    wave.noise_level(1.0, cfg.snr_db)
             elif key == "free_surface":
                 cfg.free_surface = _choice(value.lower(), _TRUE + _FALSE) in _TRUE
             elif key in ("sources", "receivers"):
@@ -508,6 +515,10 @@ def parse_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: frequencies are required")
     if not (cfg.data or cfg.model_true):
         raise ConfigError(f"{path}: either data or model_true is required")
+    try:
+        wave.check_f_peak(cfg.f_peak, cfg.frequencies)
+    except ValueError as exc:
+        raise _bad_value(cfg, "f_peak", exc) from None
     if "hessian" not in cfg.where:
         cfg.opt.hessian = "diagonal" if cfg.method == "irwri" else "lbfgs"
     try:

@@ -52,8 +52,9 @@ class ModelGrid:
         if self.kind not in _KIND_CODES:
             raise GeometryError(f"unknown grid kind {self.kind!r}")
         _check_dims(self.nz, self.nx)
-        if not (self.dz > 0.0 and self.dx > 0.0):
-            raise GeometryError(f"grid spacing must be positive, got dz={self.dz}, dx={self.dx}")
+        if not (0.0 < self.dz < np.inf and 0.0 < self.dx < np.inf):
+            raise GeometryError(f"grid spacing must be finite and above 0, got dz={self.dz}, "
+                                f"dx={self.dx}")
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
         if vals.shape != (self.nz, self.nx):
             raise GeometryError(f"values shape {vals.shape} != ({self.nz}, {self.nx})")

@@ -73,11 +73,27 @@ CONDENSE_MIN_SOURCES = 16
 
 
 def ricker_amplitude(f: float, f_peak: float) -> complex:
-    """Zero-phase pulse magnitude spectrum (2/sqrt(pi)) f^2/f_peak^3 e^{-f^2/f_peak^2}."""
+    """Zero-phase pulse magnitude spectrum (2/sqrt(pi)) f^2/f_peak^3 e^{-f^2/f_peak^2}.
+
+    A pulse that is zero at f in floating point (f far above f_peak, or f_peak
+    so far from f that a power leaves the float range) is a ValueError naming both.
+    """
     if f <= 0.0 or f_peak <= 0.0:
         raise ValueError("frequencies must be positive")
-    amp = (2.0 / np.sqrt(np.pi)) * (f**2 / f_peak**3) * np.exp(-(f**2) / f_peak**2)
+    try:
+        with np.errstate(invalid="ignore"):  # inf * 0 where f_peak^3 is below the float range
+            amp = (2.0 / np.sqrt(np.pi)) * (f**2 / f_peak**3) * np.exp(-(f**2) / f_peak**2)
+    except ArithmeticError:  # f^2 or f_peak^3 past the float range, or f_peak^3 zero
+        amp = 0.0
+    if not amp > 0.0:
+        raise ValueError(f"the source wavelet of peak frequency {f_peak:g} Hz is zero at {f:g} Hz")
     return complex(amp)
+
+
+def check_f_peak(f_peak: float, frequencies) -> None:
+    """ValueError unless the source wavelet of ``f_peak`` is nonzero at every frequency."""
+    for f in frequencies:
+        ricker_amplitude(f, f_peak)
 
 
 def _pad_top(pml_cells: int, free_surface_top: bool) -> int:
@@ -438,19 +454,32 @@ def forward(model: ModelGrid, acq: AcquisitionGeometry, f_peak: float = 10.0,
         survey.close()
 
 
+def noise_level(signal_norm: float, snr_db: float) -> float:
+    """The noise norm signal_norm * 10^(-snr_db / 20) that sets ``snr_db`` dB against a
+    signal of norm ``signal_norm``; ValueError unless it is a finite number."""
+    try:
+        level = signal_norm * 10.0 ** (-snr_db / 20.0)
+    except OverflowError:  # a float power past the float range raises
+        level = math.inf
+    if not math.isfinite(level):
+        raise ValueError(f"SNR must be a number of dB that sets a finite noise level, "
+                         f"got {snr_db!r}")
+    return level
+
+
 def add_noise(data: FreqData, snr_db: float | None, seed: int = 0) -> FreqData:
     """Add seeded complex Gaussian noise hitting the target SNR exactly.
 
     SNR is 20*log10(signal RMS / noise RMS) over all entries of all blocks;
     the drawn noise is rescaled after the fact so the realized value matches.
-    ``snr_db=None`` or +inf returns the data unchanged; NaN and -inf, which
-    name no noise level, are a ValueError.
+    ``snr_db=None`` or +inf returns the data unchanged; an SNR whose
+    :func:`noise_level` is not a finite number (NaN, -inf or one far below
+    0 dB) is a ValueError.
     """
     if snr_db is None or snr_db == math.inf:
         return FreqData(data.frequencies, tuple(b.copy() for b in data.blocks))
-    if not math.isfinite(snr_db):
-        raise ValueError(f"SNR must be a number of dB or +inf, got {snr_db!r}")
     signal_norm = data.norm()
+    target = noise_level(signal_norm, snr_db)
     if signal_norm == 0.0:
         raise ValueError("cannot scale noise against all-zero data")
     rng = np.random.default_rng(seed)
@@ -459,7 +488,6 @@ def add_noise(data: FreqData, snr_db: float | None, seed: int = 0) -> FreqData:
         for b in data.blocks
     ]
     draw_norm = np.sqrt(sum(np.sum(np.abs(n) ** 2) for n in draws))
-    target = signal_norm * 10.0 ** (-snr_db / 20.0)
     scale = target / draw_norm
     return FreqData(
         data.frequencies,

@@ -136,90 +136,105 @@ def test_invert_diverged_run_exits_numeric_and_writes_no_grid(
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["history_p0_b0.csv"]
 
 
-@pytest.mark.parametrize(
-    "keys, message",
-    [
-        ({"bogus_key": 1}, "unknown key 'bogus_key'"),
-        ({"c_rule": "fixed"}, "unknown key 'c_rule'"),
-        ({"method": "fwi", "hessian": "diagonal"}, "needs an oracle with hessian_diag"),
-        ({"mu": "abc"}, "bad value for mu"),
-        ({"mu": "nan"}, "bad value for mu"),
-        ({"lambda": "nan"}, "lambda must be nonnegative and finite"),
-        ({"stopping": "data-residual:abc"}, "bad value for stopping"),
-        ({"stopping": "data-residual:-1"}, "bad value for stopping"),
-        ({"stopping": "model-error:abc"}, "bad value for stopping"),
-        ({"algorithm": "nista", "inner_iters": 0}, "inner_iters must be at least 1"),
-        ({"f_peak": 0}, "bad value for f_peak"),
-        ({"paths": 0}, "bad value for paths"),
-        ({"warm_start": "true"}, "unknown key 'warm_start'"),
-        ({"max_outer": -3}, "max_outer must be nonnegative"),
-        ({"denoiser": "tv2d:weight=2"}, "unknown denoiser parameter 'weight'"),
-        ({"denoiser": "nlm:h=0.05"}, "unknown denoiser parameter 'h'"),
-        ({"sources": "0:10"}, "sources and receivers must be given together"),
-        ({"receivers": "20:5;20:15"}, "sources and receivers must be given together"),
-        ({"seed": -1}, "bad value for seed"),
-        ({"seed": 1.5}, "bad value for seed"),
-        ({"snr_db": "nan"}, "bad value for snr_db"),
-        ({"data": "DATA", "method": "fwi", "pml_cells": 0}, "need at least 5 absorbing cells"),
-        ({"data": "DATA", "method": "fwi", "pml_cells": 3}, "need at least 5 absorbing cells"),
-        ({"data": "DATA", "method": "fwi", "pml_cells": -2}, "need at least 5 absorbing cells"),
-        ({"snr_db": "-inf"}, "bad value for snr_db"),
-        ({"stopping": "max_iter"}, "bad value for stopping: 'max_iter' is not one of"),
-        ({"stopping": "max-iter:5"}, "bad value for stopping: max-iter takes no target"),
-        ({"stopping": "model-error:1", "model_true": "", "data": "DATA"},
-         "bad value for stopping: model-error needs model_true"),
-        ({"stopping": "data-residual:auto", "snr_db": "none"},
-         "bad value for stopping: data-residual:auto needs data synthesized"),
-        ({"stopping": "data-residual", "data": "DATA"}, "bad value for stopping"),
-        ({"model_true": ""}, "either data or model_true is required"),
-        ({"method": "FWI"}, "bad value for method: 'FWI' is not one of fwi | irwri"),
-        ({"algorithm": "admm"}, "bad value for algorithm: 'admm' is not one of nista | nadmm"),
-        ({"hessian": "dense"}, "bad value for hessian: unknown hessian mode 'dense'"),
-        ({"hessian": "diagonal", "method": "fwi"}, "bad value for hessian: hessian mode"),
-        ({"hessian": "hvp"}, "bad value for hessian: hessian mode 'hvp' needs an oracle with hvp"),
-        ({"lambda": -1}, "bad value for lambda: lambda must be nonnegative"),
-        ({"max_outer": -2}, "bad value for max_outer: max_outer must be nonnegative"),
-        ({"inner_iters": 0}, "bad value for inner_iters: inner_iters must be at least 1"),
-        ({"c_fixed": 0}, "bad value for c_fixed: fixed step size must be positive"),
-        ({"batches": "3 | 9", "frequencies": "3,5,7"}, "bad value for batches: (9.0,)"),
-        ({"batches": "7,3", "frequencies": "3,5,7"}, "bad value for batches: (7.0, 3.0)"),
-        ({"batches": "3 |"}, "bad value for batches: ()"),
-        ({"free_surface": "ture"}, "bad value for free_surface: 'ture' is not one of"),
-        ({"hessian": "exact-dense"}, "bad value for hessian: unknown hessian mode 'exact-dense'"),
-        ({"n_sources": 0}, "bad value for n_sources: 0 is below 1"),
-        ({"receiver_spacing": 0}, "bad value for receiver_spacing: 0 is below 1"),
-        ({"pml_cells": 3}, "bad value for pml_cells: need at least 5 absorbing cells, got 3"),
-        ({"denoiser": "tv3d"}, "bad value for denoiser: unknown denoiser kind 'tv3d'"),
-        ({"denoiser": "nlm:patch=0"},
-         "bad value for denoiser: denoiser parameter patch must be at least 1, got 0"),
-        ({"denoiser": "l2sq:iters=3"}, "bad value for denoiser: denoiser parameter 'iters'"),
-        ({"source_depth": 40}, "bad value for source_depth: source (40, 3) outside interior 21x21"),
-        ({"sources": "0:30", "receivers": "20:5"},
-         "bad value for sources: source (0, 30) outside interior 21x21"),
-        ({"receivers": "20:5;21:5", "sources": "0:10"},
-         "bad value for receivers: receiver (21, 5) outside interior 21x21"),
-        ({"receivers": "20:5"}, "bad value for receivers: sources and receivers must be given"),
-        ({"frequencies": "5,3"},
-         "bad value for frequencies: (5.0, 3.0) is not strictly increasing"),
-        ({"frequencies": "3,3"},
-         "bad value for frequencies: (3.0, 3.0) is not strictly increasing"),
-        ({"denoiser": "nlm:patch=15"},
-         "bad value for denoiser: grid 21x21 smaller than the 31-wide patch window"),
-        ({"source_depth": 0, "free_surface": "true"},
-         "bad value for source_depth: source (0, 3) outside interior 21x21"),
-        ({"data": "DATA", "frequencies": "3,4,5"},
-         "bad value for data: obs.dat holds 31 receivers x 5 sources at 3.0, 4.0 Hz, "
-         "but the run has 31 receivers x 5 sources at 3.0, 4.0, 5.0 Hz"),
-        ({"data": "DATA", "n_sources": 4},
-         "bad value for data: obs.dat holds 31 receivers x 5 sources at 3.0, 4.0 Hz, "
-         "but the run has 31 receivers x 4 sources at 3.0, 4.0 Hz"),
-        ({"source_depth": -4}, "bad value for source_depth: -4 is below 0"),
-        ({"model_init": "missing.grd"},
-         "bad value for model_init: [Errno 2] No such file or directory"),
-        ({"data": "missing.dat", "method": "fwi"},
-         "bad value for data: [Errno 2] No such file or directory"),
-    ],
-)
+# (id, run-file keys, the message printed): each row keeps its id wherever rows are
+# added, so no case is renamed by another
+BAD_RUN_FILE_VALUES = [
+    ("keys0", {"bogus_key": 1}, "unknown key 'bogus_key'"),
+    ("keys1", {"c_rule": "fixed"}, "unknown key 'c_rule'"),
+    ("keys2", {"method": "fwi", "hessian": "diagonal"}, "needs an oracle with hessian_diag"),
+    ("keys3", {"mu": "abc"}, "bad value for mu"),
+    ("keys4", {"mu": "nan"}, "bad value for mu"),
+    ("keys5", {"lambda": "nan"}, "lambda must be nonnegative and finite"),
+    ("keys6", {"stopping": "data-residual:abc"}, "bad value for stopping"),
+    ("keys7", {"stopping": "data-residual:-1"}, "bad value for stopping"),
+    ("keys8", {"stopping": "model-error:abc"}, "bad value for stopping"),
+    ("keys9", {"algorithm": "nista", "inner_iters": 0}, "inner_iters must be at least 1"),
+    ("keys10", {"f_peak": 0}, "bad value for f_peak"),
+    ("keys11", {"paths": 0}, "bad value for paths"),
+    ("keys12", {"warm_start": "true"}, "unknown key 'warm_start'"),
+    ("keys13", {"max_outer": -3}, "max_outer must be nonnegative"),
+    ("keys14", {"denoiser": "tv2d:weight=2"}, "unknown denoiser parameter 'weight'"),
+    ("keys15", {"denoiser": "nlm:h=0.05"}, "unknown denoiser parameter 'h'"),
+    ("keys16", {"sources": "0:10"}, "sources and receivers must be given together"),
+    ("keys17", {"receivers": "20:5;20:15"}, "sources and receivers must be given together"),
+    ("keys18", {"seed": -1}, "bad value for seed"),
+    ("keys19", {"seed": 1.5}, "bad value for seed"),
+    ("keys20", {"snr_db": "nan"}, "bad value for snr_db"),
+    ("keys21", {"data": "DATA", "method": "fwi", "pml_cells": 0},
+     "need at least 5 absorbing cells"),
+    ("keys22", {"data": "DATA", "method": "fwi", "pml_cells": 3},
+     "need at least 5 absorbing cells"),
+    ("keys23", {"data": "DATA", "method": "fwi", "pml_cells": -2},
+     "need at least 5 absorbing cells"),
+    ("keys24", {"snr_db": "-inf"}, "bad value for snr_db"),
+    ("keys25", {"stopping": "max_iter"}, "bad value for stopping: 'max_iter' is not one of"),
+    ("keys26", {"stopping": "max-iter:5"}, "bad value for stopping: max-iter takes no target"),
+    ("keys27", {"stopping": "model-error:1", "model_true": "", "data": "DATA"},
+     "bad value for stopping: model-error needs model_true"),
+    ("keys28", {"stopping": "data-residual:auto", "snr_db": "none"},
+     "bad value for stopping: data-residual:auto needs data synthesized"),
+    ("keys29", {"stopping": "data-residual", "data": "DATA"}, "bad value for stopping"),
+    ("keys30", {"model_true": ""}, "either data or model_true is required"),
+    ("keys31", {"method": "FWI"}, "bad value for method: 'FWI' is not one of fwi | irwri"),
+    ("keys32", {"algorithm": "admm"},
+     "bad value for algorithm: 'admm' is not one of nista | nadmm"),
+    ("keys33", {"hessian": "dense"}, "bad value for hessian: unknown hessian mode 'dense'"),
+    ("keys34", {"hessian": "diagonal", "method": "fwi"}, "bad value for hessian: hessian mode"),
+    ("keys35", {"hessian": "hvp"},
+     "bad value for hessian: hessian mode 'hvp' needs an oracle with hvp"),
+    ("keys36", {"lambda": -1}, "bad value for lambda: lambda must be nonnegative"),
+    ("keys37", {"max_outer": -2}, "bad value for max_outer: max_outer must be nonnegative"),
+    ("keys38", {"inner_iters": 0}, "bad value for inner_iters: inner_iters must be at least 1"),
+    ("keys39", {"c_fixed": 0}, "bad value for c_fixed: fixed step size must be positive"),
+    ("keys40", {"batches": "3 | 9", "frequencies": "3,5,7"}, "bad value for batches: (9.0,)"),
+    ("keys41", {"batches": "7,3", "frequencies": "3,5,7"}, "bad value for batches: (7.0, 3.0)"),
+    ("keys42", {"batches": "3 |"}, "bad value for batches: ()"),
+    ("keys43", {"free_surface": "ture"}, "bad value for free_surface: 'ture' is not one of"),
+    ("keys44", {"hessian": "exact-dense"},
+     "bad value for hessian: unknown hessian mode 'exact-dense'"),
+    ("keys45", {"n_sources": 0}, "bad value for n_sources: 0 is below 1"),
+    ("keys46", {"receiver_spacing": 0}, "bad value for receiver_spacing: 0 is below 1"),
+    ("keys47", {"pml_cells": 3}, "bad value for pml_cells: need at least 5 absorbing cells, got 3"),
+    ("keys48", {"denoiser": "tv3d"}, "bad value for denoiser: unknown denoiser kind 'tv3d'"),
+    ("keys49", {"denoiser": "nlm:patch=0"},
+     "bad value for denoiser: denoiser parameter patch must be at least 1, got 0"),
+    ("keys50", {"denoiser": "l2sq:iters=3"}, "bad value for denoiser: denoiser parameter 'iters'"),
+    ("keys51", {"source_depth": 40},
+     "bad value for source_depth: source (40, 3) outside interior 21x21"),
+    ("keys52", {"sources": "0:30", "receivers": "20:5"},
+     "bad value for sources: source (0, 30) outside interior 21x21"),
+    ("keys53", {"receivers": "20:5;21:5", "sources": "0:10"},
+     "bad value for receivers: receiver (21, 5) outside interior 21x21"),
+    ("keys54", {"receivers": "20:5"},
+     "bad value for receivers: sources and receivers must be given"),
+    ("keys55", {"frequencies": "5,3"},
+     "bad value for frequencies: (5.0, 3.0) is not strictly increasing"),
+    ("keys56", {"frequencies": "3,3"},
+     "bad value for frequencies: (3.0, 3.0) is not strictly increasing"),
+    ("keys57", {"denoiser": "nlm:patch=15"},
+     "bad value for denoiser: grid 21x21 smaller than the 31-wide patch window"),
+    ("keys58", {"source_depth": 0, "free_surface": "true"},
+     "bad value for source_depth: source (0, 3) outside interior 21x21"),
+    ("keys59", {"data": "DATA", "frequencies": "3,4,5"},
+     "bad value for data: obs.dat holds 31 receivers x 5 sources at 3.0, 4.0 Hz, "
+     "but the run has 31 receivers x 5 sources at 3.0, 4.0, 5.0 Hz"),
+    ("keys60", {"data": "DATA", "n_sources": 4},
+     "bad value for data: obs.dat holds 31 receivers x 5 sources at 3.0, 4.0 Hz, "
+     "but the run has 31 receivers x 4 sources at 3.0, 4.0 Hz"),
+    ("keys61", {"source_depth": -4}, "bad value for source_depth: -4 is below 0"),
+    ("keys62", {"model_init": "missing.grd"},
+     "bad value for model_init: [Errno 2] No such file or directory"),
+    ("keys63", {"data": "missing.dat", "method": "fwi"},
+     "bad value for data: [Errno 2] No such file or directory"),
+    ("keys64", {"snr_db": -10000},
+     "bad value for snr_db: SNR must be a number of dB that sets a finite noise level"),
+    ("keys65", {"f_peak": 0.05},
+     "bad value for f_peak: the source wavelet of peak frequency 0.05 Hz is zero at 3 Hz"),
+]
+
+
+@pytest.mark.parametrize("keys, message", [row[1:] for row in BAD_RUN_FILE_VALUES],
+                         ids=[f"{row[0]}-{row[2]}" for row in BAD_RUN_FILE_VALUES])
 def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, monkeypatch, keys,
                                                  message):
     # every value a run file can hold is rejected before any data is synthesized
@@ -331,6 +346,32 @@ def test_forward_half_geometry_exits_with_data_error(tmp_path, models, flags, ca
     argv = ["forward", "--model", str(true), "--freqs", FREQS, "--out", str(tmp_path / "d.dat")]
     assert cli.main(argv + flags) == cli.EXIT_DATA
     assert "sources and receivers must be given together" in capsys.readouterr().err
+
+
+INF_SPACING = "error: {inf}: grid spacing must be finite and above 0, got dz=inf, dx=25.0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["forward", "--model", "GRID", "--freqs", FREQS, "--snr-db", "-10000", "--out", "OUT"],
+     "error: SNR must be a number of dB that sets a finite noise level, got -10000.0\n"),
+    (["forward", "--model", "GRID", "--freqs", FREQS, "--f-peak", "0.05", "--out", "OUT"],
+     "error: the source wavelet of peak frequency 0.05 Hz is zero at 3 Hz\n"),
+    (["forward", "--model", "INF", "--freqs", FREQS, "--out", "OUT"], INF_SPACING),
+    (["preview", "--in", "INF", "--out", "OUT"], INF_SPACING),
+    (["denoise", "--in", "INF", "--out", "OUT"], INF_SPACING),
+    (["metrics", "--est", "INF", "--true", "GRID"], INF_SPACING),
+], ids=["snr-db", "f-peak", "forward-inf-dz", "preview-inf-dz", "denoise-inf-dz",
+        "metrics-inf-dz"])
+def test_a_value_no_run_can_use_exits_with_data_error(tmp_path, models, capsys, argv, message):
+    # values the flag parsers take, and a grid file whose header says dz = inf
+    true, inf, out = models[0], tmp_path / "inf_dz.grd", tmp_path / "out"
+    raw = bytearray(true.read_bytes())
+    raw[16:24] = np.array([np.inf], dtype="<f8").tobytes()  # the header's dz
+    inf.write_bytes(bytes(raw))
+    paths = {"GRID": str(true), "INF": str(inf), "OUT": str(out)}
+    assert cli.main([paths.get(a, a) for a in argv]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == message.format(inf=inf)
+    assert not out.exists()
 
 
 def test_forward_under_a_free_surface_keeps_the_default_layout_off_row_0(tmp_path, models,

@@ -405,6 +405,19 @@ def test_default_penalty_mu_is_mu_ratio_times_the_largest_row_sum():
     assert mu == inversion.MU_RATIO * float(abs(a).sum(axis=1).max()) > inversion.MU_RATIO
 
 
+def test_default_penalty_mu_reads_no_wavelet():
+    # A has no source term, so mu takes no peak frequency: at 300 Hz the
+    # library's default 10 Hz wavelet is zero, and mu is still A's row sum
+    background = model.ModelGrid.from_values(np.full((12, 12), 2000.0), 0.5, 0.5)
+    with pytest.raises(ValueError, match="zero at 300 Hz"):
+        wave.check_f_peak(10.0, (300.0,))
+    mu = inversion.default_penalty_mu(background, 300.0, 10)
+    acq = model.AcquisitionGeometry(((5, 5),), ((5, 5),), (300.0,))
+    a = wave.Survey(background, acq, 300.0, 10).system(
+        model.as_slowness_squared(background).values, 0)
+    assert mu == inversion.MU_RATIO * float(abs(a).sum(axis=1).max())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("method", ["fwi", "irwri"])
 def test_non_finite_model_raises(method, bad):

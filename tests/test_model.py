@@ -48,6 +48,18 @@ def test_bad_magic_rejected(tmp_path):
         model.read_grid(path)
 
 
+@pytest.mark.parametrize("spacing", [np.inf, np.nan, 0.0])
+def test_read_grid_rejects_a_spacing_that_is_not_finite_and_positive(tmp_path, spacing):
+    g = model.ModelGrid.from_values(np.full((3, 3), 1.0), 1.0, 1.0)
+    path = tmp_path / "g.grd"
+    model.write_grid(g, path)
+    raw = bytearray(path.read_bytes())
+    raw[24:32] = np.array([spacing], dtype="<f8").tobytes()  # the header's dx
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"^{path}: grid spacing must be finite and above 0"):
+        model.read_grid(path)
+
+
 def test_truncated_payload_rejected(tmp_path):
     g = model.ModelGrid.from_values(np.full((3, 3), 1.0), 1.0, 1.0)
     path = tmp_path / "g.grd"

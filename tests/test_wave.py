@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -45,6 +46,23 @@ def test_ricker_peaks_at_dominant_frequency():
 def test_ricker_rejects_nonpositive():
     with pytest.raises(ValueError):
         wave.ricker_amplitude(0.0, 10.0)
+
+
+@pytest.mark.parametrize("f, f_peak", [(3.0, 0.05), (300.0, 10.0), (3.0, 1e200), (1e200, 10.0),
+                                       (3.0, 1e-105), (3.0, 1e-200)])
+def test_a_pulse_zero_at_a_frequency_is_rejected_naming_both(f, f_peak):
+    # an underflow, a power past the float range or inf * 0: each is a zero pulse
+    message = re.escape(f"peak frequency {f_peak:g} Hz is zero at {f:g} Hz")
+    with pytest.raises(ValueError, match=message):
+        wave.ricker_amplitude(f, f_peak)
+    with pytest.raises(ValueError, match=message):
+        wave.check_f_peak(f_peak, (f,))
+
+
+def test_check_f_peak_names_the_frequency_where_the_pulse_is_zero():
+    wave.check_f_peak(10.0, (3.0, 4.0))
+    with pytest.raises(ValueError, match="peak frequency 10 Hz is zero at 300 Hz"):
+        wave.check_f_peak(10.0, (3.0, 300.0))
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +395,18 @@ def test_noise_disabled_flag():
 def test_noise_rejects_nan_and_negative_infinity(snr_db):
     with pytest.raises(ValueError, match="SNR must be a number"):
         wave.add_noise(_toy_data(), snr_db)
+
+
+def test_noise_rejects_an_snr_with_no_finite_noise_level():
+    # -1e4 dB has no finite noise level against any signal; -6150 dB has one
+    # against a unit signal, but not against these data, whose norm is about 12
+    assert wave.noise_level(2.0, 20.0) == pytest.approx(0.2, rel=1e-15)
+    assert np.isfinite(wave.noise_level(1.0, -6150.0))
+    with pytest.raises(ValueError, match="finite noise level, got -10000.0"):
+        wave.noise_level(1.0, -1e4)
+    for snr_db in (-1e4, -6150.0):
+        with pytest.raises(ValueError, match=f"finite noise level, got {snr_db!r}"):
+            wave.add_noise(_toy_data(), snr_db)
 
 
 def test_noise_zero_db_equal_rms():
