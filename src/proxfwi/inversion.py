@@ -557,13 +557,25 @@ def _read_input(cfg: RunConfig, key: str, reader):
         raise _bad_value(cfg, key, exc) from None
 
 
+def _check_not_zero(cfg: RunConfig, data: FreqData, key: str, what: str) -> None:
+    """ConfigError naming ``key`` if ``data`` is zero in floating point at a run
+    frequency: its squared norm there is below the smallest normal float, so
+    the misfit and its gradient would be zero and the run would stop at once."""
+    for f, block in zip(data.frequencies, data.blocks):
+        if f in cfg.frequencies and not np.sum(np.abs(block) ** 2) >= np.finfo(float).tiny:
+            raise _bad_value(cfg, key, f"{what} zero in floating point at {f:g} Hz "
+                                       f"(squared norm below {np.finfo(float).tiny:.3g})")
+
+
 def run_inversion(cfg: RunConfig) -> RunSummary:
     """Execute a configured inversion run and write its outputs.
 
     Observed data comes from ``data`` when given, and must hold every run
     frequency in the run's receivers x sources shape; otherwise it is
     synthesized from ``model_true`` (with optional seeded noise at
-    ``snr_db``).  The histories are written first; a batch or final model with
+    ``snr_db``).  Read or synthesized (before noise), data whose squared norm
+    at a run frequency is below the smallest normal float is a ConfigError
+    naming that frequency.  The histories are written first; a batch or final model with
     any cell m <= 0 or NaN then raises NumericalError, and no grid is written.
     """
     init = _read_input(cfg, "model_init", read_grid)
@@ -596,10 +608,13 @@ def run_inversion(cfg: RunConfig) -> RunSummary:
                 or (observed.n_receivers, observed.n_sources) != (acq.n_receivers, acq.n_sources)):
             raise _bad_value(cfg, "data", f"{Path(cfg.data).name} holds {observed.layout()}, "
                                           f"but the run has {run}")
+        _check_not_zero(cfg, observed, "data", f"{Path(cfg.data).name} is")
     else:
         # the oracles' damping profile, so the data and the oracles share one operator
         clean = wave.forward(true, acq, cfg.f_peak, cfg.pml_cells, cfg.free_surface,
                              pml_velocity=survey.pml_velocity)
+        _check_not_zero(cfg, clean, "f_peak", f"the data modeled with the source wavelet of "
+                                              f"peak frequency {cfg.f_peak:g} Hz are")
         observed = wave.add_noise(clean, cfg.snr_db, cfg.opt.seed)
         if cfg.snr_db not in (None, math.inf):
             noise = tuple(n - c for n, c in zip(observed.blocks, clean.blocks))

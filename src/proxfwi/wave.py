@@ -314,6 +314,10 @@ class Survey:
         self.interior_rows = np.arange(self.collar.size).reshape(self.collar.shape)[self.interior]
         self.src = self._rows(acq.sources)
         self.rx = self._rows(acq.receivers)
+        # condensed modeling's last block: every receiver and source node once, and
+        # the place of each receiver, then each source, in it
+        self._last, self._last_at = np.unique(np.concatenate([self.rx, self.src]),
+                                              return_inverse=True)
         self._crew = None  # started by the first each
         self._stop = None  # the crew's finalizer
         self._closed = False
@@ -434,9 +438,9 @@ class Survey:
         def block(i):
             if self.src.size < CONDENSE_MIN_SOURCES:
                 return self.solve_sources(m, i)[1][self.rx, :]
-            last, at = np.unique(np.concatenate([self.rx, self.src]), return_inverse=True)
+            at = self._last_at
             values = np.full(self.src.size, self.strengths[i])
-            fact = linsys.factorize(self.system(m, i), last=last)
+            fact = linsys.factorize(self.system(m, i), last=self._last)
             return fact.solve_last(at[self.rx.size:], values)[at[:self.rx.size], :]
 
         return FreqData(self.acq.frequencies, tuple(self.each(block)))

@@ -230,18 +230,29 @@ BAD_RUN_FILE_VALUES = [
      "bad value for snr_db: SNR must be a number of dB that sets a finite noise level"),
     ("keys65", {"f_peak": 0.05},
      "bad value for f_peak: the source wavelet of peak frequency 0.05 Hz is zero at 3 Hz"),
+    ("keys66", {"f_peak": 0.12, "frequencies": 3, "method": "fwi"},
+     "bad value for f_peak: the data modeled with the source wavelet of peak frequency "
+     "0.12 Hz are zero in floating point at 3 Hz (squared norm below 2.23e-308)"),
+    ("keys67", {"f_peak": 0.12, "frequencies": 3, "method": "fwi", "snr_db": "inf"},
+     "bad value for f_peak: the data modeled with the source wavelet of peak frequency "
+     "0.12 Hz are zero in floating point at 3 Hz (squared norm below 2.23e-308)"),
 ]
+# rows whose data is modeled before it can be rejected: the wavelet is not zero, but
+# the data it makes are
+MODELED_BEFORE_REJECTED = {"keys66", "keys67"}
 
 
-@pytest.mark.parametrize("keys, message", [row[1:] for row in BAD_RUN_FILE_VALUES],
+@pytest.mark.parametrize("row, keys, message", BAD_RUN_FILE_VALUES,
                          ids=[f"{row[0]}-{row[2]}" for row in BAD_RUN_FILE_VALUES])
-def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, monkeypatch, keys,
-                                                 message):
-    # every value a run file can hold is rejected before any data is synthesized
+def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, monkeypatch, row,
+                                                 keys, message):
+    # every value a run file can hold is rejected before any data is synthesized,
+    # except data that the run's own wavelet makes zero
     def no_modeling(*args, **kwargs):
         raise AssertionError("modeled data before the run file was checked")
 
-    monkeypatch.setattr(wave, "forward", no_modeling)
+    if row not in MODELED_BEFORE_REJECTED:
+        monkeypatch.setattr(wave, "forward", no_modeling)
     if keys.get("data") == "DATA":  # the recorded data file, so no forward run checks
         keys = keys | {"data": models[2]}
     config = _write_config(tmp_path, models, **keys)
@@ -252,6 +263,26 @@ def test_invert_bad_config_exits_with_data_error(tmp_path, models, capsys, monke
     if "bad value for" in message:  # named with the line that set the key
         lineno = config.read_text().splitlines().index(f"{key} = {keys[key]}") + 1
         assert f"{config}:{lineno}: bad value for {key}: " in err
+
+
+def test_recorded_data_zero_at_a_run_frequency_exits_with_data_error(tmp_path, models,
+                                                                     capsys):
+    # data read from a file is held to the rule the modeled data are: its 4 Hz
+    # block's squared norm underflows, and only a run that uses 4 Hz is refused
+    recorded = model.read_freq_data(models[2])
+    blocks = (recorded.blocks[0], recorded.blocks[1] * 1e-160)
+    tiny = tmp_path / "tiny.dat"
+    model.write_freq_data(model.FreqData(recorded.frequencies, blocks), tiny)
+    config = _write_config(tmp_path, models, data=tiny, method="fwi")
+    assert cli.main(["invert", "--config", str(config)]) == cli.EXIT_DATA
+    lineno = config.read_text().splitlines().index(f"data = {tiny}") + 1
+    assert (f"{config}:{lineno}: bad value for data: tiny.dat is zero in floating point "
+            f"at 4 Hz (squared norm below 2.23e-308)") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # a run on the 3 Hz block alone goes ahead
+    config = _write_config(tmp_path, models, data=tiny, method="fwi", frequencies=3,
+                           max_outer=1)
+    assert cli.main(["invert", "--config", str(config)]) == 0
 
 
 def test_invert_reads_relative_paths_from_the_run_file(tmp_path, models, monkeypatch):

@@ -22,14 +22,16 @@ from ``optim``, which reads the sigma_max of its step scale from
 only the two of them import ``scipy.sparse``.  Only ``wave`` pads the grid with ``np.pad``, apart
 from ``denoise``'s patch margin, and only ``wave`` names the steps its
 ``Survey`` owns: ``pad_collar``, ``assemble_padded`` and ``ricker_amplitude``.
-Every LU runs on the cached order: only ``linsys._mmd_order`` names
-``MMD_AT_PLUS_A``, and every ``splu`` call passes ``permc_spec="NATURAL"``.
+Every LU runs on the cached order: only ``linsys._analyze``, which builds each
+pattern's symbolic record, names ``MMD_AT_PLUS_A``; ``splu`` appears only as
+a call that passes ``permc_spec="NATURAL"``, and no module calls ``spsolve``
+or ``factorized``, which run SuperLU in an order of its own.
 Every operator is assembled in one place: only ``wave.Survey.system`` names
 ``assemble_padded``, so no path can tune the damping profile for another speed.
 Only ``wave``, whose ``Survey`` runs a survey's frequencies on its own
 long-lived worker threads, names ``ThreadPoolExecutor``, ``Thread``,
 ``concurrent``, ``threading`` or ``queue``, except that ``linsys`` names
-``threading.Lock`` for its order cache.  Every Hessian mode that reads an
+``threading.Lock`` for its record cache.  Every Hessian mode that reads an
 oracle method names one that some package oracle class (a class with
 ``value`` and ``gradient``) defines, so retiring an oracle method cannot
 leave a mode no oracle can run.  Both solvers accept their step at one call
@@ -446,7 +448,7 @@ SURVEY_STEPS = {"pad_collar", "assemble_padded", "ricker_amplitude"}  # wave.Sur
 THREAD_OWNER = "wave"  # Survey's workers, the one place that starts threads
 THREAD_NAMES = {"ThreadPoolExecutor", "Thread"}
 THREAD_MODULES = ("concurrent", "threading", "queue")
-LOCK_OWNER, LOCK_NAMES = "linsys", {"threading", "threading.Lock"}  # the order cache's lock
+LOCK_OWNER, LOCK_NAMES = "linsys", {"threading", "threading.Lock"}  # the record cache's lock
 
 
 def _thread_breach(module: str, name: str) -> bool:
@@ -626,49 +628,63 @@ def test_only_linsys_factors_and_only_wave_pads_the_grid():
     assert _owner_breaches(sources) == []
 
 
-MMD_OWNER = "_mmd_order"  # the one function that asks SuperLU for its ordering
+MMD_OWNER = "_analyze"  # the one function that asks SuperLU for its ordering
+OWN_ORDER_LU = {"spsolve", "factorized"}  # SuperLU entry points that pick their own order
 
 
 def _ordering_breaches(sources: dict[str, str]) -> list[str]:
-    """``module:line: what`` of each ``MMD_AT_PLUS_A`` named outside ``_mmd_order``
-    and each ``splu`` call that does not pass ``permc_spec="NATURAL"``."""
+    """``module:line: what`` of each ``MMD_AT_PLUS_A`` named outside ``_analyze``,
+    each ``splu`` that is not called with ``permc_spec="NATURAL"`` (a call
+    without it, or the name read any other way), and each ``spsolve`` or
+    ``factorized``."""
     found = []
     for module, source in sources.items():
         tree = ast.parse(source)
         owned = {id(node) for fn in ast.walk(tree)
                  if isinstance(fn, ast.FunctionDef) and fn.name == MMD_OWNER
                  for node in ast.walk(fn)}
+        natural = set()  # the splu names called with NATURAL
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                spec = [k.value for k in node.keywords if k.arg == "permc_spec"]
+                if (len(spec) == 1 and isinstance(spec[0], ast.Constant)
+                        and spec[0].value == "NATURAL"):
+                    natural.add(id(node.func))
         for node in ast.walk(tree):
             if (isinstance(node, ast.Constant) and node.value == "MMD_AT_PLUS_A"
                     and id(node) not in owned):
                 found.append((module, node.lineno, "MMD_AT_PLUS_A"))
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            spec = [k.value for k in node.keywords if k.arg == "permc_spec"]
-            if name == "splu" and not (len(spec) == 1 and isinstance(spec[0], ast.Constant)
-                                       and spec[0].value == "NATURAL"):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name == "splu" and id(node) not in natural:
                 found.append((module, node.lineno, "splu without NATURAL"))
+            if name in OWN_ORDER_LU:
+                found.append((module, node.lineno, name))
     return [f"{module}:{line}: {what}" for module, line, what in sorted(found)]
 
 
 def test_ordering_scanner_flags_only_a_second_ordering_path():
     sources = {
         "linsys": (
-            "def _mmd_order(a):\n"
+            "def _analyze(a):\n"
             "    return spla.spilu(a, permc_spec='MMD_AT_PLUS_A').perm_c\n"
             "def factorize(a, spec='MMD_AT_PLUS_A'):\n"
             "    lu = spla.splu(a, permc_spec='NATURAL', options={'SymmetricMode': True})\n"
             "    lu = spla.splu(a)\n"
             "    lu = splu(a, permc_spec=spec)\n"
             "    return spla.splu(a, permc_spec='COLAMD')\n"
+            "lu = splu(a, 'NATURAL')\n"
+            "factor = spla.splu\n"
+            "x = spla.spsolve(a, b) + spla.factorized(a)(b)\n"
+            "from scipy.sparse.linalg import splu\n"
         ),
         "denoise": "x = 'MMD_AT_PLUS_A' if ok else 'NATURAL'\n",
     }
     assert _ordering_breaches(sources) == [
-        "denoise:1: MMD_AT_PLUS_A", "linsys:3: MMD_AT_PLUS_A", "linsys:5: splu without NATURAL",
-        "linsys:6: splu without NATURAL", "linsys:7: splu without NATURAL",
+        "denoise:1: MMD_AT_PLUS_A", "linsys:3: MMD_AT_PLUS_A",
+        "linsys:5: splu without NATURAL", "linsys:6: splu without NATURAL",
+        "linsys:7: splu without NATURAL", "linsys:8: splu without NATURAL",
+        "linsys:9: splu without NATURAL", "linsys:10: factorized", "linsys:10: spsolve",
     ]
 
 

@@ -179,77 +179,212 @@ def test_solve_last_rejects_bad_input():
     assert np.allclose(fact.solve_last([1], [1.0])[:, 0], ref, rtol=1e-12, atol=1e-15)
 
 
-def test_factorize_matches_superlus_own_mmd_factorization():
-    # the cached order with SuperLU in the given order is the factorization
-    # SuperLU makes when it orders the matrix itself
+def _elimination_tree(matrix):
+    """Parent of each node in the elimination tree of the pattern of A + A^T,
+    -1 at a root, by its definition: the first off-diagonal row of each column
+    of a Cholesky factor's pattern, grown here column by column on sets."""
+    pattern = sp.csc_matrix(abs(matrix) + abs(matrix).T)
+    n = pattern.shape[0]
+    below = [set(pattern.indices[pattern.indptr[j]:pattern.indptr[j + 1]]) for j in range(n)]
+    parent = [-1] * n
+    for j in range(n):
+        column = {i for i in below[j] if i > j}
+        if column:
+            parent[j] = min(column)
+            below[parent[j]] |= column - {parent[j]}
+    return parent
+
+
+def _superlu(matrix, permc_spec):
+    return spla.splu(sp.csc_matrix(matrix), permc_spec=permc_spec,
+                     diag_pivot_thresh=linsys.DIAG_PIVOT_THRESH,
+                     options={"SymmetricMode": True})
+
+
+def _reference_postorder(parent, lead):
+    """Postorder of the forest on 0 .. lead-1 by recursive depth-first search,
+    children and roots in increasing order; a parent at or past lead is none."""
+    children = {j: [] for j in range(-1, lead)}
+    for j in range(lead):
+        children[parent[j] if 0 <= parent[j] < lead else -1].append(j)
+    post = []
+
+    def visit(j):
+        for child in children[j]:
+            visit(child)
+        post.append(j)
+
+    for root in children[-1]:
+        visit(root)
+    return post
+
+
+@pytest.mark.parametrize("n, density, seed", [(1, 0.0, 0), (30, 0.05, 1), (60, 0.02, 2),
+                                              (60, 0.1, 3)])
+def test_etree_and_postorder_match_their_definitions(n, density, seed):
+    # unsymmetric random patterns, some with several components, against the
+    # set-based etree and a recursive postorder
+    rng = np.random.default_rng(seed)
+    pattern = sp.random(n, n, density=density, random_state=np.random.RandomState(seed),
+                        format="coo")
+    parent = linsys._etree(pattern.row, pattern.col, n)
+    assert parent == _elimination_tree(pattern + sp.identity(n))
+    for lead in (n, int(rng.integers(0, n + 1))):
+        post = linsys._postorder(parent, lead)
+        assert post.tolist() == _reference_postorder(parent, lead)
+
+
+def test_factor_order_postorders_superlus_mmd_elimination_tree():
+    # the order is a topological reordering of the elimination tree of SuperLU's
+    # own MMD order (``last`` moved to the end), the factor solves as SuperLU's
+    # own factor does, and its fill is within 5 % of the factor in that MMD order
     rng = np.random.default_rng(8)
-    normal = _wri_matrices(_indefinite_m(np.random.default_rng(5)))[2]
-    for matrix in (_helmholtz_41(_inclusion_m()), normal):
-        ref = spla.splu(
-            sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=linsys.DIAG_PIVOT_THRESH, options={"SymmetricMode": True},
-        )
-        fact = linsys.factorize(matrix)
-        assert fact._lu.nnz == ref.nnz
+    rx, a, normal = _wri_matrices(_indefinite_m(np.random.default_rng(5)))
+    for matrix, last in ((_helmholtz_41(_inclusion_m()), ()), (normal, ()), (a, rx)):
+        ref = _superlu(matrix, "MMD_AT_PLUS_A")
+        mmd = np.argsort(ref.perm_c)
+        mmd = np.concatenate([mmd[~np.isin(mmd, last)], np.asarray(last, dtype=np.int64)])
+        in_mmd = sp.csc_matrix(matrix)[mmd][:, mmd]
+        parent = _elimination_tree(in_mmd)
+        fact = linsys.factorize(matrix, last=last)
+        where = np.empty(fact.n, dtype=np.int64)
+        where[fact._order] = np.arange(fact.n)
+        assert np.array_equal(np.sort(fact._order), np.arange(fact.n))
+        assert np.array_equal(fact._order[fact.n - len(last):], np.asarray(last, dtype=np.int64))
+        assert all(where[mmd[j]] < where[mmd[p]] for j, p in enumerate(parent) if p >= 0)
+        assert not np.array_equal(fact._order, mmd)  # the postorder moved something
+        mmd_fill = _superlu(in_mmd, "NATURAL").nnz
+        if not len(last):
+            assert mmd_fill == ref.nnz  # SuperLU's own factor is the one in its MMD order
+        assert abs(fact._lu.nnz / mmd_fill - 1.0) <= 0.05
         rhs = rng.standard_normal((fact.n, 3)) + 1j * rng.standard_normal((fact.n, 3))
         x_ref = ref.solve(rhs)
         assert np.linalg.norm(fact.solve(rhs) - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
-def test_mmd_order_is_read_once_per_pattern_and_the_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(linsys, "_mmd_cache", {})
-    spilu, calls = linsys.spla.spilu, []
+def _count_analysis(monkeypatch):
+    """Count calls to the ordering, the etree, the postorder and the whole analysis."""
+    calls = {"spilu": 0, "_etree": 0, "_postorder": 0, "_analyze": 0}
+    for owner, name in ((linsys.spla, "spilu"), (linsys, "_etree"), (linsys, "_postorder"),
+                        (linsys, "_analyze")):
+        def counted(*args, _inner=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return spilu(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
-    monkeypatch.setattr(linsys.spla, "spilu", counted)
-    for freq in (3.0, 4.0, 5.0):  # a WRI run's two patterns, interleaved
+
+def test_each_pattern_is_analyzed_once_and_the_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(linsys, "_analyses", [])
+    calls = _count_analysis(monkeypatch)
+    rx = _survey_41().rx
+    for freq in (3.0, 4.0, 5.0):  # a WRI run's two patterns and condensed A, interleaved
         _, a, normal = _wri_matrices(_inclusion_m(), freq=freq)
         linsys.factorize(a)
         linsys.factorize(normal)
-    assert len(calls) == 2
+        linsys.factorize(a, last=rx)
+        assert calls == {"spilu": 3, "_etree": 3, "_postorder": 3, "_analyze": 3}
     rng = np.random.default_rng(9)
-    for n in range(20, 22 + linsys.MMD_CACHE_SIZE):
+    for n in range(20, 22 + linsys.ANALYSIS_CACHE_SIZE):
         linsys.factorize(_random_sparse(n, rng))
-        assert len(linsys._mmd_cache) <= linsys.MMD_CACHE_SIZE
-    assert len(calls) == 2 + linsys.MMD_CACHE_SIZE + 2
+        assert len(linsys._analyses) <= linsys.ANALYSIS_CACHE_SIZE
+    assert calls["_analyze"] == 3 + linsys.ANALYSIS_CACHE_SIZE + 2
 
 
-def test_mmd_order_cache_is_safe_for_concurrent_callers(monkeypatch):
+def test_a_repeat_factorization_permutes_no_matrix(monkeypatch):
+    # after the first factorization of a pattern, factorize gathers the values
+    # into the cached structure: no ordering, no etree, no sparse fancy indexing
+    a = _helmholtz_41(_inclusion_m())
+    linsys.factorize(a)
+    calls = _count_analysis(monkeypatch)
+    indexed = []
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        def getitem(self, key, _inner=cls.__getitem__):
+            indexed.append(key)
+            return _inner(self, key)
+
+        monkeypatch.setattr(cls, "__getitem__", getitem)
+    fact = linsys.factorize(a)
+    assert calls == {"spilu": 0, "_etree": 0, "_postorder": 0, "_analyze": 0}
+    assert indexed == []
+    rhs = np.ones(fact.n, dtype=complex)
+    assert _relative_residual(a, fact.solve(rhs), rhs) <= 1e-10
+
+
+def test_an_equal_shape_equal_nnz_pattern_gets_its_own_record(monkeypatch):
+    monkeypatch.setattr(linsys, "_analyses", [])
+    # two tridiagonal-plus-corner patterns of one shape and entry count
+    n = 12
+    band = sp.diags([np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)], [-1, 0, 1], format="lil")
+    first, second = band.copy(), band.copy()
+    first[0, n - 1] = first[n - 1, 0] = 1.0
+    second[0, n - 2] = second[n - 2, 0] = 1.0
+    first, second = sp.csr_matrix(first, dtype=complex), sp.csr_matrix(second, dtype=complex)
+    assert first.shape == second.shape and first.nnz == second.nnz
+    rhs = np.arange(1.0, n + 1.0)
+    for matrix in (first, second, first):
+        x = linsys.factorize(matrix).solve(rhs)
+        assert _relative_residual(matrix, x, rhs) <= 1e-12
+    assert len(linsys._analyses) == 2
+    # the same pattern stored as CSC is a third record
+    linsys.factorize(first.tocsc())
+    assert len(linsys._analyses) == 3
+
+
+def test_cached_arrays_are_read_only():
+    a = _random_sparse(15, np.random.default_rng(4))
+    fact = linsys.factorize(a, last=[3, 1])
+    record = linsys._analyses[-1]
+    assert record.matches(a, np.array([3, 1]))
+    for array in (record.indptr, record.indices, record.gather, record.order, record.last,
+                  *record.pattern, fact._order):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    a.indices[0] = a.indices[1]  # changing the caller's matrix leaves the record as it was
+    assert not record.matches(a, np.array([3, 1]))
+
+
+def test_a_matrix_with_a_twice_stored_entry_is_refused():
+    a = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 0, 1]),
+                       np.array([0, 3, 4])), shape=(2, 2))
+    with pytest.raises(ValueError, match="twice"):
+        linsys.factorize(a)
+
+
+def test_analysis_cache_is_safe_for_concurrent_callers(monkeypatch):
     rng = np.random.default_rng(5)
     patterns = [sp.csc_matrix(_random_sparse(n, rng))
-                for n in range(30, 32 + linsys.MMD_CACHE_SIZE)]  # two more than the cache
-    monkeypatch.setattr(linsys, "_mmd_cache", {})
-    serial = [linsys._mmd_order(a) for a in patterns]
-    spilu, calls = linsys.spla.spilu, []
+                for n in range(30, 32 + linsys.ANALYSIS_CACHE_SIZE)]  # two more than the cache
+    monkeypatch.setattr(linsys, "_analyses", [])
+    serial = [linsys._analysis(a, np.zeros(0, dtype=np.int64)).order for a in patterns]
+    analyze, calls = linsys._analyze, []
 
-    def slow(*args, **kwargs):  # a slow ordering lets the other threads reach the cache
+    def slow(*args, **kwargs):  # a slow analysis lets the other threads reach the cache
         calls.append(1)
         time.sleep(0.002)
-        return spilu(*args, **kwargs)
+        return analyze(*args, **kwargs)
 
-    monkeypatch.setattr(linsys.spla, "spilu", slow)
+    monkeypatch.setattr(linsys, "_analyze", slow)
 
     def sweep(k, count):
-        """Order the first ``count`` patterns three times, starting at pattern k."""
+        """Factor the first ``count`` patterns three times, starting at pattern k."""
         picks = [(k + j) % count for j in range(3 * count)]
-        return [(p, linsys._mmd_order(patterns[p])) for p in picks]
+        return [(p, linsys.factorize(patterns[p])._order) for p in picks]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the cache's critical steps too
     try:
-        for count in (len(patterns), linsys.MMD_CACHE_SIZE):
-            monkeypatch.setattr(linsys, "_mmd_cache", {})
+        for count in (len(patterns), linsys.ANALYSIS_CACHE_SIZE):
+            monkeypatch.setattr(linsys, "_analyses", [])
             calls.clear()
             with ThreadPoolExecutor(max_workers=8) as pool:
                 swept = list(pool.map(sweep, range(8), [count] * 8, timeout=60.0))
             assert all(np.array_equal(order, serial[p]) for run in swept for p, order in run)
-            assert len(linsys._mmd_cache) <= linsys.MMD_CACHE_SIZE
+            assert len(linsys._analyses) <= linsys.ANALYSIS_CACHE_SIZE
     finally:
         sys.setswitchinterval(interval)
-    assert len(calls) == linsys.MMD_CACHE_SIZE  # patterns that fit are ordered once
+    assert len(calls) == linsys.ANALYSIS_CACHE_SIZE  # patterns that fit are analyzed once
 
 
 def test_helmholtz_fill_below_colamd():

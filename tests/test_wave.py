@@ -1,4 +1,5 @@
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -336,6 +337,26 @@ def test_condensed_forward_factors_through_linsys_once_per_frequency(monkeypatch
     monkeypatch.setattr(linsys, "factorize", counting)
     wave.forward(grid, acq)
     assert calls == [True, True, True]
+
+
+def test_condensed_node_list_is_built_once_per_survey(monkeypatch):
+    # the receiver-and-source block is the survey's, not rebuilt by each frequency task
+    grid, acq = _survey_41(32, freqs=(5.0, 7.0, 9.0))
+    survey = wave.Survey(grid, acq)
+    m = model.as_slowness_squared(grid).values
+    try:
+        first = survey.data(m)  # analyzes the pattern once
+        unique, calls = np.unique, []
+
+        def counted(*args, **kwargs):  # scipy's own calls, on diagonal offsets, pass
+            calls.append(sys._getframe(1).f_globals.get("__name__"))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        assert survey.data(m) == first
+    finally:
+        survey.close()
+    assert calls and "proxfwi.wave" not in calls
 
 
 def _greens_error(n, h, pml):
